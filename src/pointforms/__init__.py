@@ -112,96 +112,3 @@ from .tasks import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmbientForm",
-    "AnalyticManifold",
-    "CacheFormatError",
-    "CirclesLinesConfig",
-    "CloudSample",
-    "ConfigurationError",
-    "ConfigurationWarning",
-    "DegenerateDensityError",
-    "DensityEstimate",
-    "DensityShiftConfig",
-    "DiffusionOperator",
-    "DimensionEstimateError",
-    "FormClassifier",
-    "FormNetwork",
-    "GramField",
-    "IngestionError",
-    "InsufficientPointsError",
-    "IntegrationBlowupError",
-    "InvalidDegreeError",
-    "IsolatedPointError",
-    "LaplacianParams",
-    "MANIFOLDS",
-    "Measure",
-    "MissingCacheError",
-    "MultiIndexTable",
-    "NeighborGraph",
-    "NumericFailureError",
-    "OraclePrecisionError",
-    "PARAM_BUDGET",
-    "PointCloud",
-    "PointFormsError",
-    "READOUTS",
-    "RnaKineticsConfig",
-    "TrainConfig",
-    "TrainResult",
-    "UndefinedMetricError",
-    "aggregate_metric",
-    "apply_laplacian",
-    "auroc",
-    "auto_bandwidth_scale",
-    "build_laplacian",
-    "carre_du_champ",
-    "chart_quadrature",
-    "circles_field",
-    "comparison_matrix",
-    "compound_gram_field",
-    "convergence_study",
-    "coordinate_form",
-    "density_check",
-    "estimate_density",
-    "estimate_dimension",
-    "estimate_gram_memory",
-    "evaluate",
-    "flat_torus",
-    "format_bytes",
-    "gen_circles_lines",
-    "gen_density_shift",
-    "gen_rna_kinetics",
-    "global_inner_product",
-    "gram_field_1",
-    "integrate_ode",
-    "knn",
-    "line_segment",
-    "lines_field",
-    "load_checkpoint",
-    "load_cloud_q",
-    "load_dataset",
-    "local_inner_product",
-    "loss_and_grad",
-    "measure_weights",
-    "multi_index_table",
-    "oracle_global_inner_product",
-    "oracle_gram_1",
-    "oracle_gram_k",
-    "pairwise_sq_dist",
-    "predict_logits",
-    "read_gram_cache",
-    "readout",
-    "readout_dim",
-    "readout_grad",
-    "rna_field",
-    "rna_steady_state",
-    "save_checkpoint",
-    "save_dataset",
-    "split_samples",
-    "train",
-    "unit_circle",
-    "unit_sphere",
-    "von_mises_sampler",
-    "write_gram_cache",
-]

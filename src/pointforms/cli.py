@@ -4,8 +4,8 @@ Subcommands: gen, precompute, train, eval, consistency, density-check,
 mem. Every command that writes a directory drops a ``config.json`` echo
 holding the resolved arguments and a sha256 digest of each input, and no
 output embeds timestamps, so a rerun with the same arguments is
-byte-identical. Exit codes: 0 success, 1 configuration or usage error,
-2 data or format error, 3 numeric failure.
+byte-identical. Exit codes: 0 success, otherwise the ``exit_code`` of the
+raised error class (1 configuration or usage, 2 data or format, 3 numeric).
 """
 
 from __future__ import annotations
@@ -33,21 +33,15 @@ from .errors import (
     CacheFormatError,
     ConfigurationError,
     ConfigurationWarning,
-    DegenerateDensityError,
-    DimensionEstimateError,
     IngestionError,
-    InsufficientPointsError,
-    IntegrationBlowupError,
-    InvalidDegreeError,
-    IsolatedPointError,
     MissingCacheError,
-    NumericFailureError,
-    OraclePrecisionError,
+    PointFormsError,
     UndefinedMetricError,
 )
 from .gram import compound_gram_field, estimate_gram_memory, format_bytes, gram_field_1
 from .laplacian import LaplacianParams, build_laplacian
 from .network import (
+    READOUTS,
     CloudSample,
     TrainConfig,
     auroc,
@@ -58,23 +52,6 @@ from .network import (
     train,
 )
 from .oracle import MANIFOLDS, aggregate_metric, convergence_study, density_check
-
-_CONFIG_ERRORS = (ConfigurationError, InvalidDegreeError)
-_DATA_ERRORS = (
-    IngestionError,
-    CacheFormatError,
-    MissingCacheError,
-    InsufficientPointsError,
-    UndefinedMetricError,
-)
-_NUMERIC_ERRORS = (
-    DegenerateDensityError,
-    DimensionEstimateError,
-    IsolatedPointError,
-    NumericFailureError,
-    OraclePrecisionError,
-    IntegrationBlowupError,
-)
 
 FEATURES_MANIFEST = "features.json"
 
@@ -209,7 +186,7 @@ def cmd_precompute(args) -> int:
             mu = measure_weights(cloud, args.measure, density=density)
             mu_rel = f"{cloud.id}.mu.csv"
             np.savetxt(out / mu_rel, mu.weights, fmt="%.17g", delimiter=",")
-        except (_CONFIG_ERRORS + _DATA_ERRORS + _NUMERIC_ERRORS) as exc:
+        except PointFormsError as exc:
             print(f"cloud {cloud.id}: {exc}", file=sys.stderr)
             failures.append(exc)
             continue
@@ -274,7 +251,20 @@ def _load_features(features_dir: Path) -> tuple[list[CloudSample], dict]:
         if not cache_path.is_file():
             raise MissingCacheError(f"missing gram cache {cache_path}; rerun 'pointforms precompute'")
         gram = read_gram_cache(cache_path)
-        weights = np.loadtxt(features_dir / rec["mu"], delimiter=",", ndmin=1)
+        try:
+            weights = np.loadtxt(features_dir / rec["mu"], delimiter=",", ndmin=1)
+        except ValueError as exc:
+            raise CacheFormatError(f"cloud {rec['id']}: unreadable measure weights: {exc}") from exc
+        if gram.m != cloud.m:
+            raise CacheFormatError(f"cloud {rec['id']}: gram field covers {gram.m} points, the cloud has {cloud.m}")
+        if gram.k != manifest["degree"]:
+            raise CacheFormatError(
+                f"cloud {rec['id']}: gram field has degree {gram.k}, the manifest says {manifest['degree']}"
+            )
+        if weights.shape != (gram.m,) or not np.isfinite(weights).all() or (weights <= 0).any():
+            raise CacheFormatError(
+                f"cloud {rec['id']}: measure must hold {gram.m} positive finite weights, got shape {weights.shape}"
+            )
         samples.append(
             CloudSample(
                 cloud_id=rec["id"],
@@ -493,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--n-forms", type=int, default=8)
     p.add_argument("--hidden", default="32,32")
-    p.add_argument("--readout", default="tri", choices=("tri", "flat", "diag", "pool"))
+    p.add_argument("--readout", default="tri", choices=tuple(READOUTS))
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
@@ -539,15 +529,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except PointFormsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

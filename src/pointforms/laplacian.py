@@ -50,10 +50,6 @@ from .graph import knn, pairwise_sq_dist
 _AUTO_SCALE = 0.5  # prefactor of the auto bandwidth rule
 _PCA_VARIANCE_TARGET = 0.95
 
-KERNELS = {
-    "exp4": lambda u: np.exp(-0.25 * u),
-}
-
 
 @dataclass(frozen=True)
 class LaplacianParams:
@@ -62,7 +58,6 @@ class LaplacianParams:
     beta: float = -0.5
     k0: int = 8
     knn: int | str = "default"  # neighbor count, "default" = min(64, m-1), or "full"
-    kernel: str = "exp4"
     d: int | str = "estimate"
     bandwidth_scale: str = "auto"  # "auto" | "raw"
 
@@ -71,8 +66,6 @@ class LaplacianParams:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
         if self.k0 < 2:
             raise ConfigurationError(f"k0 must be >= 2, got {self.k0}")
-        if self.kernel not in KERNELS:
-            raise ConfigurationError(f"unknown kernel {self.kernel!r}")
         if self.bandwidth_scale not in ("auto", "raw"):
             raise ConfigurationError(f"bandwidth_scale must be auto or raw, got {self.bandwidth_scale!r}")
         if isinstance(self.knn, str):
@@ -210,8 +203,7 @@ def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -
     if not np.isfinite(rho).all() or (rho <= 0).any():
         raise DegenerateDensityError("bandwidth function is not positive and finite")
 
-    h = KERNELS[params.kernel]
-    K = h(sq / (params.epsilon * rho[:, None] * rho[None, :]))
+    K = np.exp(-0.25 * (sq / (params.epsilon * rho[:, None] * rho[None, :])))
 
     n_neighbors = _resolve_neighbors(params, m)
     if n_neighbors is not None:

@@ -13,10 +13,12 @@ exact, not approximate.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.stats import rankdata
@@ -29,7 +31,6 @@ from .errors import (
     UndefinedMetricError,
 )
 
-READOUTS = ("tri", "flat", "diag", "pool")
 PARAM_BUDGET = 68_866
 
 _CKPT_MAGIC = b"NPFC"
@@ -37,27 +38,90 @@ _CKPT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sIQQ")
 
 
+@functools.lru_cache(maxsize=None)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-triangle index pair for n forms, built once and shared read-only."""
+    iu, ju = np.triu_indices(n)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+def _tri_grad(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    dc = np.zeros_like(c)
+    dc[_triu(c.shape[0])] = g
+    return dc
+
+
+def _diag_grad(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    dc = np.zeros_like(c)
+    np.fill_diagonal(dc, g)
+    return dc
+
+
+def _pool(c: np.ndarray) -> np.ndarray:
+    n = c.shape[0]
+    diag_sum = np.trace(c)
+    off = (c.sum() - diag_sum) / (n * n - n) if n > 1 else c.dtype.type(0.0)
+    fro = np.sqrt((c * c).sum())
+    return np.array([diag_sum / n, off, fro], dtype=c.dtype)
+
+
+def _pool_grad(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    n = c.shape[0]
+    dc = np.zeros_like(c)
+    np.fill_diagonal(dc, g[0] / n)
+    if n > 1:
+        off = g[1] / (n * n - n)
+        dc += off
+        np.fill_diagonal(dc, np.diag(dc) - off)
+    fro = np.sqrt((c * c).sum())
+    if fro > 0:
+        dc += (g[2] / fro) * c
+    return dc
+
+
+class _Readout(NamedTuple):
+    dim: Callable[[int], int]  # feature length for n forms
+    apply: Callable[[np.ndarray], np.ndarray]  # C -> features
+    grad: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (C, d features) -> dC
+
+
+READOUTS: dict[str, _Readout] = {
+    "tri": _Readout(lambda n: n * (n + 1) // 2, lambda c: c[_triu(c.shape[0])], _tri_grad),
+    "flat": _Readout(lambda n: n * n, lambda c: c.reshape(-1), lambda c, g: g.reshape(c.shape).astype(c.dtype)),
+    "diag": _Readout(lambda n: n, lambda c: np.diag(c).copy(), _diag_grad),
+    "pool": _Readout(lambda n: 3, _pool, _pool_grad),
+}
+
+
+def _readout_kind(kind: str) -> _Readout:
+    if kind not in READOUTS:
+        raise ConfigurationError(f"unknown readout {kind!r}; expected one of {tuple(READOUTS)}")
+    return READOUTS[kind]
+
+
 def readout_dim(kind: str, n_forms: int) -> int:
-    if kind == "tri":
-        return n_forms * (n_forms + 1) // 2
-    if kind == "flat":
-        return n_forms * n_forms
-    if kind == "diag":
-        return n_forms
-    if kind == "pool":
-        return 3
-    raise ConfigurationError(f"unknown readout {kind!r}; expected one of {READOUTS}")
+    return _readout_kind(kind).dim(n_forms)
+
+
+def readout(c: np.ndarray, kind: str) -> np.ndarray:
+    """Reduce a comparison matrix to the feature vector for the head."""
+    return _readout_kind(kind).apply(c)
+
+
+def readout_grad(c: np.ndarray, kind: str, g: np.ndarray) -> np.ndarray:
+    """Gradient of readout(c) pulled back to the comparison matrix."""
+    return _readout_kind(kind).grad(c, g)
 
 
 @dataclass(eq=False)
 class FormNetwork:
-    """Dense network from R^D to n_forms x B coefficient blocks."""
+    """Dense tanh network from R^D to n_forms x B coefficient blocks."""
 
     input_dim: int
     n_coeffs: int
     n_forms: int
     hidden: tuple[int, ...]
-    activation: str
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
@@ -68,12 +132,9 @@ class FormNetwork:
         n_coeffs: int,
         n_forms: int,
         hidden: tuple[int, ...] = (32, 32),
-        activation: str = "tanh",
         rng: np.random.Generator | int | None = None,
         dtype: np.dtype | type = np.float32,
     ) -> "FormNetwork":
-        if activation != "tanh":
-            raise ConfigurationError(f"unsupported activation {activation!r}")
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         sizes = [input_dim, *hidden, n_forms * n_coeffs]
@@ -87,7 +148,6 @@ class FormNetwork:
             n_coeffs=n_coeffs,
             n_forms=n_forms,
             hidden=tuple(hidden),
-            activation=activation,
             weights=weights,
             biases=biases,
         )
@@ -106,7 +166,6 @@ class FormNetwork:
             n_coeffs=self.n_coeffs,
             n_forms=self.n_forms,
             hidden=self.hidden,
-            activation=self.activation,
             weights=[w.astype(dtype) for w in self.weights],
             biases=[b.astype(dtype) for b in self.biases],
         )
@@ -141,64 +200,26 @@ class FormNetwork:
         return d_weights, d_biases
 
 
-def comparison_matrix(gram: GramField, coeffs: np.ndarray, mu: Measure) -> np.ndarray:
-    """C = sum_p mu_p F_p G_p F_p^T accumulated in stored point order."""
-    coeffs = np.asarray(coeffs)
+def _contract(
+    gram: GramField, coeffs: np.ndarray, mu: Measure
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C = sum_p mu_p F_p G_p F_p^T in stored point order, with F G and mu
+    in the coefficient dtype kept for the backward pass."""
     if coeffs.ndim != 3 or coeffs.shape[0] != gram.m or coeffs.shape[2] != gram.B:
         raise ConfigurationError(
             f"coefficients must be (m, l, {gram.B}) over {gram.m} points, got {coeffs.shape}"
         )
     if mu.weights.shape[0] != gram.m:
         raise ConfigurationError(f"measure has {mu.weights.shape[0]} weights for {gram.m} points")
-    g = gram.values.astype(coeffs.dtype, copy=False)
     w = mu.weights.astype(coeffs.dtype, copy=False)
-    per_point = (coeffs @ g) @ coeffs.transpose(0, 2, 1)
-    per_point = per_point * w[:, None, None]
-    return per_point.sum(axis=0)
+    fg = coeffs @ gram.values.astype(coeffs.dtype, copy=False)  # (m, l, B)
+    c = ((fg @ coeffs.transpose(0, 2, 1)) * w[:, None, None]).sum(axis=0)
+    return c, fg, w
 
 
-def readout(c: np.ndarray, kind: str) -> np.ndarray:
-    """Reduce a comparison matrix to the feature vector for the head."""
-    n = c.shape[0]
-    if kind == "tri":
-        iu, ju = np.triu_indices(n)
-        return c[iu, ju]
-    if kind == "flat":
-        return c.reshape(-1)
-    if kind == "diag":
-        return np.diag(c).copy()
-    if kind == "pool":
-        diag_sum = np.trace(c)
-        off = (c.sum() - diag_sum) / (n * n - n) if n > 1 else c.dtype.type(0.0)
-        fro = np.sqrt((c * c).sum())
-        return np.array([diag_sum / n, off, fro], dtype=c.dtype)
-    raise ConfigurationError(f"unknown readout {kind!r}; expected one of {READOUTS}")
-
-
-def readout_grad(c: np.ndarray, kind: str, g: np.ndarray) -> np.ndarray:
-    """Gradient of readout(c) pulled back to the comparison matrix."""
-    n = c.shape[0]
-    dc = np.zeros_like(c)
-    if kind == "tri":
-        iu, ju = np.triu_indices(n)
-        dc[iu, ju] = g
-        return dc
-    if kind == "flat":
-        return g.reshape(n, n).astype(c.dtype)
-    if kind == "diag":
-        np.fill_diagonal(dc, g)
-        return dc
-    if kind == "pool":
-        np.fill_diagonal(dc, g[0] / n)
-        if n > 1:
-            off = g[1] / (n * n - n)
-            dc += off
-            np.fill_diagonal(dc, np.diag(dc) - off)
-        fro = np.sqrt((c * c).sum())
-        if fro > 0:
-            dc += (g[2] / fro) * c
-        return dc
-    raise ConfigurationError(f"unknown readout {kind!r}; expected one of {READOUTS}")
+def comparison_matrix(gram: GramField, coeffs: np.ndarray, mu: Measure) -> np.ndarray:
+    """C = sum_p mu_p F_p G_p F_p^T accumulated in stored point order."""
+    return _contract(gram, np.asarray(coeffs), mu)[0]
 
 
 @dataclass(eq=False)
@@ -230,7 +251,7 @@ class FormClassifier:
         rng: np.random.Generator | int | None = None,
         dtype: np.dtype | type = np.float32,
     ) -> "FormClassifier":
-        net = FormNetwork.create(input_dim, n_coeffs, n_forms, hidden, "tanh", rng, dtype)
+        net = FormNetwork.create(input_dim, n_coeffs, n_forms, hidden, rng, dtype)
         f_dim = readout_dim(readout_kind, n_forms)
         return cls(
             net=net,
@@ -259,14 +280,31 @@ class FormClassifier:
         )
 
     def logit(self, sample: CloudSample) -> float:
-        coeffs = self.net.forward(sample.points)
-        c = comparison_matrix(sample.gram, coeffs, sample.mu)
-        phi = readout(c, self.readout)
-        return float(phi @ self.head_w + self.head_b)
+        return _forward(self, sample)[0]
+
+
+def _forward(model: FormClassifier, sample: CloudSample) -> tuple[float, tuple]:
+    """Logit of one cloud, and the cache the backward pass reuses: network
+    activations, F G (m, l, B), the measure in the model dtype, C, and the
+    readout features."""
+    coeffs, trace = model.net.forward_trace(sample.points)
+    c, fg, w = _contract(sample.gram, coeffs, sample.mu)
+    phi = readout(c, model.readout)
+    return float(phi @ model.head_w + model.head_b), (trace, fg, w, c, phi)
+
+
+def _bce(s: float, sample: CloudSample) -> float:
+    """Binary cross-entropy of logit s against the cloud's label."""
+    if sample.label not in (0, 1):
+        raise ConfigurationError(f"cloud {sample.cloud_id}: label must be 0 or 1, got {sample.label}")
+    loss = float(np.logaddexp(0.0, s) - float(sample.label) * s)
+    if not np.isfinite(loss):
+        raise NumericFailureError(f"cloud {sample.cloud_id}: non-finite loss")
+    return loss
 
 
 def predict_logits(model: FormClassifier, samples: list[CloudSample]) -> np.ndarray:
-    return np.array([model.logit(s) for s in samples])
+    return np.array([_forward(model, s)[0] for s in samples])
 
 
 def loss_and_grad(model: FormClassifier, samples: list[CloudSample]) -> tuple[float, list[np.ndarray]]:
@@ -275,28 +313,15 @@ def loss_and_grad(model: FormClassifier, samples: list[CloudSample]) -> tuple[fl
     The gradient list matches ``model.parameters()`` order. Each cloud
     contributes independently, so duplicating a cloud doubles its term.
     """
-    dtype = model.dtype
     d_weights = [np.zeros_like(w) for w in model.net.weights]
     d_biases = [np.zeros_like(b) for b in model.net.biases]
     d_hw = np.zeros_like(model.head_w)
     d_hb = np.zeros_like(model.head_b)
     total = 0.0
     for sample in samples:
-        if sample.label not in (0, 1):
-            raise ConfigurationError(f"cloud {sample.cloud_id}: label must be 0 or 1, got {sample.label}")
-        coeffs, trace = model.net.forward_trace(sample.points)
-        g = sample.gram.values.astype(dtype, copy=False)
-        w_mu = sample.mu.weights.astype(dtype, copy=False)
-        fg = coeffs @ g  # (m, l, B)
-        c = ((fg @ coeffs.transpose(0, 2, 1)) * w_mu[:, None, None]).sum(axis=0)
-        phi = readout(c, model.readout)
-        s = float(phi @ model.head_w + model.head_b)
-        y = float(sample.label)
-        loss = float(np.logaddexp(0.0, s) - y * s)
-        if not np.isfinite(loss):
-            raise NumericFailureError(f"cloud {sample.cloud_id}: non-finite loss")
-        total += loss
-        ds = np.asarray(1.0 / (1.0 + np.exp(-s)) - y, dtype=dtype)
+        s, (trace, fg, w_mu, c, phi) = _forward(model, sample)
+        total += _bce(s, sample)
+        ds = np.asarray(1.0 / (1.0 + np.exp(-s)) - float(sample.label), dtype=model.dtype)
         d_hw += ds * phi
         d_hb += ds
         dc = readout_grad(c, model.readout, ds * model.head_w)
@@ -341,8 +366,7 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1 or self.learning_rate <= 0 or self.n_forms < 1:
             raise ConfigurationError("epochs, learning rate, and n_forms must be positive")
-        if self.readout not in READOUTS:
-            raise ConfigurationError(f"unknown readout {self.readout!r}")
+        _readout_kind(self.readout)
         if not 0 <= self.val_fraction < 1 or not 0 < self.test_fraction < 1:
             raise ConfigurationError("split fractions out of range")
         if self.val_fraction + self.test_fraction >= 0.9:
@@ -428,8 +452,7 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
         opt.update(params, grads)
         row = {"epoch": epoch, "train_loss": loss / max(1, len(train_set))}
         if val_set:
-            val_loss, _ = _loss_only(model, val_set)
-            row["val_loss"] = val_loss / len(val_set)
+            row["val_loss"] = _loss_only(model, val_set) / len(val_set)
         history.append(row)
     scores = predict_logits(model, test_set)
     labels = np.array([s.label for s in test_set])
@@ -442,12 +465,8 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
     )
 
 
-def _loss_only(model: FormClassifier, samples: list[CloudSample]) -> tuple[float, None]:
-    total = 0.0
-    for sample in samples:
-        s = model.logit(sample)
-        total += float(np.logaddexp(0.0, s) - float(sample.label) * s)
-    return total, None
+def _loss_only(model: FormClassifier, samples: list[CloudSample]) -> float:
+    return sum(_bce(_forward(model, s)[0], s) for s in samples)
 
 
 def evaluate(model: FormClassifier, samples: list[CloudSample]) -> float:
@@ -467,7 +486,6 @@ def save_checkpoint(path: str | Path, model: FormClassifier, meta: dict | None =
         "n_coeffs": model.net.n_coeffs,
         "n_forms": model.net.n_forms,
         "hidden": list(model.net.hidden),
-        "activation": model.net.activation,
         "readout": model.readout,
     }
     echo = json.dumps({"arch": arch, "meta": meta or {}}, sort_keys=True).encode()

@@ -10,13 +10,45 @@ import numpy as np
 import pytest
 
 from pointforms import (
+    CacheFormatError,
+    ConfigurationError,
     ConfigurationWarning,
+    DegenerateDensityError,
     DensityShiftConfig,
+    DimensionEstimateError,
+    IngestionError,
+    InsufficientPointsError,
+    IntegrationBlowupError,
+    InvalidDegreeError,
+    IsolatedPointError,
+    MissingCacheError,
+    NumericFailureError,
+    OraclePrecisionError,
     PointCloud,
+    PointFormsError,
+    UndefinedMetricError,
     gen_density_shift,
     save_dataset,
 )
+from pointforms import cli
 from pointforms.cli import hash_input, main
+
+# Exit codes as documented: 1 configuration, 2 data or format, 3 numeric.
+DOCUMENTED_EXIT_CODES = {
+    ConfigurationError: 1,
+    InvalidDegreeError: 1,
+    IngestionError: 2,
+    CacheFormatError: 2,
+    MissingCacheError: 2,
+    InsufficientPointsError: 2,
+    UndefinedMetricError: 2,
+    DegenerateDensityError: 3,
+    DimensionEstimateError: 3,
+    IsolatedPointError: 3,
+    NumericFailureError: 3,
+    OraclePrecisionError: 3,
+    IntegrationBlowupError: 3,
+}
 
 
 def _dir_digest(root: Path) -> dict[str, str]:
@@ -199,6 +231,20 @@ def test_eval_missing_features_exit_2(small_pipeline, tmp_path, capsys):
     assert "precompute" in capsys.readouterr().err
 
 
+def test_truncated_measure_files_exit_2(small_pipeline, tmp_path, capsys):
+    import shutil
+
+    feat_copy = tmp_path / "feat"
+    shutil.copytree(small_pipeline["feat"], feat_copy)
+    for mu in feat_copy.glob("*.mu.csv"):
+        mu.write_text("".join(mu.read_text().splitlines(keepends=True)[:10]))
+    code = main(["train", "--features", str(feat_copy), "--out", str(tmp_path / "run"), "--epochs", "2"])
+    assert code == 2
+    assert "measure" in capsys.readouterr().err
+    code = main(["eval", "--model", str(small_pipeline["run"] / "model.ckpt"), "--features", str(feat_copy)])
+    assert code == 2
+
+
 def test_eval_corrupt_cache_exit_2(small_pipeline, tmp_path, capsys):
     import shutil
 
@@ -279,6 +325,24 @@ def test_mem_trivial_and_cubic_shapes(capsys):
 def test_mem_invalid_degree_exit_1(capsys):
     assert main(["mem", "16", "3", "7"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+
+
+def test_every_error_class_has_a_documented_exit_code():
+    assert set(PointFormsError.__subclasses__()) == set(DOCUMENTED_EXIT_CODES)
+
+
+@pytest.mark.parametrize("error", DOCUMENTED_EXIT_CODES, ids=lambda e: e.__name__)
+def test_main_returns_documented_exit_code(error, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "estimate_gram_memory", fail)
+    assert main(["mem", "16", "3", "1"]) == DOCUMENTED_EXIT_CODES[error]
+    assert "error: injected" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

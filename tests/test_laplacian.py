@@ -36,8 +36,6 @@ def test_params_validation_rejects_bad_values():
     with pytest.raises(ConfigurationError):
         LaplacianParams(k0=1).validate(10)
     with pytest.raises(ConfigurationError):
-        LaplacianParams(kernel="gauss").validate(10)
-    with pytest.raises(ConfigurationError):
         LaplacianParams(bandwidth_scale="fixed").validate(10)
     with pytest.raises(ConfigurationError):
         LaplacianParams(d="auto").validate(10)

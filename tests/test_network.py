@@ -32,6 +32,7 @@ from pointforms import (
     split_samples,
     train,
 )
+from pointforms.network import _loss_only
 
 
 def _identity_coeff_net(D: int) -> FormNetwork:
@@ -42,7 +43,6 @@ def _identity_coeff_net(D: int) -> FormNetwork:
         n_coeffs=D,
         n_forms=D,
         hidden=(),
-        activation="tanh",
         weights=[np.zeros((D, D * D))],
         biases=[np.eye(D).ravel().copy()],
     )
@@ -97,11 +97,6 @@ def test_forward_rejects_wrong_width():
     net = FormNetwork.create(3, 2, 1, rng=0)
     with pytest.raises(ConfigurationError):
         net.forward(np.zeros((4, 2)))
-
-
-def test_create_rejects_unknown_activation():
-    with pytest.raises(ConfigurationError):
-        FormNetwork.create(2, 2, 1, activation="relu")
 
 
 def test_param_budget_holds_for_benchmark_shapes():
@@ -289,6 +284,21 @@ def test_gradients_match_finite_differences():
             fd = (up - dn) / (2 * step)
             denom = max(abs(fd), abs(flat_g[i]), 1e-8)
             assert abs(fd - flat_g[i]) / denom <= 1e-4
+
+
+@pytest.mark.parametrize("kind", READOUTS)
+def test_logit_loss_and_validation_paths_agree(kind):
+    samples = [_random_sample(m=6, D=3, seed=30 + i, label=i % 2) for i in range(4)]
+    model = FormClassifier.create(3, 3, n_forms=3, hidden=(5,), readout_kind=kind, rng=31, dtype=np.float64)
+    model.head_w[:] = np.random.default_rng(32).standard_normal(model.head_w.shape)
+    model.head_b[...] = 0.3
+    loss, _ = loss_and_grad(model, samples)
+    assert loss == _loss_only(model, samples)
+    by_hand = []
+    for s in samples:
+        c = comparison_matrix(s.gram, model.net.forward(s.points), s.mu)
+        by_hand.append(readout(c, kind) @ model.head_w + model.head_b)
+    npt.assert_array_equal(predict_logits(model, samples), by_hand)
 
 
 def test_single_form_diag_readout_equals_global_inner_product():
