@@ -240,6 +240,10 @@ def _load_features(features_dir: Path) -> tuple[list[CloudSample], dict]:
         manifest = json.load(fh)
     if manifest.get("format") != "pointforms-features":
         raise CacheFormatError(f"{manifest_path}: not a feature manifest")
+    missing = {"dataset", "degree", "measure", "clouds"} - manifest.keys()
+    missing |= {k for rec in manifest.get("clouds", []) for k in ("id", "cache", "mu", "label") if k not in rec}
+    if missing:
+        raise CacheFormatError(f"{manifest_path}: manifest or cloud record lacks {', '.join(sorted(missing))}")
     clouds, _ = load_dataset(manifest["dataset"])
     by_id = {c.id: c for c in clouds}
     samples = []
@@ -247,12 +251,13 @@ def _load_features(features_dir: Path) -> tuple[list[CloudSample], dict]:
         cloud = by_id.get(rec["id"])
         if cloud is None:
             raise MissingCacheError(f"cloud {rec['id']} missing from dataset {manifest['dataset']}")
-        cache_path = features_dir / rec["cache"]
-        if not cache_path.is_file():
-            raise MissingCacheError(f"missing gram cache {cache_path}; rerun 'pointforms precompute'")
+        cache_path, mu_path = features_dir / rec["cache"], features_dir / rec["mu"]
+        for path, what in ((cache_path, "gram cache"), (mu_path, "measure file")):
+            if not path.is_file():
+                raise MissingCacheError(f"cloud {rec['id']}: missing {what} {path}; rerun 'pointforms precompute'")
         gram = read_gram_cache(cache_path)
         try:
-            weights = np.loadtxt(features_dir / rec["mu"], delimiter=",", ndmin=1)
+            weights = np.loadtxt(mu_path, delimiter=",", ndmin=1)
         except ValueError as exc:
             raise CacheFormatError(f"cloud {rec['id']}: unreadable measure weights: {exc}") from exc
         if gram.m != cloud.m:
@@ -332,6 +337,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, meta = load_checkpoint(args.model)
     samples, _ = _load_features(Path(args.features))
+    trained = (meta.get("degree"), model.net.input_dim, model.net.n_coeffs)
+    for s in samples:
+        found = (s.gram.k, s.points.shape[1], s.gram.B)
+        if found != trained:
+            raise CacheFormatError(f"checkpoint expects (degree, input dim, B) {trained}, cloud {s.cloud_id} has {found}")
     if args.split == "test":
         keep = set(meta.get("splits", {}).get("test", []))
         if keep:

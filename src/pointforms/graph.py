@@ -1,6 +1,9 @@
-"""Dense pairwise distances and k-nearest-neighbor queries.
+"""Dense pairwise distances and the k-nearest-neighbor graph.
 
-Distances are computed densely (O(m^2 D)); clouds here are desk scale.
+Distances are dense (O(m^2 D)); clouds here are desk scale. One graph per
+cloud serves the dimension estimate, the pilot density, the kernel (through
+its full distance matrix ``sq``) and the kNN truncation: the sort is stable,
+so each smaller neighbor list is a column prefix of the largest.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ class NeighborGraph:
 
     indices: np.ndarray  # (m, k) int
     sq_dists: np.ndarray  # (m, k) float64, nondecreasing along rows
-    k: int
+    sq: np.ndarray  # (m, m) float64 squared distances, zero diagonal
 
 
 def pairwise_sq_dist(points: np.ndarray) -> np.ndarray:
@@ -55,7 +58,8 @@ def knn(points: np.ndarray, k: int) -> NeighborGraph:
         raise InsufficientPointsError(f"k must satisfy 1 <= k <= m-1, got k={k}, m={m}")
     sq = pairwise_sq_dist(pts)
     np.fill_diagonal(sq, np.inf)
-    # stable sort on distance keeps equal distances in index order
-    order = np.argsort(sq, axis=1, kind="stable")[:, :k]
-    rows = np.arange(m)[:, None]
-    return NeighborGraph(indices=order, sq_dists=sq[rows, order], k=k)
+    # stable sort keeps equal distances in index order; the copy frees the (m, m) sort
+    order = np.argsort(sq, axis=1, kind="stable")[:, :k].copy()
+    sq_dists = sq[np.arange(m)[:, None], order]
+    np.fill_diagonal(sq, 0.0)
+    return NeighborGraph(indices=order, sq_dists=sq_dists, sq=sq)

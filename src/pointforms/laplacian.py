@@ -45,9 +45,10 @@ from .errors import (
     IsolatedPointError,
     NumericFailureError,
 )
-from .graph import knn, pairwise_sq_dist
+from .graph import NeighborGraph, knn
 
 _AUTO_SCALE = 0.5  # prefactor of the auto bandwidth rule
+_PCA_NEIGHBORS = 16  # neighbors per local PCA in the dimension estimate
 _PCA_VARIANCE_TARGET = 0.95
 
 
@@ -83,7 +84,6 @@ class DensityEstimate:
     eps0: float  # (mean rho0)^2, global scale
     rho0_tilde: np.ndarray  # rho0 / sqrt(eps0), mean one
     q0: np.ndarray  # (m,) empirical sampling density
-    d_used: int
 
 
 @dataclass(eq=False)
@@ -100,65 +100,46 @@ class DiffusionOperator:
         return self.L.shape[0]
 
 
-def estimate_dimension(points: np.ndarray, k_pca: int = 16) -> int:
-    """Median over points of the local PCA dimension at 95% explained variance."""
+def estimate_dimension(points: np.ndarray, graph: NeighborGraph) -> int:
+    """Median local PCA dimension at 95% explained variance over each point and its first graph neighbors."""
     pts = np.asarray(points, dtype=np.float64)
-    m = pts.shape[0]
-    k_pca = min(k_pca, m - 1)
-    if k_pca < 1:
-        raise InsufficientPointsError(f"need at least 2 points, got {m}")
-    graph = knn(pts, k_pca)
-    dims = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        nbhd = np.vstack([pts[i : i + 1], pts[graph.indices[i]]])
-        centered = nbhd - nbhd.mean(axis=0)
-        # eigenvalues of the neighborhood covariance via singular values
-        svals = np.linalg.svd(centered, compute_uv=False)
-        var = svals**2
-        total = var.sum()
-        if total <= 0:
-            raise DimensionEstimateError(f"zero-variance neighborhood at point {i}")
-        frac = np.cumsum(var) / total
-        dims[i] = int(np.searchsorted(frac, _PCA_VARIANCE_TARGET - 1e-12) + 1)
+    nbhd = np.concatenate([pts[:, None, :], pts[graph.indices[:, :_PCA_NEIGHBORS]]], axis=1)
+    centered = nbhd - nbhd.mean(axis=1, keepdims=True)
+    # eigenvalues of each neighborhood covariance via singular values
+    var = np.linalg.svd(centered, compute_uv=False) ** 2
+    total = var.sum(axis=1)
+    if (total <= 0).any():
+        raise DimensionEstimateError(f"zero-variance neighborhood at point {int(np.argmax(total <= 0))}")
+    frac = np.cumsum(var, axis=1) / total[:, None]
+    # components needed to reach the target: those short of it, plus one
+    dims = (frac < _PCA_VARIANCE_TARGET - 1e-12).sum(axis=1) + 1
     return int(round(float(np.median(dims))))
 
 
-def estimate_density(points: np.ndarray, k0: int = 8, d: int = 1) -> DensityEstimate:
+def estimate_density(graph: NeighborGraph, k0: int = 8, d: int = 1) -> DensityEstimate:
     """kNN local scales and the kernel density built from them."""
-    pts = np.asarray(points, dtype=np.float64)
-    m = pts.shape[0]
     if k0 < 2:
         raise ConfigurationError(f"k0 must be >= 2, got {k0}")
-    if m < k0:
-        raise InsufficientPointsError(f"need at least k0={k0} points, got {m}")
+    m = graph.sq.shape[0]
+    if graph.indices.shape[1] < k0 - 1:
+        raise InsufficientPointsError(f"need k0-1={k0 - 1} neighbors per point, got {graph.indices.shape[1]} (m={m})")
     if d < 1:
         raise ConfigurationError(f"intrinsic dimension must be >= 1, got {d}")
-    graph = knn(pts, k0 - 1)
     # mean squared distance to the k0-1 nearest others, then square root
-    rho0 = np.sqrt(graph.sq_dists.mean(axis=1))
+    rho0 = np.sqrt(graph.sq_dists[:, : k0 - 1].mean(axis=1))
     if (rho0 <= 0).any():
         raise DegenerateDensityError("coincident points give a zero local scale")
     eps0_sqrt = float(rho0.mean())
     eps0 = eps0_sqrt**2
     rho0_tilde = rho0 / eps0_sqrt
-    sq = pairwise_sq_dist(pts)
     # Gaussian kernel density with per-pair bandwidth 2 rho0_i rho0_j,
     # self term included
     band = 2.0 * rho0[:, None] * rho0[None, :]
-    weights = np.exp(-sq / band)
+    weights = np.exp(-graph.sq / band)
     q0 = (2.0 * np.pi) ** (-0.5 * d) * weights.sum(axis=1) / (rho0**d * m)
     if not np.isfinite(q0).all() or (q0 <= 0).any():
         raise DegenerateDensityError("density estimate is not positive and finite")
-    return DensityEstimate(rho0=rho0, eps0=eps0, rho0_tilde=rho0_tilde, q0=q0, d_used=d)
-
-
-def _resolve_neighbors(params: LaplacianParams, m: int) -> int | None:
-    """Neighbor count for truncation, or None for the full graph."""
-    if params.knn == "full":
-        return None
-    if params.knn == "default":
-        return min(64, m - 1)
-    return int(params.knn)
+    return DensityEstimate(rho0=rho0, eps0=eps0, rho0_tilde=rho0_tilde, q0=q0)
 
 
 def auto_bandwidth_scale(points: np.ndarray, eps0: float, d: int) -> float:
@@ -180,14 +161,18 @@ def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -
     params = params or LaplacianParams()
     params.validate(m)
 
-    d = estimate_dimension(pts) if params.d == "estimate" else int(params.d)
-    if d < 1:
-        raise ConfigurationError(f"intrinsic dimension must be >= 1, got {d}")
-    density = estimate_density(pts, k0=params.k0, d=d)
+    # kNN truncation count, None for the full kernel
+    n_neighbors = None if params.knn == "full" else min(64, m - 1) if params.knn == "default" else int(params.knn)
+    # one graph per cloud, as long as its longest consumer needs; each reads a column prefix
+    k_max = max(params.k0 - 1, n_neighbors or 0, _PCA_NEIGHBORS if params.d == "estimate" else 0)
+    graph = knn(pts, min(k_max, m - 1))
+
+    d = estimate_dimension(pts, graph) if params.d == "estimate" else int(params.d)
+    density = estimate_density(graph, k0=params.k0, d=d)
     if params.d == "estimate":
         params = replace(params, d=d)
 
-    sq = pairwise_sq_dist(pts)
+    sq = graph.sq
     if params.bandwidth_scale == "raw":
         eps_star = 1.0
         rho = density.q0**params.beta
@@ -205,11 +190,9 @@ def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -
 
     K = np.exp(-0.25 * (sq / (params.epsilon * rho[:, None] * rho[None, :])))
 
-    n_neighbors = _resolve_neighbors(params, m)
     if n_neighbors is not None:
-        graph = knn(pts, n_neighbors)
         mask = np.zeros((m, m), dtype=bool)
-        mask[np.arange(m)[:, None], graph.indices] = True
+        mask[np.arange(m)[:, None], graph.indices[:, :n_neighbors]] = True
         mask |= mask.T  # union symmetrization
         np.fill_diagonal(mask, True)
         K = np.where(mask, K, 0.0)

@@ -231,18 +231,30 @@ def test_eval_missing_features_exit_2(small_pipeline, tmp_path, capsys):
     assert "precompute" in capsys.readouterr().err
 
 
-def test_truncated_measure_files_exit_2(small_pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("damage", ["truncate", "delete"])
+def test_truncated_measure_files_exit_2(damage, small_pipeline, tmp_path, capsys):
     import shutil
 
     feat_copy = tmp_path / "feat"
     shutil.copytree(small_pipeline["feat"], feat_copy)
     for mu in feat_copy.glob("*.mu.csv"):
-        mu.write_text("".join(mu.read_text().splitlines(keepends=True)[:10]))
+        if damage == "delete":
+            mu.unlink()
+        else:
+            mu.write_text("".join(mu.read_text().splitlines(keepends=True)[:10]))
     code = main(["train", "--features", str(feat_copy), "--out", str(tmp_path / "run"), "--epochs", "2"])
     assert code == 2
     assert "measure" in capsys.readouterr().err
     code = main(["eval", "--model", str(small_pipeline["run"] / "model.ckpt"), "--features", str(feat_copy)])
     assert code == 2
+
+
+def test_eval_checkpoint_of_another_degree_exit_2(small_pipeline, tmp_path, capsys):
+    feat2 = tmp_path / "feat2"
+    assert main(["precompute", "--dataset", str(small_pipeline["data"]), "--out", str(feat2), "--k", "2"]) == 0
+    code = main(["eval", "--model", str(small_pipeline["run"] / "model.ckpt"), "--features", str(feat2)])
+    assert code == 2
+    assert "degree" in capsys.readouterr().err
 
 
 def test_eval_corrupt_cache_exit_2(small_pipeline, tmp_path, capsys):

@@ -16,6 +16,7 @@ from pointforms import (
     build_laplacian,
     estimate_density,
     estimate_dimension,
+    knn,
     unit_circle,
     unit_sphere,
 )
@@ -48,17 +49,18 @@ def test_params_validation_rejects_bad_values():
 
 
 def test_dimension_estimate_circle_is_one():
-    assert estimate_dimension(_circle_points(500)) == 1
+    pts = _circle_points(500)
+    assert estimate_dimension(pts, knn(pts, 16)) == 1
 
 
 def test_dimension_estimate_sphere_is_two():
     pts, _ = unit_sphere().sample(700, np.random.default_rng(1))
-    assert estimate_dimension(pts) == 2
+    assert estimate_dimension(pts, knn(pts, 16)) == 2
 
 
 def test_dimension_estimate_identical_points_rejected():
     with pytest.raises(DimensionEstimateError):
-        estimate_dimension(np.ones((20, 3)))
+        estimate_dimension(np.ones((20, 3)), knn(np.ones((20, 3)), 16))
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +68,7 @@ def test_dimension_estimate_identical_points_rejected():
 
 
 def test_density_two_points_closed_form():
-    est = estimate_density(np.array([[0.0], [1.0]]), k0=2, d=1)
+    est = estimate_density(knn(np.array([[0.0], [1.0]]), 1), k0=2, d=1)
     npt.assert_allclose(est.rho0, [1.0, 1.0], atol=1e-15)
     assert est.eps0 == pytest.approx(1.0)
     expected_q0 = (2.0 * np.pi) ** -0.5 * 0.5 * (1.0 + np.exp(-0.5))
@@ -78,8 +80,8 @@ def test_density_scale_equivariance():
     rng = np.random.default_rng(2)
     pts = rng.standard_normal((60, 3))
     c = 2.5
-    base = estimate_density(pts, k0=6, d=2)
-    scaled = estimate_density(c * pts, k0=6, d=2)
+    base = estimate_density(knn(pts, 5), k0=6, d=2)
+    scaled = estimate_density(knn(c * pts, 5), k0=6, d=2)
     npt.assert_allclose(scaled.rho0, c * base.rho0, rtol=1e-12)
     assert scaled.eps0 == pytest.approx(c**2 * base.eps0, rel=1e-12)
     npt.assert_allclose(scaled.rho0_tilde, base.rho0_tilde, rtol=1e-12)
@@ -87,18 +89,37 @@ def test_density_scale_equivariance():
 
 
 def test_density_uniform_circle_matches_continuum():
-    est = estimate_density(_circle_points(2000), k0=8, d=1)
+    est = estimate_density(knn(_circle_points(2000), 7), k0=8, d=1)
     median_q0 = float(np.median(est.q0))
     assert abs(median_q0 - 1.0 / (2.0 * np.pi)) <= 0.15 / (2.0 * np.pi)
 
 
 def test_density_rejects_coincident_points():
     with pytest.raises(DegenerateDensityError):
-        estimate_density(np.zeros((10, 2)), k0=3, d=1)
+        estimate_density(knn(np.zeros((10, 2)), 2), k0=3, d=1)
 
 
 # ---------------------------------------------------------------------------
 # operator assembly
+
+
+@pytest.mark.parametrize(
+    "params", [LaplacianParams(), LaplacianParams(knn="full", d=1)], ids=["defaults", "full-d1"]
+)
+def test_build_laplacian_sorts_and_measures_distances_once(params, monkeypatch):
+    from pointforms import graph, laplacian
+
+    calls = {"knn": 0, "pairwise_sq_dist": 0}
+    for mod in (graph, laplacian):
+        for name in calls:
+            if hasattr(mod, name):
+                def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(mod, name, counted)
+    build_laplacian(_circle_points(128, seed=5), params)
+    assert calls == {"knn": 1, "pairwise_sq_dist": 1}
 
 
 def test_laplacian_annihilates_constants():
@@ -169,7 +190,7 @@ def test_auto_mode_scale_equivariance():
 
 def test_auto_bandwidth_scale_formula():
     pts = _circle_points(300, seed=6)
-    eps0 = estimate_density(pts, d=1).eps0
+    eps0 = estimate_density(knn(pts, 7), d=1).eps0
     centered = pts - pts.mean(axis=0)
     r2 = float((centered**2).sum() / len(pts))
     expected = 0.5 * r2 * (eps0 / r2) ** (1.0 / 5.0)
