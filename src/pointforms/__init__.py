@@ -48,6 +48,7 @@ from .gram import (
     global_inner_product,
     gram_field_1,
     local_inner_product,
+    minors,
 )
 from .graph import NeighborGraph, knn, pairwise_sq_dist
 from .laplacian import (

@@ -195,10 +195,12 @@ def cmd_precompute(args) -> int:
         total_bytes += size
         header_bytes += size - estimate_gram_memory(cloud.m, dim, args.k, precision=args.precision)
         total_points += cloud.m
+    dataset_hash = hash_input(dataset_dir)
     manifest = {
         "format": "pointforms-features",
         "version": 1,
         "dataset": str(dataset_dir),
+        "dataset_sha256": dataset_hash,
         "degree": args.k,
         "precision": args.precision,
         "measure": args.measure,
@@ -216,7 +218,7 @@ def cmd_precompute(args) -> int:
             "measure": args.measure,
             "params": asdict(params),
         },
-        {str(dataset_dir): hash_input(dataset_dir)},
+        {str(dataset_dir): dataset_hash},
     )
     estimate = estimate_gram_memory(total_points, dim, args.k, precision=args.precision)
     print(
@@ -240,11 +242,17 @@ def _load_features(features_dir: Path) -> tuple[list[CloudSample], dict]:
         manifest = json.load(fh)
     if manifest.get("format") != "pointforms-features":
         raise CacheFormatError(f"{manifest_path}: not a feature manifest")
-    missing = {"dataset", "degree", "measure", "clouds"} - manifest.keys()
+    missing = {"dataset", "dataset_sha256", "degree", "measure", "clouds"} - manifest.keys()
     missing |= {k for rec in manifest.get("clouds", []) for k in ("id", "cache", "mu", "label") if k not in rec}
     if missing:
         raise CacheFormatError(f"{manifest_path}: manifest or cloud record lacks {', '.join(sorted(missing))}")
     clouds, _ = load_dataset(manifest["dataset"])
+    dataset_hash = hash_input(manifest["dataset"])
+    if dataset_hash != manifest["dataset_sha256"]:
+        raise CacheFormatError(
+            f"dataset {manifest['dataset']} has digest {dataset_hash}, the features were computed from "
+            f"{manifest['dataset_sha256']}; rerun 'pointforms precompute'"
+        )
     by_id = {c.id: c for c in clouds}
     samples = []
     for rec in manifest["clouds"]:

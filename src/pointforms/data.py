@@ -186,11 +186,11 @@ def read_gram_cache(path: str | Path) -> GramField:
     if B == 0:
         raise CacheFormatError(f"{path}: inconsistent D={D}, k={k}")
     expected = m * B * B * dtype.itemsize
-    body = raw[_HEADER.size:]
-    if len(body) != expected:
-        raise CacheFormatError(f"{path}: payload is {len(body)} bytes, expected {expected}")
-    values = np.frombuffer(body, dtype=dtype).reshape(m, B, B)
-    return GramField(D=D, k=k, values=values.copy())
+    if len(raw) - _HEADER.size != expected:
+        raise CacheFormatError(f"{path}: payload is {len(raw) - _HEADER.size} bytes, expected {expected}")
+    # a read-only view of the file bytes; GramField stores a fresh symmetrized array
+    values = np.frombuffer(raw, dtype=dtype, offset=_HEADER.size).reshape(m, B, B)
+    return GramField(D=D, k=k, values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .data import GramField, Measure, MultiIndexTable, multi_index_table
+from .data import GramField, Measure, multi_index_table
 from .errors import ConfigurationError, InvalidDegreeError
 from .laplacian import DiffusionOperator, apply_laplacian
 
@@ -46,19 +45,24 @@ def gram_field_1(op: DiffusionOperator, points: np.ndarray) -> GramField:
     return GramField(D=D, k=1, values=values)
 
 
-def _det_stack(mats: np.ndarray, k: int) -> np.ndarray:
-    """Determinants of a (..., k, k) stack by cofactor expansion, k <= 3."""
+def minors(values: np.ndarray, k: int) -> np.ndarray:
+    """All k x k minors of an (m, D, D) stack, k <= 3: entry (I, J) of the
+    (m, B, B) result takes rows I and columns J, multi-indices in
+    lexicographic order. Determinants use closed-form cofactor expansions."""
+    if not 1 <= k <= 3:
+        raise InvalidDegreeError(f"closed-form minors are provided for 1 <= k <= 3, got k={k}")
+    rows = multi_index_table(values.shape[-1], k).row_arrays()  # (B, k)
+    # gather all (I, J) submatrices: (m, B, B, k, k)
+    sub = values[:, rows[:, None, :, None], rows[None, :, None, :]]
     if k == 1:
-        return mats[..., 0, 0]
+        return sub[..., 0, 0]
     if k == 2:
-        return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-    if k == 3:
-        return (
-            mats[..., 0, 0] * (mats[..., 1, 1] * mats[..., 2, 2] - mats[..., 1, 2] * mats[..., 2, 1])
-            - mats[..., 0, 1] * (mats[..., 1, 0] * mats[..., 2, 2] - mats[..., 1, 2] * mats[..., 2, 0])
-            + mats[..., 0, 2] * (mats[..., 1, 0] * mats[..., 2, 1] - mats[..., 1, 1] * mats[..., 2, 0])
-        )
-    raise InvalidDegreeError(f"closed-form determinants are provided for k <= 3, got k={k}")
+        return sub[..., 0, 0] * sub[..., 1, 1] - sub[..., 0, 1] * sub[..., 1, 0]
+    return (
+        sub[..., 0, 0] * (sub[..., 1, 1] * sub[..., 2, 2] - sub[..., 1, 2] * sub[..., 2, 1])
+        - sub[..., 0, 1] * (sub[..., 1, 0] * sub[..., 2, 2] - sub[..., 1, 2] * sub[..., 2, 0])
+        + sub[..., 0, 2] * (sub[..., 1, 0] * sub[..., 2, 1] - sub[..., 1, 1] * sub[..., 2, 0])
+    )
 
 
 def compound_gram_field(g1: GramField, k: int) -> GramField:
@@ -71,15 +75,7 @@ def compound_gram_field(g1: GramField, k: int) -> GramField:
         raise InvalidDegreeError(f"degree k must satisfy 1 <= k <= D, got k={k}, D={D}")
     if k == 1:
         return GramField(D=D, k=1, values=g1.values.copy())
-    if k > 3:
-        raise InvalidDegreeError(f"degree-{k} compound fields are not materialized (k <= 3)")
-    table = multi_index_table(D, k)
-    rows = table.row_arrays()  # (B, k)
-    B = table.size
-    # gather all (I, J) submatrices: (m, B, B, k, k)
-    sub = g1.values[:, rows[:, None, :, None], rows[None, :, None, :]]
-    values = _det_stack(sub, k)
-    return GramField(D=D, k=k, values=values)
+    return GramField(D=D, k=k, values=minors(g1.values, k))
 
 
 def local_inner_product(gram: GramField, f: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -144,31 +140,11 @@ def format_bytes(n_bytes: int) -> str:
 
 @dataclass(frozen=True)
 class AmbientForm:
-    """A degree-k form given by coefficients in the multi-index basis.
-
-    ``coeffs`` is either a constant (B,) vector or a callable mapping
-    (n, D) points to (n, B) coefficients.
-    """
+    """A degree-k form with constant (B,) coefficients in the multi-index basis."""
 
     D: int
     k: int
-    coeffs: np.ndarray | Callable[[np.ndarray], np.ndarray]
-    name: str = ""
-
-    @property
-    def table(self) -> MultiIndexTable:
-        return multi_index_table(self.D, self.k)
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        B = self.table.size
-        if callable(self.coeffs):
-            out = np.asarray(self.coeffs(pts), dtype=np.float64)
-            if out.shape != (pts.shape[0], B):
-                raise ConfigurationError(f"form {self.name!r}: coefficients shaped {out.shape}, expected ({pts.shape[0]}, {B})")
-            return out
-        const = np.asarray(self.coeffs, dtype=np.float64).reshape(B)
-        return np.broadcast_to(const, (pts.shape[0], B)).copy()
+    coeffs: np.ndarray
 
 
 def coordinate_form(D: int, indices: tuple[int, ...] | int) -> AmbientForm:
@@ -183,5 +159,4 @@ def coordinate_form(D: int, indices: tuple[int, ...] | int) -> AmbientForm:
         raise ConfigurationError(f"{indices} is not an ascending multi-index in {{1..{D}}}") from None
     coeffs = np.zeros(table.size)
     coeffs[pos] = 1.0
-    name = "dx^(" + ",".join(str(i) for i in indices) + ")"
-    return AmbientForm(D=D, k=k, coeffs=coeffs, name=name)
+    return AmbientForm(D=D, k=k, coeffs=coeffs)

@@ -1,9 +1,10 @@
 """Dense pairwise distances and the k-nearest-neighbor graph.
 
-Distances are dense (O(m^2 D)); clouds here are desk scale. One graph per
-cloud serves the dimension estimate, the pilot density, the kernel (through
-its full distance matrix ``sq``) and the kNN truncation: the sort is stable,
-so each smaller neighbor list is a column prefix of the largest.
+Distances are dense (O(m^2 D)) and come from one ``cdist`` call at every
+size; clouds here are desk scale. One graph per cloud serves the dimension
+estimate, the pilot density, the kernel (through its full distance matrix
+``sq``) and the kNN truncation: the sort is stable, so each smaller neighbor
+list is a column prefix of the largest.
 """
 
 from __future__ import annotations
@@ -11,12 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import InsufficientPointsError
-
-# above this many scalars the direct (m, m, D) difference tensor is replaced
-# by the quadratic-expansion form to bound memory
-_DIFF_TENSOR_BUDGET = 3 * 10**7
 
 
 @dataclass(frozen=True)
@@ -33,15 +31,7 @@ def pairwise_sq_dist(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError(f"points must be (m, D), got shape {pts.shape}")
-    m, D = pts.shape
-    if m * m * D <= _DIFF_TENSOR_BUDGET:
-        diff = pts[:, None, :] - pts[None, :, :]
-        sq = np.einsum("ijd,ijd->ij", diff, diff)
-    else:
-        norms = np.einsum("id,id->i", pts, pts)
-        sq = norms[:, None] + norms[None, :] - 2.0 * (pts @ pts.T)
-        sq = 0.5 * (sq + sq.T)
-        np.maximum(sq, 0.0, out=sq)
+    sq = cdist(pts, pts, "sqeuclidean")
     np.fill_diagonal(sq, 0.0)
     return sq
 

@@ -279,9 +279,6 @@ class FormClassifier:
             readout=self.readout,
         )
 
-    def logit(self, sample: CloudSample) -> float:
-        return _forward(self, sample)[0]
-
 
 def _forward(model: FormClassifier, sample: CloudSample) -> tuple[float, tuple]:
     """Logit of one cloud, and the cache the backward pass reuses: network
@@ -351,6 +348,11 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
 # training
 
 
+# shares of each label's clouds held out for validation and test
+VAL_FRACTION = 0.2
+TEST_FRACTION = 0.2
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     n_forms: int = 8
@@ -360,17 +362,11 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     split_seed: int = 0
-    val_fraction: float = 0.2
-    test_fraction: float = 0.2
 
     def validate(self) -> None:
         if self.epochs < 1 or self.learning_rate <= 0 or self.n_forms < 1:
             raise ConfigurationError("epochs, learning rate, and n_forms must be positive")
         _readout_kind(self.readout)
-        if not 0 <= self.val_fraction < 1 or not 0 < self.test_fraction < 1:
-            raise ConfigurationError("split fractions out of range")
-        if self.val_fraction + self.test_fraction >= 0.9:
-            raise ConfigurationError("train split would be smaller than 10%")
 
 
 @dataclass(eq=False)
@@ -430,7 +426,7 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
     config.validate()
     if not samples:
         raise ConfigurationError("empty training set")
-    splits = split_samples(samples, config.val_fraction, config.test_fraction, config.split_seed)
+    splits = split_samples(samples, VAL_FRACTION, TEST_FRACTION, config.split_seed)
     train_set = [samples[i] for i in splits["train"]]
     val_set = [samples[i] for i in splits["val"]]
     test_set = [samples[i] for i in splits["test"]]

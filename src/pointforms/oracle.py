@@ -16,9 +16,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import i0 as bessel_i0
 
-from .data import Measure, multi_index_table
+from .data import Measure
 from .errors import ConfigurationError, ConfigurationWarning, OraclePrecisionError
-from .gram import AmbientForm, compound_gram_field, coordinate_form, global_inner_product, gram_field_1
+from .gram import AmbientForm, compound_gram_field, coordinate_form, global_inner_product, gram_field_1, minors
 from .laplacian import LaplacianParams, build_laplacian
 
 
@@ -178,12 +178,7 @@ def oracle_gram_1(manifold: AnalyticManifold, u: np.ndarray) -> np.ndarray:
 
 def oracle_gram_k(manifold: AnalyticManifold, u: np.ndarray, k: int) -> np.ndarray:
     """Degree-k oracle Gram: k x k minors of the tangent projector; (n, B, B)."""
-    g1 = oracle_gram_1(manifold, u)
-    D = manifold.ambient_dim
-    table = multi_index_table(D, k)
-    rows = table.row_arrays()
-    sub = g1[:, rows[:, None, :, None], rows[None, :, None, :]]
-    return np.linalg.det(sub)
+    return minors(oracle_gram_1(manifold, u), k)
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +254,8 @@ def oracle_global_inner_product(
     k = omega.k
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        pts = manifold.embed(u)
         gk = oracle_gram_k(manifold, u, k)
-        fo = omega.evaluate(pts)
-        fe = eta.evaluate(pts)
-        vals = np.einsum("na,nab,nb->n", fo, gk, fe) * manifold.volume_element(u)
+        vals = np.einsum("a,nab,b->n", omega.coeffs, gk, eta.coeffs) * manifold.volume_element(u)
         if weighting == "density":
             q = density(u) if density is not None else manifold.density(u)
             vals = vals * np.asarray(q, dtype=np.float64)
@@ -349,11 +341,10 @@ def convergence_study(
             stacklevel=2,
         )
     rows: list[dict] = []
-    dx_forms = [None, None]
     if manifold.ambient_dim >= 2:
-        dx_forms = [coordinate_form(manifold.ambient_dim, 1), coordinate_form(manifold.ambient_dim, 1)]
-        oracle_density_weighted = oracle_global_inner_product(manifold, dx_forms[0], dx_forms[1], "density")
-        oracle_volume = oracle_global_inner_product(manifold, dx_forms[0], dx_forms[1], "volume")
+        dx = coordinate_form(manifold.ambient_dim, 1)
+        oracle_density_weighted = oracle_global_inner_product(manifold, dx, dx, "density")
+        oracle_volume = oracle_global_inner_product(manifold, dx, dx, "volume")
 
     for n in sizes:
         eps_n = params.epsilon if theta is None else params.epsilon * n ** (-theta)
@@ -380,13 +371,12 @@ def convergence_study(
             rows.append(base | {"metric": f"g{k}_err_max", "value": float(err.max())})
             rows.append(base | {"metric": f"g{k}_min_eigenvalue", "value": float(eigs.min())})
             if k == 1 and manifold.ambient_dim >= 2:
-                coeff = dx_forms[0].evaluate(points)
                 est_uniform = global_inner_product(
-                    g1, coeff, coeff, Measure(np.full(n, 1.0 / n), "uniform")
+                    g1, dx.coeffs, dx.coeffs, Measure(np.full(n, 1.0 / n), "uniform")
                 )
                 q_true = manifold.density(u)
                 est_corrected = global_inner_product(
-                    g1, coeff, coeff, Measure(1.0 / (n * q_true), "density_corrected")
+                    g1, dx.coeffs, dx.coeffs, Measure(1.0 / (n * q_true), "density_corrected")
                 )
                 rows.append(base | {"metric": "gip_dxdx_uniform_err", "value": abs(est_uniform - oracle_density_weighted)})
                 rows.append(base | {"metric": "gip_dxdx_corrected_err", "value": abs(est_corrected - oracle_volume)})

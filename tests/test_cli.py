@@ -270,6 +270,22 @@ def test_eval_corrupt_cache_exit_2(small_pipeline, tmp_path, capsys):
     assert code == 2
 
 
+def test_features_of_a_changed_dataset_exit_2(small_pipeline, tmp_path, capsys):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(small_pipeline["data"], data)
+    feat = tmp_path / "feat"
+    assert main(["precompute", "--dataset", str(data), "--out", str(feat), "--k", "1"]) == 0
+    victim = next(data.glob("*.csv"))
+    pts = np.loadtxt(victim, delimiter=",", ndmin=2)
+    np.savetxt(victim, pts[::-1] * 1.5, fmt="%.17g", delimiter=",")
+    capsys.readouterr()
+    code = main(["train", "--features", str(feat), "--out", str(tmp_path / "run"), "--epochs", "1"])
+    assert code == 2
+    assert "dataset" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # studies
 

@@ -315,12 +315,3 @@ def test_coordinate_form_basis_layout():
     npt.assert_array_equal(form.coeffs, [0.0, 1.0, 0.0])
     with pytest.raises(ConfigurationError):
         coordinate_form(3, (3, 1))
-
-
-def test_coordinate_form_evaluate_is_constant():
-    form = coordinate_form(2, 1)
-    rng = np.random.default_rng(21)
-    pts = rng.standard_normal((5, 2))
-    coeffs = form.evaluate(pts)
-    assert coeffs.shape == (5, 2)
-    npt.assert_array_equal(coeffs, np.tile([1.0, 0.0], (5, 1)))

@@ -1,5 +1,7 @@
 """Dense pairwise distances and k-nearest-neighbor selection."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -36,7 +38,7 @@ def test_pairwise_sq_dist_matches_brute_force():
 
 
 def test_pairwise_sq_dist_large_cloud_uses_same_values():
-    # The implementation switches formulas on size; both must agree.
+    # A large, offset cloud (m^2 D = 2.9e6) still matches the brute-force sum.
     rng = np.random.default_rng(1)
     pts = rng.standard_normal((600, 8)) * 3.0 + 5.0
     sq = pairwise_sq_dist(pts)
@@ -44,6 +46,18 @@ def test_pairwise_sq_dist_large_cloud_uses_same_values():
     jdx = rng.integers(0, 600, size=50)
     brute = ((pts[idx] - pts[jdx]) ** 2).sum(axis=1)
     npt.assert_allclose(sq[idx, jdx], brute, rtol=1e-10, atol=1e-8)
+
+
+def test_pairwise_sq_dist_allocates_only_its_output():
+    m, D = 1000, 8
+    pts = np.random.default_rng(3).standard_normal((m, D))
+    tracemalloc.start()
+    try:
+        pairwise_sq_dist(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * m * m * 8, f"peak {peak / (m * m * 8):.1f}x the (m, m) float64 output"
 
 
 def test_knn_collinear_nearest_by_inspection():

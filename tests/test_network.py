@@ -362,8 +362,6 @@ def test_train_config_validation():
         TrainConfig(readout="mean").validate()
     with pytest.raises(ConfigurationError):
         TrainConfig(epochs=0).validate()
-    with pytest.raises(ConfigurationError):
-        TrainConfig(val_fraction=0.6, test_fraction=0.5).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Closed-form manifold oracles, quadrature, samplers, and the studies."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -98,10 +100,14 @@ def test_oracle_sphere_is_ambient_complement():
         npt.assert_allclose(slice_, np.eye(3) - np.outer(p, p), atol=1e-12)
 
 
-def test_oracle_gram_k_above_intrinsic_dim_vanishes():
-    g2 = oracle_gram_k(unit_circle(), np.array([[0.3], [2.0]]), 2)
-    assert g2.shape == (2, 1, 1)
-    npt.assert_allclose(g2, 0.0, atol=1e-14)
+@pytest.mark.parametrize("name, k", [("circle", 2), ("sphere", 3), ("torus", 3)])
+def test_oracle_gram_k_above_intrinsic_dim_vanishes(name, k):
+    manifold = MANIFOLDS[name]()
+    u = _random_chart_points(manifold, 6, seed=4)
+    gk = oracle_gram_k(manifold, u, k)
+    B = math.comb(manifold.ambient_dim, k)
+    assert gk.shape == (6, B, B)
+    npt.assert_allclose(gk, 0.0, atol=1e-14)
 
 
 def test_oracle_sphere_pole_degree_two():
