@@ -10,8 +10,6 @@ end.
 
 from .data import (
     GramField,
-    Measure,
-    MultiIndexTable,
     PointCloud,
     load_cloud_q,
     load_dataset,

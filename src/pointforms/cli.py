@@ -15,14 +15,15 @@ import hashlib
 import json
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import tasks
 from .data import (
-    Measure,
+    MEASURES,
+    PRECISIONS,
     load_dataset,
     measure_weights,
     read_gram_cache,
@@ -34,12 +35,13 @@ from .errors import (
     ConfigurationError,
     ConfigurationWarning,
     IngestionError,
+    InvalidDegreeError,
     MissingCacheError,
     PointFormsError,
     UndefinedMetricError,
 )
-from .gram import compound_gram_field, estimate_gram_memory, format_bytes, gram_field_1
-from .laplacian import LaplacianParams, build_laplacian
+from .gram import MAX_DEGREE, compound_gram_field, estimate_gram_memory, format_bytes, gram_field_1
+from .laplacian import BANDWIDTH_SCALES, KNN_WORDS, LaplacianParams, build_laplacian
 from .network import (
     READOUTS,
     CloudSample,
@@ -99,40 +101,34 @@ def _write_config_echo(out_dir: Path, command: str, args_dict: dict, inputs: dic
     _write_json(out_dir / "config.json", {"command": command, "args": args_dict, "inputs": inputs})
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"expected a comma-separated integer list, got {text!r}") from exc
+def _list_of(kind: type):
+    """Argparse type for a comma-separated list of ``kind`` values."""
+
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated {kind.__name__} list, got {text!r}") from None
+
+    return parse
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _int_or_word(text: str) -> int | str:
+    """Argparse type: integer text becomes an int, any other word passes through."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"expected a comma-separated number list, got {text!r}") from exc
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _laplacian_params(args) -> LaplacianParams:
-    knn: int | str = args.knn
-    if knn not in ("default", "full"):
-        try:
-            knn = int(knn)
-        except ValueError as exc:
-            raise ConfigurationError(f"--knn must be an integer, 'default', or 'full'; got {knn!r}") from exc
-    d: int | str = args.d
-    if d != "estimate":
-        try:
-            d = int(d)
-        except ValueError as exc:
-            raise ConfigurationError(f"--d must be an integer or 'estimate'; got {d!r}") from exc
     return LaplacianParams(
         epsilon=args.epsilon,
         alpha=args.alpha,
         beta=args.beta,
         k0=args.k0,
-        knn=knn,
-        d=d,
+        knn=args.knn,
+        d=args.d,
         bandwidth_scale=args.bandwidth_scale,
     )
 
@@ -143,21 +139,13 @@ def _laplacian_params(args) -> LaplacianParams:
 
 def cmd_gen(args) -> int:
     out = Path(args.out)
-    if args.task == "circles-lines":
-        cfg = tasks.CirclesLinesConfig(seed=args.seed)
-        clouds, meta = tasks.gen_circles_lines(cfg)
-        extras = None
-    elif args.task == "rna-kinetics":
-        cfg = tasks.RnaKineticsConfig(seed=args.seed, control=args.control)
-        clouds, meta = tasks.gen_rna_kinetics(cfg)
-        extras = None
-    elif args.task == "density-shift":
-        cfg = tasks.DensityShiftConfig(seed=args.seed)
-        clouds, meta, extras = tasks.gen_density_shift(cfg)
-    else:
-        raise ConfigurationError(f"unknown task {args.task!r}")
+    config_cls, generate = tasks.TASKS[args.task]
+    if args.control and "control" not in {f.name for f in fields(config_cls)}:
+        raise ConfigurationError(f"task {args.task} has no control variant")
+    options = {"control": True} if args.control else {}
+    clouds, meta, *extras = generate(config_cls(seed=args.seed, **options))
     out.mkdir(parents=True, exist_ok=True)
-    save_dataset(out, args.task, clouds, meta, extras)
+    save_dataset(out, args.task, clouds, meta, *extras)
     _write_config_echo(out, "gen", {"task": args.task, "seed": args.seed, "control": args.control}, {})
     print(f"wrote {len(clouds)} clouds to {out}")
     return 0
@@ -166,13 +154,19 @@ def cmd_gen(args) -> int:
 def cmd_precompute(args) -> int:
     dataset_dir = Path(args.dataset)
     out = Path(args.out)
-    clouds, _ = load_dataset(dataset_dir)
     params = _laplacian_params(args)
+    clouds, _ = load_dataset(dataset_dir)
+    if not clouds:
+        raise IngestionError(f"dataset {dataset_dir} holds no clouds")
+    dim = clouds[0].dim
+    if not 1 <= args.k <= min(dim, MAX_DEGREE):
+        raise InvalidDegreeError(
+            f"degree k must satisfy 1 <= k <= min(D, {MAX_DEGREE}) with D={dim}, got k={args.k}"
+        )
     out.mkdir(parents=True, exist_ok=True)
     records = []
     total_bytes = 0
     total_points = 0
-    dim = clouds[0].dim
     header_bytes = 0
     failures = []
     for cloud in clouds:
@@ -182,10 +176,9 @@ def cmd_precompute(args) -> int:
             gram = g1 if args.k == 1 else compound_gram_field(g1, args.k)
             cache_rel = f"{cloud.id}.gram.bin"
             write_gram_cache(out / cache_rel, gram, precision=args.precision)
-            density = op.density.q0 if args.measure == "density_corrected" else None
-            mu = measure_weights(cloud, args.measure, density=density)
+            mu = measure_weights(cloud, args.measure, density=op.density.q0)
             mu_rel = f"{cloud.id}.mu.csv"
-            np.savetxt(out / mu_rel, mu.weights, fmt="%.17g", delimiter=",")
+            np.savetxt(out / mu_rel, mu, fmt="%.17g", delimiter=",")
         except PointFormsError as exc:
             print(f"cloud {cloud.id}: {exc}", file=sys.stderr)
             failures.append(exc)
@@ -283,7 +276,7 @@ def _load_features(features_dir: Path) -> tuple[list[CloudSample], dict]:
                 cloud_id=rec["id"],
                 points=cloud.points,
                 gram=gram,
-                mu=Measure(weights=weights, mode=manifest["measure"]),
+                mu=weights,
                 label=rec["label"],
             )
         )
@@ -298,7 +291,7 @@ def cmd_train(args) -> int:
         raise ConfigurationError("training requires labeled clouds")
     config = TrainConfig(
         n_forms=args.n_forms,
-        hidden=tuple(_parse_int_list(args.hidden)),
+        hidden=tuple(args.hidden),
         readout=args.readout,
         epochs=args.epochs,
         learning_rate=args.lr,
@@ -368,11 +361,10 @@ def cmd_consistency(args) -> int:
     if args.manifold not in MANIFOLDS:
         raise ConfigurationError(f"unknown manifold {args.manifold!r}; expected one of {sorted(MANIFOLDS)}")
     manifold = MANIFOLDS[args.manifold]()
-    sizes = _parse_int_list(args.sizes)
     params = _laplacian_params(args)
     rows = convergence_study(
         manifold,
-        sizes,
+        args.sizes,
         params=params,
         n_seeds=args.seeds,
         k=args.k,
@@ -401,7 +393,7 @@ def cmd_consistency(args) -> int:
             "consistency",
             {
                 "manifold": args.manifold,
-                "sizes": sizes,
+                "sizes": args.sizes,
                 "seeds": args.seeds,
                 "degree": args.k,
                 "theta": args.theta,
@@ -420,8 +412,7 @@ def cmd_density_check(args) -> int:
             ConfigurationWarning,
             stacklevel=1,
         )
-    kappas = _parse_float_list(args.kappas)
-    rows, summaries = density_check(kappas, n=args.n, n_seeds=args.seeds, base_seed=args.base_seed)
+    rows, summaries = density_check(args.kappas, n=args.n, n_seeds=args.seeds, base_seed=args.base_seed)
     print("kappa    uncorrected    corrected    verdict")
     for s in summaries:
         if s["kappa"] == 0.0:
@@ -442,7 +433,7 @@ def cmd_density_check(args) -> int:
         _write_config_echo(
             out,
             "density-check",
-            {"kappas": kappas, "n": args.n, "seeds": args.seeds, "base_seed": args.base_seed},
+            {"kappas": args.kappas, "n": args.n, "seeds": args.seeds, "base_seed": args.base_seed},
             {},
         )
     return 0
@@ -462,16 +453,19 @@ def cmd_mem(args) -> int:
 
 
 def _add_laplacian_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=1.0, help="kernel time scale")
-    p.add_argument("--alpha", type=float, default=0.0, help="density normalization exponent")
-    p.add_argument("--beta", type=float, default=-0.5, help="bandwidth density exponent")
-    p.add_argument("--k0", type=int, default=8, help="neighbor count for the pilot density")
-    p.add_argument("--knn", default="default", help="kernel truncation: int, 'default', or 'full'")
-    p.add_argument("--d", default="estimate", help="intrinsic dimension: int or 'estimate'")
+    defaults = LaplacianParams()
+    p.add_argument("--epsilon", type=float, default=defaults.epsilon, help="kernel time scale")
+    p.add_argument("--alpha", type=float, default=defaults.alpha, help="density normalization exponent")
+    p.add_argument("--beta", type=float, default=defaults.beta, help="bandwidth density exponent")
+    p.add_argument("--k0", type=int, default=defaults.k0, help="neighbor count for the pilot density")
+    p.add_argument(
+        "--knn", type=_int_or_word, default=defaults.knn, help=f"kernel truncation: a count or one of {KNN_WORDS}"
+    )
+    p.add_argument("--d", type=_int_or_word, default=defaults.d, help=f"intrinsic dimension: int or {defaults.d!r}")
     p.add_argument(
         "--bandwidth-scale",
-        choices=("auto", "raw"),
-        default="auto",
+        choices=BANDWIDTH_SCALES,
+        default=defaults.bandwidth_scale,
         help="auto-calibrated bandwidth prefactor or the raw density power",
     )
 
@@ -481,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
-    p.add_argument("task", choices=("circles-lines", "rna-kinetics", "density-shift"))
+    p.add_argument("task", choices=tasks.TASKS)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--control", action="store_true", help="rna-kinetics: identical classes for a null check")
@@ -491,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=1, help="form degree")
-    p.add_argument("--precision", choices=("fp32", "fp64"), default="fp32")
-    p.add_argument("--measure", choices=("uniform", "density_corrected"), default="uniform")
+    p.add_argument("--precision", choices=PRECISIONS, default="fp32")
+    p.add_argument("--measure", choices=MEASURES, default="uniform")
     _add_laplacian_args(p)
     p.set_defaults(func=cmd_precompute)
 
@@ -500,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n-forms", type=int, default=8)
-    p.add_argument("--hidden", default="32,32")
-    p.add_argument("--readout", default="tri", choices=tuple(READOUTS))
+    p.add_argument("--hidden", type=_list_of(int), default="32,32")
+    p.add_argument("--readout", default="tri", choices=READOUTS)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
@@ -516,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("consistency", help="estimator error versus sample size on analytic manifolds")
     p.add_argument("--manifold", required=True)
-    p.add_argument("--sizes", default="250,500,1000,2000")
+    p.add_argument("--sizes", type=_list_of(int), default="250,500,1000,2000")
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--k", type=int, default=1, help="form degree")
     p.add_argument("--theta", type=float, default=None, help="bandwidth decay exponent override")
@@ -526,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_consistency)
 
     p = sub.add_parser("density-check", help="density-corrected versus uniform inner products")
-    p.add_argument("--kappas", default="2,4,8")
+    p.add_argument("--kappas", type=_list_of(float), default="2,4,8")
     p.add_argument("--n", type=int, default=512)
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--base-seed", type=int, default=0)
@@ -537,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("points", type=int, help="points per cloud (m)")
     p.add_argument("ambient_dim", type=int, help="ambient dimension (D)")
     p.add_argument("k", type=int, help="form degree")
-    p.add_argument("--precision", choices=("fp32", "fp64"), default="fp32")
+    p.add_argument("--precision", choices=PRECISIONS, default="fp32")
     p.set_defaults(func=cmd_mem)
     return parser
 

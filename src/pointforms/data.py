@@ -1,8 +1,9 @@
 """Core value types and on-disk formats.
 
-Point clouds, multi-index tables for degree-k minors, point measures,
+Point clouds, multi-index arrays for degree-k minors, measure weights,
 Gram fields, the binary Gram cache, and the CSV-plus-manifest dataset
 layout all live here so the compute modules stay free of I/O concerns.
+``PRECISIONS`` and ``MEASURES`` are the one list of each choice.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,20 +28,21 @@ from .errors import (
 CACHE_MAGIC = b"NPFG"
 CACHE_VERSION = 1
 _HEADER = struct.Struct("<4sIIIQI")
-_PRECISION_FLAGS = {"fp32": 0, "fp64": 1}
-_PRECISION_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+# cache precision -> payload dtype; the header flag is the entry's position
+PRECISIONS = {"fp32": np.dtype("<f4"), "fp64": np.dtype("<f8")}
+# per-point weights: 1/m, or 1/(m q(p)) for a sampling density q
+MEASURES = ("uniform", "density_corrected")
 
 MANIFEST_NAME = "manifest.json"
 
 
 @dataclass(eq=False)
 class PointCloud:
-    """A finite point set in R^D with optional label and split tag."""
+    """A finite point set in R^D with an optional label."""
 
     id: str
     points: np.ndarray  # (m, D) float64
     label: int | None = None
-    split: str | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -61,47 +63,22 @@ class PointCloud:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
-class MultiIndexTable:
-    """Lexicographically ordered ascending k-tuples drawn from {1..D}.
-
-    Tuples are 1-based in the public contract; ``row_arrays`` exposes the
-    0-based index arrays used to slice numpy matrices.
-    """
-
-    D: int
-    k: int
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def row_arrays(self) -> np.ndarray:
-        """(B, k) int array of 0-based indices."""
-        return np.asarray(self.entries, dtype=np.intp) - 1
-
-
-def multi_index_table(D: int, k: int) -> MultiIndexTable:
-    """All ascending k-tuples from {1..D} in lexicographic order."""
+def _check_degree(D: int, k: int) -> None:
     if D < 1:
         raise ConfigurationError(f"ambient dimension must be >= 1, got {D}")
     if not 1 <= k <= D:
         raise InvalidDegreeError(f"degree k must satisfy 1 <= k <= D, got k={k}, D={D}")
-    entries = tuple(itertools.combinations(range(1, D + 1), k))
-    return MultiIndexTable(D=D, k=k, entries=entries)
 
 
-@dataclass(frozen=True)
-class Measure:
-    """Per-point weights used in global inner products and comparisons."""
+def multi_index_table(D: int, k: int) -> np.ndarray:
+    """(C(D, k), k) intp array of the ascending k-subsets of {0..D-1}, 0-based,
+    in lexicographic order."""
+    _check_degree(D, k)
+    return np.array(list(itertools.combinations(range(D), k)), dtype=np.intp)
 
-    weights: np.ndarray  # (m,) float64, positive
-    mode: str  # "uniform" | "density_corrected"
 
-
-def measure_weights(cloud: PointCloud, mode: str = "uniform", density: np.ndarray | None = None) -> Measure:
-    """Build per-point weights: 1/m (uniform) or 1/(m q(p)) (density corrected)."""
+def measure_weights(cloud: PointCloud, mode: str = "uniform", density: np.ndarray | None = None) -> np.ndarray:
+    """Per-point (m,) weights: 1/m (uniform) or 1/(m q(p)) (density corrected)."""
     m = cloud.m
     if mode == "uniform":
         w = np.full(m, 1.0 / m)
@@ -115,10 +92,10 @@ def measure_weights(cloud: PointCloud, mode: str = "uniform", density: np.ndarra
             raise DegenerateDensityError("density values must be positive and finite")
         w = 1.0 / (m * q)
     else:
-        raise ConfigurationError(f"unknown measure mode {mode!r}")
+        raise ConfigurationError(f"unknown measure mode {mode!r}; expected one of {MEASURES}")
     if not np.isfinite(w).all() or (w <= 0).any():
         raise DegenerateDensityError("measure weights must be positive and finite")
-    return Measure(weights=w, mode=mode)
+    return w
 
 
 @dataclass(eq=False)
@@ -128,12 +105,11 @@ class GramField:
     D: int
     k: int
     values: np.ndarray  # (m, B, B)
-    table: MultiIndexTable = field(init=False)
 
     def __post_init__(self):
-        self.table = multi_index_table(self.D, self.k)
+        _check_degree(self.D, self.k)
         vals = np.asarray(self.values)
-        B = self.table.size
+        B = self.B
         if vals.ndim != 3 or vals.shape[1:] != (B, B):
             raise ConfigurationError(
                 f"gram values must have shape (m, {B}, {B}) for D={self.D}, k={self.k}; got {vals.shape}"
@@ -149,17 +125,16 @@ class GramField:
 
     @property
     def B(self) -> int:
-        return self.table.size
+        return math.comb(self.D, self.k)
 
 
 def write_gram_cache(path: str | Path, gram: GramField, precision: str = "fp32") -> None:
     """Write a Gram field as header + row-major point-major payload."""
-    if precision not in _PRECISION_FLAGS:
-        raise ConfigurationError(f"precision must be fp32 or fp64, got {precision!r}")
-    flag = _PRECISION_FLAGS[precision]
-    dtype = _PRECISION_DTYPES[flag]
+    if precision not in PRECISIONS:
+        raise ConfigurationError(f"precision must be one of {tuple(PRECISIONS)}, got {precision!r}")
+    flag = list(PRECISIONS).index(precision)
     header = _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, gram.D, gram.k, gram.m, flag)
-    payload = np.ascontiguousarray(gram.values, dtype=dtype).tobytes()
+    payload = np.ascontiguousarray(gram.values, dtype=PRECISIONS[precision]).tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
@@ -176,15 +151,12 @@ def read_gram_cache(path: str | Path) -> GramField:
         raise CacheFormatError(f"{path}: bad magic {magic!r}")
     if version != CACHE_VERSION:
         raise CacheFormatError(f"{path}: unsupported version {version}")
-    if flag not in _PRECISION_DTYPES:
+    if flag >= len(PRECISIONS):
         raise CacheFormatError(f"{path}: unknown precision flag {flag}")
-    dtype = _PRECISION_DTYPES[flag]
-    try:
-        B = math.comb(D, k) if 1 <= k <= D else 0
-    except ValueError:
-        B = 0
-    if B == 0:
+    dtype = list(PRECISIONS.values())[flag]
+    if not 1 <= k <= D:
         raise CacheFormatError(f"{path}: inconsistent D={D}, k={k}")
+    B = math.comb(D, k)
     expected = m * B * B * dtype.itemsize
     if len(raw) - _HEADER.size != expected:
         raise CacheFormatError(f"{path}: payload is {len(raw) - _HEADER.size} bytes, expected {expected}")
@@ -217,8 +189,6 @@ def save_dataset(
         rel = f"{cloud.id}.csv"
         np.savetxt(out / rel, cloud.points, fmt="%.17g", delimiter=",")
         rec: dict = {"id": cloud.id, "path": rel, "label": cloud.label}
-        if cloud.split is not None:
-            rec["split"] = cloud.split
         extra = dict((extras or {}).get(cloud.id, {}))
         q = extra.pop("q", None)
         if q is not None:
@@ -264,10 +234,14 @@ def load_dataset(dataset_dir: str | Path) -> tuple[list[PointCloud], dict]:
         raise IngestionError(f"{manifest_path}: invalid manifest: {exc}") from exc
     if manifest.get("format") != "pointforms-dataset":
         raise IngestionError(f"{manifest_path}: not a pointforms dataset manifest")
+    records = manifest.get("clouds", [])
+    missing = {key for rec in records for key in ("id", "path") if key not in rec}
+    if missing:
+        raise IngestionError(f"{manifest_path}: cloud record lacks {', '.join(sorted(missing))}")
     base = manifest_path.parent
     clouds: list[PointCloud] = []
     dim: int | None = None
-    for rec in sorted(manifest.get("clouds", []), key=lambda r: r["id"]):
+    for rec in sorted(records, key=lambda r: r["id"]):
         pts = _load_matrix(base / rec["path"], rec["id"])
         if dim is None:
             dim = pts.shape[1]
@@ -275,9 +249,7 @@ def load_dataset(dataset_dir: str | Path) -> tuple[list[PointCloud], dict]:
             raise IngestionError(
                 f"cloud {rec['id']}: ambient dimension {pts.shape[1]} differs from {dim}"
             )
-        clouds.append(
-            PointCloud(id=rec["id"], points=pts, label=rec.get("label"), split=rec.get("split"))
-        )
+        clouds.append(PointCloud(id=rec["id"], points=pts, label=rec.get("label")))
     return clouds, manifest
 
 

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GramField, Measure, multi_index_table
+from .data import PRECISIONS, GramField, multi_index_table
 from .errors import ConfigurationError, InvalidDegreeError
 from .laplacian import DiffusionOperator, apply_laplacian
+
+MAX_DEGREE = 3  # largest k with closed-form minors
 
 
 def carre_du_champ(op: DiffusionOperator, f: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -46,12 +48,12 @@ def gram_field_1(op: DiffusionOperator, points: np.ndarray) -> GramField:
 
 
 def minors(values: np.ndarray, k: int) -> np.ndarray:
-    """All k x k minors of an (m, D, D) stack, k <= 3: entry (I, J) of the
-    (m, B, B) result takes rows I and columns J, multi-indices in
+    """All k x k minors of an (m, D, D) stack, k <= MAX_DEGREE: entry (I, J)
+    of the (m, B, B) result takes rows I and columns J, multi-indices in
     lexicographic order. Determinants use closed-form cofactor expansions."""
-    if not 1 <= k <= 3:
-        raise InvalidDegreeError(f"closed-form minors are provided for 1 <= k <= 3, got k={k}")
-    rows = multi_index_table(values.shape[-1], k).row_arrays()  # (B, k)
+    if not 1 <= k <= MAX_DEGREE:
+        raise InvalidDegreeError(f"closed-form minors are provided for 1 <= k <= {MAX_DEGREE}, got k={k}")
+    rows = multi_index_table(values.shape[-1], k)  # (B, k)
     # gather all (I, J) submatrices: (m, B, B, k, k)
     sub = values[:, rows[:, None, :, None], rows[None, :, None, :]]
     if k == 1:
@@ -103,12 +105,12 @@ def local_inner_product(gram: GramField, f: np.ndarray, h: np.ndarray) -> np.nda
     raise ConfigurationError(f"unsupported coefficient ranks {f.ndim} and {h.ndim}")
 
 
-def global_inner_product(gram: GramField, f: np.ndarray, h: np.ndarray, mu: Measure) -> float | np.ndarray:
-    """Measure-weighted sum of local inner products over the cloud."""
+def global_inner_product(gram: GramField, f: np.ndarray, h: np.ndarray, mu: np.ndarray) -> float | np.ndarray:
+    """Sum of local inner products over the cloud, weighted by the (m,) measure mu."""
     local = local_inner_product(gram, f, h)
-    w = mu.weights
-    if w.shape[0] != gram.m:
-        raise ConfigurationError(f"measure has {w.shape[0]} weights for {gram.m} points")
+    w = np.asarray(mu, dtype=np.float64)
+    if w.shape != (gram.m,):
+        raise ConfigurationError(f"measure has shape {w.shape}, expected ({gram.m},) for {gram.m} points")
     if local.ndim == 1:
         return float(np.einsum("p,p->", w, local))
     return np.einsum("p,p...->...", w, local)
@@ -116,15 +118,14 @@ def global_inner_product(gram: GramField, f: np.ndarray, h: np.ndarray, mu: Meas
 
 def estimate_gram_memory(m: int, D: int, k: int, precision: str = "fp32") -> int:
     """Bytes needed for one cloud's degree-k Gram field at the given precision."""
-    widths = {"fp32": 4, "fp64": 8}
-    if precision not in widths:
-        raise ConfigurationError(f"precision must be fp32 or fp64, got {precision!r}")
+    if precision not in PRECISIONS:
+        raise ConfigurationError(f"precision must be one of {tuple(PRECISIONS)}, got {precision!r}")
     if not 1 <= k <= D:
         raise InvalidDegreeError(f"degree k must satisfy 1 <= k <= D, got k={k}, D={D}")
     if m < 1:
         raise ConfigurationError(f"m must be >= 1, got {m}")
     B = math.comb(D, k)
-    return widths[precision] * m * B * B
+    return PRECISIONS[precision].itemsize * m * B * B
 
 
 def format_bytes(n_bytes: int) -> str:
@@ -153,10 +154,9 @@ def coordinate_form(D: int, indices: tuple[int, ...] | int) -> AmbientForm:
         indices = (indices,)
     k = len(indices)
     table = multi_index_table(D, k)
-    try:
-        pos = table.entries.index(tuple(indices))
-    except ValueError:
-        raise ConfigurationError(f"{indices} is not an ascending multi-index in {{1..{D}}}") from None
-    coeffs = np.zeros(table.size)
-    coeffs[pos] = 1.0
+    pos = np.flatnonzero((table == np.subtract(indices, 1)).all(axis=1))
+    if pos.size == 0:
+        raise ConfigurationError(f"{indices} is not an ascending multi-index in {{1..{D}}}")
+    coeffs = np.zeros(table.shape[0])
+    coeffs[pos[0]] = 1.0
     return AmbientForm(D=D, k=k, coeffs=coeffs)

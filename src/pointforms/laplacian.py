@@ -51,6 +51,9 @@ _AUTO_SCALE = 0.5  # prefactor of the auto bandwidth rule
 _PCA_NEIGHBORS = 16  # neighbors per local PCA in the dimension estimate
 _PCA_VARIANCE_TARGET = 0.95
 
+BANDWIDTH_SCALES = ("auto", "raw")
+KNN_WORDS = ("default", "full")  # min(64, m - 1) neighbors, or the untruncated kernel
+
 
 @dataclass(frozen=True)
 class LaplacianParams:
@@ -58,31 +61,34 @@ class LaplacianParams:
     alpha: float = 0.0
     beta: float = -0.5
     k0: int = 8
-    knn: int | str = "default"  # neighbor count, "default" = min(64, m-1), or "full"
+    knn: int | str = "default"  # a neighbor count or one of KNN_WORDS
     d: int | str = "estimate"
-    bandwidth_scale: str = "auto"  # "auto" | "raw"
+    bandwidth_scale: str = "auto"  # one of BANDWIDTH_SCALES
 
-    def validate(self, m: int) -> None:
+    def __post_init__(self):
         if self.epsilon <= 0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
         if self.k0 < 2:
             raise ConfigurationError(f"k0 must be >= 2, got {self.k0}")
-        if self.bandwidth_scale not in ("auto", "raw"):
-            raise ConfigurationError(f"bandwidth_scale must be auto or raw, got {self.bandwidth_scale!r}")
-        if isinstance(self.knn, str):
-            if self.knn not in ("default", "full"):
-                raise ConfigurationError(f"knn must be a count, 'default', or 'full', got {self.knn!r}")
-        elif not 1 <= int(self.knn) <= m - 1:
-            raise InsufficientPointsError(f"knn={self.knn} invalid for m={m}")
+        if self.bandwidth_scale not in BANDWIDTH_SCALES:
+            raise ConfigurationError(
+                f"bandwidth_scale must be one of {BANDWIDTH_SCALES}, got {self.bandwidth_scale!r}"
+            )
+        if isinstance(self.knn, str) and self.knn not in KNN_WORDS:
+            raise ConfigurationError(f"knn must be a count or one of {KNN_WORDS}, got {self.knn!r}")
         if isinstance(self.d, str) and self.d != "estimate":
             raise ConfigurationError(f"d must be an integer or 'estimate', got {self.d!r}")
+
+    def validate(self, m: int) -> None:
+        """Check the parts that depend on the cloud size m."""
+        if not isinstance(self.knn, str) and not 1 <= int(self.knn) <= m - 1:
+            raise InsufficientPointsError(f"knn={self.knn} invalid for m={m}")
 
 
 @dataclass(eq=False)
 class DensityEstimate:
     rho0: np.ndarray  # (m,) local kNN scale
     eps0: float  # (mean rho0)^2, global scale
-    rho0_tilde: np.ndarray  # rho0 / sqrt(eps0), mean one
     q0: np.ndarray  # (m,) empirical sampling density
 
 
@@ -129,9 +135,7 @@ def estimate_density(graph: NeighborGraph, k0: int = 8, d: int = 1) -> DensityEs
     rho0 = np.sqrt(graph.sq_dists[:, : k0 - 1].mean(axis=1))
     if (rho0 <= 0).any():
         raise DegenerateDensityError("coincident points give a zero local scale")
-    eps0_sqrt = float(rho0.mean())
-    eps0 = eps0_sqrt**2
-    rho0_tilde = rho0 / eps0_sqrt
+    eps0 = float(rho0.mean()) ** 2
     # Gaussian kernel density with per-pair bandwidth 2 rho0_i rho0_j,
     # self term included
     band = 2.0 * rho0[:, None] * rho0[None, :]
@@ -139,7 +143,7 @@ def estimate_density(graph: NeighborGraph, k0: int = 8, d: int = 1) -> DensityEs
     q0 = (2.0 * np.pi) ** (-0.5 * d) * weights.sum(axis=1) / (rho0**d * m)
     if not np.isfinite(q0).all() or (q0 <= 0).any():
         raise DegenerateDensityError("density estimate is not positive and finite")
-    return DensityEstimate(rho0=rho0, eps0=eps0, rho0_tilde=rho0_tilde, q0=q0)
+    return DensityEstimate(rho0=rho0, eps0=eps0, q0=q0)
 
 
 def auto_bandwidth_scale(points: np.ndarray, eps0: float, d: int) -> float:

@@ -23,10 +23,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import GramField, Measure
+from .data import GramField
 from .errors import (
     CacheFormatError,
     ConfigurationError,
+    MissingCacheError,
     NumericFailureError,
     UndefinedMetricError,
 )
@@ -201,7 +202,7 @@ class FormNetwork:
 
 
 def _contract(
-    gram: GramField, coeffs: np.ndarray, mu: Measure
+    gram: GramField, coeffs: np.ndarray, mu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """C = sum_p mu_p F_p G_p F_p^T in stored point order, with F G and mu
     in the coefficient dtype kept for the backward pass."""
@@ -209,27 +210,27 @@ def _contract(
         raise ConfigurationError(
             f"coefficients must be (m, l, {gram.B}) over {gram.m} points, got {coeffs.shape}"
         )
-    if mu.weights.shape[0] != gram.m:
-        raise ConfigurationError(f"measure has {mu.weights.shape[0]} weights for {gram.m} points")
-    w = mu.weights.astype(coeffs.dtype, copy=False)
+    if mu.shape != (gram.m,):
+        raise ConfigurationError(f"measure has shape {mu.shape}, expected ({gram.m},) for {gram.m} points")
+    w = mu.astype(coeffs.dtype, copy=False)
     fg = coeffs @ gram.values.astype(coeffs.dtype, copy=False)  # (m, l, B)
     c = ((fg @ coeffs.transpose(0, 2, 1)) * w[:, None, None]).sum(axis=0)
     return c, fg, w
 
 
-def comparison_matrix(gram: GramField, coeffs: np.ndarray, mu: Measure) -> np.ndarray:
+def comparison_matrix(gram: GramField, coeffs: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """C = sum_p mu_p F_p G_p F_p^T accumulated in stored point order."""
-    return _contract(gram, np.asarray(coeffs), mu)[0]
+    return _contract(gram, np.asarray(coeffs), np.asarray(mu))[0]
 
 
 @dataclass(eq=False)
 class CloudSample:
-    """One training example: points, Gram field, measure, binary label."""
+    """One training example: points, Gram field, (m,) measure weights, binary label."""
 
     cloud_id: str
     points: np.ndarray
     gram: GramField
-    mu: Measure
+    mu: np.ndarray
     label: int | None = None
 
 
@@ -375,7 +376,6 @@ class TrainResult:
     history: list[dict]
     test_auroc: float
     splits: dict[str, list[str]]
-    config: TrainConfig
 
 
 def split_samples(
@@ -398,26 +398,29 @@ def split_samples(
     return {k: sorted(v) for k, v in splits.items()}
 
 
-class _Adam:
-    """Adaptive moment estimation with the usual defaults."""
+# Adam moment decay rates and denominator floor, the usual defaults
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[np.ndarray], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+
+class _Adam:
+    """Adaptive moment estimation."""
+
+    def __init__(self, params: list[np.ndarray], lr: float):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
     def update(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.step += 1
-        b1c = 1.0 - self.beta1**self.step
-        b2c = 1.0 - self.beta2**self.step
+        b1c = 1.0 - _ADAM_BETA1**self.step
+        b2c = 1.0 - _ADAM_BETA2**self.step
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= (self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)).astype(p.dtype)
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * g
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * g * g
+            p -= (self.lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)).astype(p.dtype)
 
 
 def train(samples: list[CloudSample], config: TrainConfig | None = None) -> TrainResult:
@@ -457,7 +460,6 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
         history=history,
         test_auroc=auroc(scores, labels),
         splits={k: [samples[i].cloud_id for i in v] for k, v in splits.items()},
-        config=config,
     )
 
 
@@ -493,8 +495,11 @@ def save_checkpoint(path: str | Path, model: FormClassifier, meta: dict | None =
 
 
 def load_checkpoint(path: str | Path) -> tuple[FormClassifier, dict]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError as exc:
+        raise MissingCacheError(f"no checkpoint at {path}; run 'pointforms train' first") from exc
     if len(raw) < _CKPT_HEADER.size:
         raise CacheFormatError(f"{path}: shorter than the checkpoint header")
     magic, version, n_params, echo_len = _CKPT_HEADER.unpack_from(raw, 0)
@@ -504,8 +509,11 @@ def load_checkpoint(path: str | Path) -> tuple[FormClassifier, dict]:
     if len(raw) != blob_end + echo_len:
         raise CacheFormatError(f"{path}: checkpoint length mismatch")
     flat = np.frombuffer(raw[_CKPT_HEADER.size : blob_end], dtype="<f4")
-    info = json.loads(raw[blob_end:].decode())
-    arch = info["arch"]
+    try:
+        info = json.loads(raw[blob_end:].decode())
+        arch, meta = info["arch"], info["meta"]
+    except (ValueError, KeyError, TypeError) as exc:  # undecodable, unparsable, or missing keys
+        raise CacheFormatError(f"{path}: unreadable checkpoint echo: {exc!r}") from exc
     model = FormClassifier.create(
         input_dim=arch["input_dim"],
         n_coeffs=arch["n_coeffs"],
@@ -522,4 +530,4 @@ def load_checkpoint(path: str | Path) -> tuple[FormClassifier, dict]:
         offset += p.size
     if offset != n_params:
         raise CacheFormatError(f"{path}: parameter count mismatch")
-    return model, info["meta"]
+    return model, meta

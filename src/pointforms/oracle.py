@@ -16,7 +16,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import i0 as bessel_i0
 
-from .data import Measure
 from .errors import ConfigurationError, ConfigurationWarning, OraclePrecisionError
 from .gram import AmbientForm, compound_gram_field, coordinate_form, global_inner_product, gram_field_1, minors
 from .laplacian import LaplacianParams, build_laplacian
@@ -63,15 +62,10 @@ def unit_circle() -> AnalyticManifold:
     )
 
 
-def line_segment(direction: tuple[float, float] = (1.0, 1.0), t_range: tuple[float, float] = (-1.0, 1.0)) -> AnalyticManifold:
-    v = np.asarray(direction, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm <= 0:
-        raise ConfigurationError("line direction must be nonzero")
-    v = v / norm
-    t0, t1 = float(t_range[0]), float(t_range[1])
-    if not t1 > t0:
-        raise ConfigurationError("line range must be increasing")
+def line_segment() -> AnalyticManifold:
+    """The segment t (1, 1) / sqrt(2), t in [-1, 1], in the plane."""
+    v = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    t0, t1 = -1.0, 1.0
     length = t1 - t0
     D = v.shape[0]
 
@@ -195,21 +189,25 @@ def _panel_nodes(lo: float, hi: float, panels: int, order: int) -> tuple[np.ndar
     return nodes, weights
 
 
+# Gauss-Legendre nodes per panel, and the relative agreement of successive
+# panel doublings at which chart quadrature stops
+_QUAD_ORDER = 12
+_QUAD_REL_TOL = 1e-8
+
+
 def chart_quadrature(
     f: Callable[[np.ndarray], np.ndarray],
     domain: tuple[tuple[float, float], ...],
-    rel_tol: float = 1e-8,
-    order: int = 12,
     max_panels: int = 1024,
 ) -> float:
     """Composite Gauss-Legendre over a 1-d or 2-d chart, panel-doubling
-    until successive refinements agree to rel_tol."""
+    until successive refinements agree to _QUAD_REL_TOL."""
     dims = len(domain)
     if dims not in (1, 2):
         raise ConfigurationError(f"quadrature supports 1-d or 2-d charts, got {dims}")
 
     def evaluate(panels: int) -> float:
-        axes = [_panel_nodes(lo, hi, panels, order) for lo, hi in domain]
+        axes = [_panel_nodes(lo, hi, panels, _QUAD_ORDER) for lo, hi in domain]
         if dims == 1:
             u = axes[0][0][:, None]
             w = axes[0][1]
@@ -225,10 +223,10 @@ def chart_quadrature(
     while panels <= max_panels:
         panels *= 2
         cur = evaluate(panels)
-        if abs(cur - prev) <= rel_tol * max(1.0, abs(cur)):
+        if abs(cur - prev) <= _QUAD_REL_TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
-    raise OraclePrecisionError(f"quadrature did not reach rel_tol={rel_tol} at {max_panels} panels")
+    raise OraclePrecisionError(f"quadrature did not reach rel_tol={_QUAD_REL_TOL} at {max_panels} panels")
 
 
 def oracle_global_inner_product(
@@ -237,7 +235,6 @@ def oracle_global_inner_product(
     eta: AmbientForm,
     weighting: str = "volume",
     density: Callable[[np.ndarray], np.ndarray] | None = None,
-    rel_tol: float = 1e-8,
 ) -> float:
     """Quadrature value of the global inner product of two degree-k forms.
 
@@ -261,7 +258,7 @@ def oracle_global_inner_product(
             vals = vals * np.asarray(q, dtype=np.float64)
         return vals
 
-    return chart_quadrature(integrand, manifold.domain, rel_tol=rel_tol)
+    return chart_quadrature(integrand, manifold.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +299,15 @@ def von_mises_sampler(
 
 
 _THETA_CAP = 2.0  # exponent bound is 2 / (d + 8)
+_BOUNDARY_TRIM = 0.2  # chart quantile trimmed at each end of a manifold with boundary
 
 
-def _interior_mask(manifold: AnalyticManifold, u: np.ndarray, trim: float) -> np.ndarray:
-    if not manifold.has_boundary or trim <= 0:
-        return np.ones(u.shape[0], dtype=bool)
+def _interior_mask(manifold: AnalyticManifold, u: np.ndarray) -> np.ndarray:
     mask = np.ones(u.shape[0], dtype=bool)
+    if not manifold.has_boundary:
+        return mask
     for j in range(u.shape[1]):
-        lo, hi = np.quantile(u[:, j], [trim, 1.0 - trim])
+        lo, hi = np.quantile(u[:, j], [_BOUNDARY_TRIM, 1.0 - _BOUNDARY_TRIM])
         mask &= (u[:, j] >= lo) & (u[:, j] <= hi)
     return mask
 
@@ -321,7 +319,6 @@ def convergence_study(
     n_seeds: int = 5,
     k: int = 1,
     theta: float | None = None,
-    boundary_trim: float = 0.2,
     base_seed: int = 0,
 ) -> list[dict]:
     """Empirical Gram fields against the analytic oracle across sample sizes.
@@ -356,7 +353,7 @@ def convergence_study(
             g1 = gram_field_1(op, points)
             gk = g1 if k == 1 else compound_gram_field(g1, k)
             oracle = oracle_gram_1(manifold, u) if k == 1 else oracle_gram_k(manifold, u, k)
-            mask = _interior_mask(manifold, u, boundary_trim)
+            mask = _interior_mask(manifold, u)
             err = np.abs(gk.values - oracle).max(axis=(1, 2))[mask]
             eigs = np.linalg.eigvalsh(gk.values)
             base = {
@@ -371,13 +368,9 @@ def convergence_study(
             rows.append(base | {"metric": f"g{k}_err_max", "value": float(err.max())})
             rows.append(base | {"metric": f"g{k}_min_eigenvalue", "value": float(eigs.min())})
             if k == 1 and manifold.ambient_dim >= 2:
-                est_uniform = global_inner_product(
-                    g1, dx.coeffs, dx.coeffs, Measure(np.full(n, 1.0 / n), "uniform")
-                )
+                est_uniform = global_inner_product(g1, dx.coeffs, dx.coeffs, np.full(n, 1.0 / n))
                 q_true = manifold.density(u)
-                est_corrected = global_inner_product(
-                    g1, dx.coeffs, dx.coeffs, Measure(1.0 / (n * q_true), "density_corrected")
-                )
+                est_corrected = global_inner_product(g1, dx.coeffs, dx.coeffs, 1.0 / (n * q_true))
                 rows.append(base | {"metric": "gip_dxdx_uniform_err", "value": abs(est_uniform - oracle_density_weighted)})
                 rows.append(base | {"metric": "gip_dxdx_corrected_err", "value": abs(est_corrected - oracle_volume)})
     return rows

@@ -4,7 +4,8 @@ Three families of labeled point-cloud datasets, all built from fixed-step
 integration of planar or gene-kinetics vector fields plus observation
 noise, and one unlabeled family of non-uniformly sampled circles with
 known density sidecars. Every cloud draws from its own seed sequence, so
-datasets are reproducible element by element.
+datasets are reproducible element by element. ``TASKS`` lists the
+generators by the task name the CLI takes.
 """
 
 from __future__ import annotations
@@ -212,3 +213,12 @@ def gen_density_shift(config: DensityShiftConfig | None = None) -> tuple[list[Po
             clouds.append(PointCloud(id=cid, points=pts))
             extras[cid] = {"q": q, "kappa": float(kappa)}
     return clouds, {"task": "density-shift", **asdict(cfg)}, extras
+
+
+# task name -> (config class, generator). Each generator is looked up in this
+# module when called, so a wrapper installed on the module attribute sees it.
+TASKS = {
+    "circles-lines": (CirclesLinesConfig, lambda cfg: gen_circles_lines(cfg)),
+    "rna-kinetics": (RnaKineticsConfig, lambda cfg: gen_rna_kinetics(cfg)),
+    "density-shift": (DensityShiftConfig, lambda cfg: gen_density_shift(cfg)),
+}

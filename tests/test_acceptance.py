@@ -19,7 +19,6 @@ from pointforms import (
     GramField,
     LaplacianParams,
     MANIFOLDS,
-    Measure,
     RnaKineticsConfig,
     TrainConfig,
     aggregate_metric,
@@ -87,6 +86,7 @@ def circle_study():
 # criteria
 
 
+@pytest.mark.slow
 def test_criterion_01_circles_vs_lines_auroc(circles_samples):
     scores = [
         train(circles_samples, TrainConfig(seed=s, split_seed=s)).test_auroc for s in range(5)
@@ -98,6 +98,7 @@ def test_criterion_01_circles_vs_lines_auroc(circles_samples):
     )
 
 
+@pytest.mark.slow
 def test_criterion_02_rna_kinetics_auroc_with_control(rna_samples):
     scores = [train(rna_samples, TrainConfig(seed=s, split_seed=s)).test_auroc for s in range(5)]
     mean = float(np.mean(scores))
@@ -175,7 +176,7 @@ def test_criterion_06_compound_matches_leibniz_determinants():
         raw = rng.standard_normal((1, D, D))
         g1 = GramField(D=D, k=1, values=np.einsum("pik,pjk->pij", raw, raw))
         gk = compound_gram_field(g1, k)
-        table = multi_index_table(D, k).row_arrays()
+        table = multi_index_table(D, k)
         a = int(rng.integers(table.shape[0]))
         b = int(rng.integers(table.shape[0]))
         expected = _leibniz_det(g1.values[0][np.ix_(table[a], table[b])])
@@ -191,7 +192,7 @@ def _gradcheck_sample(rng: np.random.Generator, D: int, k: int, label: int) -> C
     g1 = GramField(D=D, k=1, values=np.einsum("pik,pjk->pij", raw, raw))
     gram = g1 if k == 1 else compound_gram_field(g1, k)
     w = rng.uniform(0.5, 1.5, size=m)
-    mu = Measure(weights=w / w.sum(), mode="uniform")
+    mu = w / w.sum()
     return CloudSample(cloud_id=f"g{label}", points=pts, gram=gram, mu=mu, label=label)
 
 
@@ -240,14 +241,14 @@ def test_criterion_08_comparison_matrix_permutation_invariant():
         raw = rng.standard_normal((m, D, D))
         gram = GramField(D=D, k=1, values=np.einsum("pik,pjk->pij", raw, raw))
         w = rng.uniform(0.5, 1.5, size=m)
-        mu = Measure(weights=w / w.sum(), mode="uniform")
+        mu = w / w.sum()
         model = FormClassifier.create(D, D, n_forms=3, hidden=(6,), rng=rng, dtype=np.float64)
         c = comparison_matrix(gram, model.net.forward(pts), mu)
         perm = rng.permutation(m)
         c_perm = comparison_matrix(
             GramField(D=D, k=1, values=gram.values[perm]),
             model.net.forward(pts[perm]),
-            Measure(weights=mu.weights[perm], mode="uniform"),
+            mu[perm],
         )
         worst = max(worst, float(np.abs(c - c_perm).max()))
     ok = worst <= 1e-12

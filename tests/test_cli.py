@@ -1,5 +1,6 @@
 """Command-line harness: plumbing, determinism, exit codes, reporting."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -30,8 +31,9 @@ from pointforms import (
     gen_density_shift,
     save_dataset,
 )
-from pointforms import cli
+from pointforms import READOUTS, cli, data, tasks
 from pointforms.cli import hash_input, main
+from pointforms.laplacian import BANDWIDTH_SCALES
 
 # Exit codes as documented: 1 configuration, 2 data or format, 3 numeric.
 DOCUMENTED_EXIT_CODES = {
@@ -87,6 +89,34 @@ def small_pipeline(tmp_path_factory):
 
 
 # ---------------------------------------------------------------------------
+# choices
+
+
+def _option(command: str, dest: str) -> argparse.Action:
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == dest)
+
+
+@pytest.mark.parametrize(
+    ("command", "dest", "table"),
+    [
+        ("precompute", "precision", data.PRECISIONS),
+        ("mem", "precision", data.PRECISIONS),
+        ("gen", "task", tasks.TASKS),
+        ("precompute", "measure", data.MEASURES),
+        ("precompute", "bandwidth_scale", BANDWIDTH_SCALES),
+        ("consistency", "bandwidth_scale", BANDWIDTH_SCALES),
+        ("train", "readout", READOUTS),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "table",
+)
+def test_parser_choices_are_the_library_tables(command, dest, table):
+    # the very object, so a second copy of the list cannot drift from the library
+    assert _option(command, dest).choices is table
+
+
+# ---------------------------------------------------------------------------
 # gen
 
 
@@ -106,6 +136,14 @@ def test_gen_unknown_task_exits_with_usage(capsys):
         main(["gen", "mystery-task", "--out", "/tmp/never"])
     assert err.value.code == 1
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["circles-lines", "density-shift"])
+def test_gen_control_on_a_task_without_control_exit_1(task, tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["gen", task, "--control", "--out", str(out)]) == 1
+    assert "control" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_writes_config_echo(tmp_path):
@@ -139,6 +177,46 @@ def test_precompute_reports_payload_accounting_identity(tmp_path, capsys):
     for rec in manifest["clouds"]:
         assert (feat / rec["cache"]).is_file()
         assert (feat / rec["mu"]).is_file()
+
+
+def _small_dataset(root: Path, dim: int = 5) -> Path:
+    rng = np.random.default_rng(2)
+    clouds = [PointCloud(id=f"c{i}", points=rng.standard_normal((24, dim)), label=i % 2) for i in range(3)]
+    save_dataset(root, "toy", clouds, {"seed": 2})
+    return root
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--k", "4"], ["--k", "6"], ["--k", "0"], ["--knn", "foo"], ["--d", "auto"]],
+    ids=["k-above-3", "k-above-D", "k-zero", "knn-word", "d-word"],
+)
+def test_precompute_bad_setting_exits_1_once_before_any_cloud(flags, tmp_path, capsys):
+    data_dir = _small_dataset(tmp_path / "data")
+    out = tmp_path / "feat"
+    assert main(["precompute", "--dataset", str(data_dir), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+def test_precompute_empty_dataset_exit_2(tmp_path, capsys):
+    save_dataset(tmp_path / "data", "empty", [], {})
+    code = main(["precompute", "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "feat")])
+    assert code == 2
+    assert "no clouds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["id", "path"])
+def test_dataset_record_without_a_key_exit_2(key, tmp_path, capsys):
+    data_dir = _small_dataset(tmp_path / "data")
+    manifest_path = data_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["clouds"][1][key]
+    manifest_path.write_text(json.dumps(manifest))
+    code = main(["precompute", "--dataset", str(data_dir), "--out", str(tmp_path / "feat")])
+    assert code == 2
+    assert f"lacks {key}" in capsys.readouterr().err
 
 
 def test_precompute_missing_dataset_exits_2(tmp_path, capsys):
@@ -255,6 +333,20 @@ def test_eval_checkpoint_of_another_degree_exit_2(small_pipeline, tmp_path, caps
     code = main(["eval", "--model", str(small_pipeline["run"] / "model.ckpt"), "--features", str(feat2)])
     assert code == 2
     assert "degree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["missing", "unparsable-echo", "echo-without-arch"])
+def test_eval_unreadable_checkpoint_exit_2(damage, small_pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    if damage != "missing":
+        raw = (small_pipeline["run"] / "model.ckpt").read_bytes()
+        echo_start = raw.rindex(b'{"arch"')
+        echo = b"not json" if damage == "unparsable-echo" else json.dumps({"meta": {}}).encode()
+        # same length, so only the echo is wrong; JSON allows the trailing spaces
+        ckpt.write_bytes(raw[:echo_start] + echo.ljust(len(raw) - echo_start))
+    code = main(["eval", "--model", str(ckpt), "--features", str(small_pipeline["feat"])])
+    assert code == 2
+    assert "checkpoint" in capsys.readouterr().err
 
 
 def test_eval_corrupt_cache_exit_2(small_pipeline, tmp_path, capsys):

@@ -53,24 +53,23 @@ def test_point_cloud_rejects_bad_shapes():
 
 def test_multi_index_singletons():
     table = multi_index_table(3, 1)
-    assert table.entries == ((1,), (2,), (3,))
+    npt.assert_array_equal(table, [[0], [1], [2]])
 
 
 def test_multi_index_pairs_lexicographic():
     table = multi_index_table(3, 2)
-    assert table.entries == ((1, 2), (1, 3), (2, 3))
+    npt.assert_array_equal(table, [[0, 1], [0, 2], [1, 2]])
 
 
 def test_multi_index_count_matches_binomial():
     table = multi_index_table(12, 2)
-    assert table.size == 66
-    assert table.size == math.comb(12, 2)
+    assert table.shape == (66, 2)
+    assert table.shape[0] == math.comb(12, 2)
 
 
 def test_multi_index_row_arrays_are_zero_based():
-    table = multi_index_table(4, 2)
-    rows = table.row_arrays()
-    assert rows.shape == (6, 2)
+    rows = multi_index_table(4, 2)
+    assert rows.shape == (6, 2) and rows.dtype == np.intp
     npt.assert_array_equal(rows[0], [0, 1])
     npt.assert_array_equal(rows[-1], [2, 3])
 
@@ -93,13 +92,12 @@ def _cloud(m: int, dim: int = 2, seed: int = 0) -> PointCloud:
 
 def test_uniform_measure_is_one_over_m():
     mu = measure_weights(_cloud(4), "uniform")
-    npt.assert_array_equal(mu.weights, np.full(4, 0.25))
-    assert mu.mode == "uniform"
+    npt.assert_array_equal(mu, np.full(4, 0.25))
 
 
 def test_density_corrected_measure_direct_formula():
     mu = measure_weights(_cloud(2), "density_corrected", density=np.array([0.5, 0.25]))
-    npt.assert_allclose(mu.weights, [1.0, 2.0], rtol=0, atol=0)
+    npt.assert_allclose(mu, [1.0, 2.0], rtol=0, atol=0)
 
 
 def test_density_corrected_rejects_zero_density():
@@ -206,13 +204,13 @@ def test_dataset_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     clouds = [
         PointCloud(id="b", points=rng.standard_normal((3, 2)), label=1),
-        PointCloud(id="a", points=rng.standard_normal((3, 2)), label=0, split="test"),
+        PointCloud(id="a", points=rng.standard_normal((3, 2)), label=0),
     ]
     save_dataset(tmp_path, "toy", clouds, {"seed": 3})
     loaded, manifest = load_dataset(tmp_path)
     assert [c.id for c in loaded] == ["a", "b"]
     assert loaded[0].dim == 2 and loaded[0].m == 3
-    assert loaded[0].label == 0 and loaded[0].split == "test"
+    assert loaded[0].label == 0
     by_id = {c.id: c for c in clouds}
     for c in loaded:
         npt.assert_array_equal(c.points, by_id[c.id].points)

@@ -13,7 +13,6 @@ from pointforms import (
     GramField,
     InvalidDegreeError,
     LaplacianParams,
-    Measure,
     build_laplacian,
     carre_du_champ,
     compound_gram_field,
@@ -182,7 +181,7 @@ def test_compound_of_diagonal_projector():
 def test_compound_matches_leibniz_oracle(k):
     g1 = _random_g1(m=5, D=4, seed=12)
     gk = compound_gram_field(g1, k)
-    rows = multi_index_table(4, k).row_arrays()
+    rows = multi_index_table(4, k)
     for p in range(5):
         for a, I in enumerate(rows):
             for b, J in enumerate(rows):
@@ -252,12 +251,12 @@ def test_global_inner_product_circle_uniform_and_corrected():
     op, pts = _circle_operator(2000, seed=18)
     g1 = gram_field_1(op, pts)
     dx = coordinate_form(2, 1).coeffs
-    uniform = Measure(weights=np.full(2000, 1.0 / 2000), mode="uniform")
+    uniform = np.full(2000, 1.0 / 2000)
     est = global_inner_product(g1, dx, dx, uniform)
     assert est == pytest.approx(0.5, abs=0.05)
 
     q_true = np.full(2000, 1.0 / (2.0 * np.pi))
-    corrected = Measure(weights=1.0 / (2000 * q_true), mode="density_corrected")
+    corrected = 1.0 / (2000 * q_true)
     est_vol = global_inner_product(g1, dx, dx, corrected)
     assert est_vol == pytest.approx(np.pi, abs=0.3)
 
@@ -267,7 +266,7 @@ def test_global_inner_product_nonnegative_on_squares():
     # force PSD slices: G = A A^T per point
     vals = np.einsum("pik,pjk->pij", gram.values, gram.values)
     psd = GramField(D=3, k=1, values=vals)
-    mu = Measure(weights=np.full(8, 1.0 / 8), mode="uniform")
+    mu = np.full(8, 1.0 / 8)
     rng = np.random.default_rng(20)
     for w in rng.standard_normal((6, 3)):
         assert global_inner_product(psd, w, w, mu) >= -1e-12

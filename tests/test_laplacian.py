@@ -44,6 +44,15 @@ def test_params_validation_rejects_bad_values():
         LaplacianParams(knn=10).validate(10)
 
 
+@pytest.mark.parametrize(
+    "bad", [{"knn": "foo"}, {"d": "auto"}, {"bandwidth_scale": "fixed"}, {"epsilon": 0.0}, {"k0": 1}],
+    ids=["knn-word", "d-word", "bandwidth-scale", "epsilon", "k0"],
+)
+def test_params_reject_size_free_values_at_construction(bad):
+    with pytest.raises(ConfigurationError):
+        LaplacianParams(**bad)
+
+
 # ---------------------------------------------------------------------------
 # dimension estimation
 
@@ -84,7 +93,6 @@ def test_density_scale_equivariance():
     scaled = estimate_density(knn(c * pts, 5), k0=6, d=2)
     npt.assert_allclose(scaled.rho0, c * base.rho0, rtol=1e-12)
     assert scaled.eps0 == pytest.approx(c**2 * base.eps0, rel=1e-12)
-    npt.assert_allclose(scaled.rho0_tilde, base.rho0_tilde, rtol=1e-12)
     npt.assert_allclose(scaled.q0, base.q0 / c**2, rtol=1e-12)
 
 

@@ -13,7 +13,6 @@ from pointforms import (
     FormClassifier,
     FormNetwork,
     GramField,
-    Measure,
     PARAM_BUDGET,
     READOUTS,
     TrainConfig,
@@ -54,7 +53,7 @@ def _random_sample(m=6, D=3, n_forms=2, seed=0, label=0, psd=True):
     raw = rng.standard_normal((m, D, D))
     vals = np.einsum("pik,pjk->pij", raw, raw) if psd else 0.5 * (raw + raw.transpose(0, 2, 1))
     gram = GramField(D=D, k=1, values=vals)
-    mu = Measure(weights=np.full(m, 1.0 / m), mode="uniform")
+    mu = np.full(m, 1.0 / m)
     return CloudSample(cloud_id=f"s{seed}", points=pts, gram=gram, mu=mu, label=label)
 
 
@@ -121,7 +120,7 @@ def test_comparison_identity_example():
     m, D = 5, 3
     gram = GramField(D=D, k=1, values=np.tile(np.eye(D), (m, 1, 1)))
     coeffs = np.tile(np.eye(D), (m, 1, 1))
-    mu = Measure(weights=np.full(m, 1.0 / m), mode="uniform")
+    mu = np.full(m, 1.0 / m)
     npt.assert_allclose(comparison_matrix(gram, coeffs, mu), np.eye(D), atol=1e-14)
 
 
@@ -137,7 +136,7 @@ def test_comparison_matches_triple_loop_oracle():
                 for i in range(D):
                     for j in range(D):
                         expected[a, b] += (
-                            sample.mu.weights[p]
+                            sample.mu[p]
                             * coeffs[p, a, i]
                             * sample.gram.values[p, i, j]
                             * coeffs[p, b, j]
@@ -155,7 +154,7 @@ def test_comparison_permutation_invariance():
     permuted = comparison_matrix(
         GramField(D=3, k=1, values=sample.gram.values[perm]),
         coeffs[perm],
-        Measure(weights=sample.mu.weights[perm], mode="uniform"),
+        sample.mu[perm],
     )
     npt.assert_allclose(permuted, base, atol=1e-12)
 
@@ -166,7 +165,7 @@ def test_comparison_scales_linearly_in_measure():
     coeffs = rng.standard_normal((5, 2, 2))
     base = comparison_matrix(sample.gram, coeffs, sample.mu)
     doubled = comparison_matrix(
-        sample.gram, coeffs, Measure(weights=2.0 * sample.mu.weights, mode="uniform")
+        sample.gram, coeffs, 2.0 * sample.mu
     )
     npt.assert_array_equal(doubled, 2.0 * base)
 
@@ -234,7 +233,7 @@ def test_auroc_reference_cases():
 def _separable_pair():
     D = 2
     pts = np.random.default_rng(11).standard_normal((6, D))
-    mu = Measure(weights=np.full(6, 1.0 / 6), mode="uniform")
+    mu = np.full(6, 1.0 / 6)
     zero = GramField(D=D, k=1, values=np.zeros((6, D, D)))
     eye = GramField(D=D, k=1, values=np.tile(np.eye(D), (6, 1, 1)))
     s0 = CloudSample(cloud_id="a", points=pts, gram=zero, mu=mu, label=0)

@@ -84,7 +84,7 @@ def test_oracle_circle_north_point():
 
 
 def test_oracle_line_constant_projector():
-    manifold = line_segment(direction=(1.0, 1.0))
+    manifold = line_segment()
     u = np.linspace(-0.9, 0.9, 7)[:, None]
     g = oracle_gram_1(manifold, u)
     for slice_ in g:
@@ -252,7 +252,7 @@ def test_convergence_theta_out_of_range_warns():
 
 
 def test_line_boundary_bias_exceeds_interior_error():
-    manifold = line_segment(direction=(1.0, 1.0))
+    manifold = line_segment()
     rng = np.random.default_rng([42, 1000])
     points, u = manifold.sample(1000, rng)
     op = build_laplacian(points, LaplacianParams(knn="full", d=1))
