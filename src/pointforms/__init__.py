@@ -37,15 +37,13 @@ from .errors import (
     UndefinedMetricError,
 )
 from .gram import (
-    AmbientForm,
     carre_du_champ,
+    comparison_matrix,
     compound_gram_field,
     coordinate_form,
     estimate_gram_memory,
     format_bytes,
-    global_inner_product,
     gram_field_1,
-    local_inner_product,
     minors,
 )
 from .graph import NeighborGraph, knn, pairwise_sq_dist
@@ -68,7 +66,6 @@ from .network import (
     TrainConfig,
     TrainResult,
     auroc,
-    comparison_matrix,
     evaluate,
     load_checkpoint,
     loss_and_grad,

@@ -188,6 +188,8 @@ def cmd_precompute(args) -> int:
         total_bytes += size
         header_bytes += size - estimate_gram_memory(cloud.m, dim, args.k, precision=args.precision)
         total_points += cloud.m
+    if not records:
+        raise failures[0]
     dataset_hash = hash_input(dataset_dir)
     manifest = {
         "format": "pointforms-features",
@@ -286,6 +288,8 @@ def _load_features(features_dir: Path) -> tuple[list[CloudSample], dict]:
 def cmd_train(args) -> int:
     features_dir = Path(args.features)
     out = Path(args.out)
+    if out.resolve().is_relative_to(features_dir.resolve()):
+        raise ConfigurationError(f"--out {out} lies inside --features {features_dir}, whose digest the checkpoint records")
     samples, feat_manifest = _load_features(features_dir)
     if any(s.label is None for s in samples):
         raise ConfigurationError("training requires labeled clouds")
@@ -343,6 +347,9 @@ def cmd_eval(args) -> int:
         found = (s.gram.k, s.points.shape[1], s.gram.B)
         if found != trained:
             raise CacheFormatError(f"checkpoint expects (degree, input dim, B) {trained}, cloud {s.cloud_id} has {found}")
+    digest = hash_input(args.features)
+    if digest != meta.get("features_sha256", digest):
+        raise CacheFormatError(f"features have digest {digest}, the checkpoint was trained on {meta['features_sha256']}")
     if args.split == "test":
         keep = set(meta.get("splits", {}).get("test", []))
         if keep:

@@ -2,14 +2,15 @@
 
 The degree-1 field applies the carre du champ of the diffusion Laplacian
 to pairs of coordinate functions; degree-k fields are compound matrices
-(k x k minors) of the degree-1 slices. Local and global inner products
-contract coefficient vectors against these per-point matrices.
+(k x k minors) of the degree-1 slices. ``contract`` is the one routine
+that contracts form coefficients against a Gram field: it gives the
+comparison matrix C = sum_p mu_p F_p G_p F_p^T that training, evaluation,
+the consistency studies and the quadrature oracle all use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,40 +81,31 @@ def compound_gram_field(g1: GramField, k: int) -> GramField:
     return GramField(D=D, k=k, values=minors(g1.values, k))
 
 
-def local_inner_product(gram: GramField, f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Pointwise f^T G h.
+def contract(gram: GramField, coeffs: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C = sum_p mu_p F_p G_p F_p^T in stored point order, with F G and mu
+    in the coefficient dtype kept for the backward pass.
 
-    Coefficients of shape (m, B) give a (m,) result; (m, l, B) paired with
-    (m, l2, B) gives the (m, l, l2) matrix of pairwise products. A constant
-    coefficient vector (B,) is broadcast to every point.
+    Coefficients are (m, l, B), one block per point, or (l, B) for constant
+    forms, which are broadcast to every point as a view.
     """
-    f = np.asarray(f, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    B = gram.B
-    if f.ndim == 1 and f.shape == (B,):
-        f = np.broadcast_to(f, (gram.m, B))
-    if h.ndim == 1 and h.shape == (B,):
-        h = np.broadcast_to(h, (gram.m, B))
-    if f.shape[0] != gram.m or h.shape[0] != gram.m or f.shape[-1] != B or h.shape[-1] != B:
+    coeffs, mu = np.asarray(coeffs), np.asarray(mu)
+    if coeffs.ndim == 2:
+        coeffs = np.broadcast_to(coeffs, (gram.m, *coeffs.shape))
+    if coeffs.ndim != 3 or coeffs.shape[0] != gram.m or coeffs.shape[2] != gram.B:
         raise ConfigurationError(
-            f"coefficients must be (m, ..., {B}) over {gram.m} points; got {f.shape}, {h.shape}"
+            f"coefficients must be (m, l, {gram.B}) over {gram.m} points or (l, {gram.B}), got {coeffs.shape}"
         )
-    if f.ndim == 2 and h.ndim == 2:
-        return np.einsum("pa,pab,pb->p", f, gram.values, h)
-    if f.ndim == 3 and h.ndim == 3:
-        return np.einsum("pia,pab,pjb->pij", f, gram.values, h)
-    raise ConfigurationError(f"unsupported coefficient ranks {f.ndim} and {h.ndim}")
+    if mu.shape != (gram.m,):
+        raise ConfigurationError(f"measure has shape {mu.shape}, expected ({gram.m},) for {gram.m} points")
+    w = mu.astype(coeffs.dtype, copy=False)
+    fg = coeffs @ gram.values.astype(coeffs.dtype, copy=False)  # (m, l, B)
+    c = ((fg @ coeffs.transpose(0, 2, 1)) * w[:, None, None]).sum(axis=0)
+    return c, fg, w
 
 
-def global_inner_product(gram: GramField, f: np.ndarray, h: np.ndarray, mu: np.ndarray) -> float | np.ndarray:
-    """Sum of local inner products over the cloud, weighted by the (m,) measure mu."""
-    local = local_inner_product(gram, f, h)
-    w = np.asarray(mu, dtype=np.float64)
-    if w.shape != (gram.m,):
-        raise ConfigurationError(f"measure has shape {w.shape}, expected ({gram.m},) for {gram.m} points")
-    if local.ndim == 1:
-        return float(np.einsum("p,p->", w, local))
-    return np.einsum("p,p...->...", w, local)
+def comparison_matrix(gram: GramField, coeffs: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The (l, l) matrix C = sum_p mu_p F_p G_p F_p^T of ``contract``."""
+    return contract(gram, coeffs, mu)[0]
 
 
 def estimate_gram_memory(m: int, D: int, k: int, precision: str = "fp32") -> int:
@@ -135,28 +127,14 @@ def format_bytes(n_bytes: int) -> str:
     return f"{n_bytes} B = {mb:.2f} MB = {mib:.2f} MiB"
 
 
-# ---------------------------------------------------------------------------
-# ambient form coefficients
-
-
-@dataclass(frozen=True)
-class AmbientForm:
-    """A degree-k form with constant (B,) coefficients in the multi-index basis."""
-
-    D: int
-    k: int
-    coeffs: np.ndarray
-
-
-def coordinate_form(D: int, indices: tuple[int, ...] | int) -> AmbientForm:
-    """The basis form dx^I for a 1-based multi-index I."""
+def coordinate_form(D: int, indices: tuple[int, ...] | int) -> np.ndarray:
+    """Constant (B,) coefficients of the basis form dx^I for a 1-based multi-index I."""
     if isinstance(indices, int):
         indices = (indices,)
-    k = len(indices)
-    table = multi_index_table(D, k)
+    table = multi_index_table(D, len(indices))
     pos = np.flatnonzero((table == np.subtract(indices, 1)).all(axis=1))
     if pos.size == 0:
         raise ConfigurationError(f"{indices} is not an ascending multi-index in {{1..{D}}}")
     coeffs = np.zeros(table.shape[0])
     coeffs[pos[0]] = 1.0
-    return AmbientForm(D=D, k=k, coeffs=coeffs)
+    return coeffs

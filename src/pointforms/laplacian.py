@@ -78,10 +78,12 @@ class LaplacianParams:
             raise ConfigurationError(f"knn must be a count or one of {KNN_WORDS}, got {self.knn!r}")
         if isinstance(self.d, str) and self.d != "estimate":
             raise ConfigurationError(f"d must be an integer or 'estimate', got {self.d!r}")
+        if any(not isinstance(v, str) and v < 1 for v in (self.knn, self.d)):
+            raise ConfigurationError(f"knn and d must be >= 1, got knn={self.knn!r}, d={self.d!r}")
 
     def validate(self, m: int) -> None:
         """Check the parts that depend on the cloud size m."""
-        if not isinstance(self.knn, str) and not 1 <= int(self.knn) <= m - 1:
+        if not isinstance(self.knn, str) and self.knn > m - 1:
             raise InsufficientPointsError(f"knn={self.knn} invalid for m={m}")
 
 

@@ -31,6 +31,7 @@ from .errors import (
     NumericFailureError,
     UndefinedMetricError,
 )
+from .gram import contract
 
 PARAM_BUDGET = 68_866
 
@@ -201,28 +202,6 @@ class FormNetwork:
         return d_weights, d_biases
 
 
-def _contract(
-    gram: GramField, coeffs: np.ndarray, mu: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C = sum_p mu_p F_p G_p F_p^T in stored point order, with F G and mu
-    in the coefficient dtype kept for the backward pass."""
-    if coeffs.ndim != 3 or coeffs.shape[0] != gram.m or coeffs.shape[2] != gram.B:
-        raise ConfigurationError(
-            f"coefficients must be (m, l, {gram.B}) over {gram.m} points, got {coeffs.shape}"
-        )
-    if mu.shape != (gram.m,):
-        raise ConfigurationError(f"measure has shape {mu.shape}, expected ({gram.m},) for {gram.m} points")
-    w = mu.astype(coeffs.dtype, copy=False)
-    fg = coeffs @ gram.values.astype(coeffs.dtype, copy=False)  # (m, l, B)
-    c = ((fg @ coeffs.transpose(0, 2, 1)) * w[:, None, None]).sum(axis=0)
-    return c, fg, w
-
-
-def comparison_matrix(gram: GramField, coeffs: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """C = sum_p mu_p F_p G_p F_p^T accumulated in stored point order."""
-    return _contract(gram, np.asarray(coeffs), np.asarray(mu))[0]
-
-
 @dataclass(eq=False)
 class CloudSample:
     """One training example: points, Gram field, (m,) measure weights, binary label."""
@@ -286,7 +265,7 @@ def _forward(model: FormClassifier, sample: CloudSample) -> tuple[float, tuple]:
     activations, F G (m, l, B), the measure in the model dtype, C, and the
     readout features."""
     coeffs, trace = model.net.forward_trace(sample.points)
-    c, fg, w = _contract(sample.gram, coeffs, sample.mu)
+    c, fg, w = contract(sample.gram, coeffs, sample.mu)
     phi = readout(c, model.readout)
     return float(phi @ model.head_w + model.head_b), (trace, fg, w, c, phi)
 

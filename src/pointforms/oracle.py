@@ -1,8 +1,8 @@
 """Analytic ground truth for validating the discrete estimators.
 
 Each built-in manifold carries a chart, an embedding, an orthonormal
-tangent frame, and a sampling density, so Gram fields and global inner
-products have closed-form or quadrature-grade reference values.
+tangent frame, and a sampling density, so Gram fields and comparison
+matrices of constant forms have closed-form or quadrature-grade values.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import i0 as bessel_i0
 
 from .errors import ConfigurationError, ConfigurationWarning, OraclePrecisionError
-from .gram import AmbientForm, compound_gram_field, coordinate_form, global_inner_product, gram_field_1, minors
+from .data import GramField
+from .gram import comparison_matrix, compound_gram_field, coordinate_form, gram_field_1, minors
 from .laplacian import LaplacianParams, build_laplacian
 
 
@@ -196,17 +197,19 @@ _QUAD_REL_TOL = 1e-8
 
 
 def chart_quadrature(
-    f: Callable[[np.ndarray], np.ndarray],
+    integral: Callable[[np.ndarray, np.ndarray], float | np.ndarray],
     domain: tuple[tuple[float, float], ...],
     max_panels: int = 1024,
-) -> float:
-    """Composite Gauss-Legendre over a 1-d or 2-d chart, panel-doubling
-    until successive refinements agree to _QUAD_REL_TOL."""
+) -> float | np.ndarray:
+    """Composite Gauss-Legendre over a 1-d or 2-d chart. ``integral(u, w)`` sums
+    the integrand at the (n, d) nodes u against the (n,) weights w (a scalar or
+    an array); panels double until no entry moves by more than _QUAD_REL_TOL
+    of max(1, largest entry)."""
     dims = len(domain)
     if dims not in (1, 2):
         raise ConfigurationError(f"quadrature supports 1-d or 2-d charts, got {dims}")
 
-    def evaluate(panels: int) -> float:
+    def evaluate(panels: int) -> float | np.ndarray:
         axes = [_panel_nodes(lo, hi, panels, _QUAD_ORDER) for lo, hi in domain]
         if dims == 1:
             u = axes[0][0][:, None]
@@ -215,15 +218,14 @@ def chart_quadrature(
             g0, g1 = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
             u = np.column_stack([g0.ravel(), g1.ravel()])
             w = np.outer(axes[0][1], axes[1][1]).ravel()
-        vals = np.asarray(f(u), dtype=np.float64)
-        return float(np.dot(w, vals))
+        return integral(u, w)
 
     panels = 4
     prev = evaluate(panels)
     while panels <= max_panels:
         panels *= 2
         cur = evaluate(panels)
-        if abs(cur - prev) <= _QUAD_REL_TOL * max(1.0, abs(cur)):
+        if np.max(np.abs(cur - prev)) <= _QUAD_REL_TOL * max(1.0, np.max(np.abs(cur))):
             return cur
         prev = cur
     raise OraclePrecisionError(f"quadrature did not reach rel_tol={_QUAD_REL_TOL} at {max_panels} panels")
@@ -231,34 +233,32 @@ def chart_quadrature(
 
 def oracle_global_inner_product(
     manifold: AnalyticManifold,
-    omega: AmbientForm,
-    eta: AmbientForm,
+    forms: np.ndarray,
+    k: int,
     weighting: str = "volume",
     density: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> float:
-    """Quadrature value of the global inner product of two degree-k forms.
+) -> np.ndarray:
+    """(l, l) comparison matrix of the constant degree-k forms in the rows of
+    ``forms`` (l, B): ``comparison_matrix`` of the oracle Gram field at the
+    quadrature nodes, the node weights times the volume element as measure.
 
     ``weighting="volume"`` integrates against the volume measure;
     ``"density"`` multiplies by the manifold's sampling density (or the
     supplied chart density function).
     """
-    if omega.k != eta.k:
-        raise ConfigurationError(f"form degrees differ: {omega.k} vs {eta.k}")
-    if omega.D != manifold.ambient_dim or eta.D != manifold.ambient_dim:
-        raise ConfigurationError("form ambient dimension does not match the manifold")
     if weighting not in ("volume", "density"):
         raise ConfigurationError(f"weighting must be volume or density, got {weighting!r}")
-    k = omega.k
+    forms = np.asarray(forms, dtype=np.float64)
+    q = density or manifold.density
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        gk = oracle_gram_k(manifold, u, k)
-        vals = np.einsum("a,nab,b->n", omega.coeffs, gk, eta.coeffs) * manifold.volume_element(u)
+    def integral(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        mu = w * manifold.volume_element(u)
         if weighting == "density":
-            q = density(u) if density is not None else manifold.density(u)
-            vals = vals * np.asarray(q, dtype=np.float64)
-        return vals
+            mu = mu * q(u)
+        gram = GramField(D=manifold.ambient_dim, k=k, values=oracle_gram_k(manifold, u, k))
+        return comparison_matrix(gram, forms, mu)
 
-    return chart_quadrature(integrand, manifold.domain)
+    return chart_quadrature(integral, manifold.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +339,9 @@ def convergence_study(
         )
     rows: list[dict] = []
     if manifold.ambient_dim >= 2:
-        dx = coordinate_form(manifold.ambient_dim, 1)
-        oracle_density_weighted = oracle_global_inner_product(manifold, dx, dx, "density")
-        oracle_volume = oracle_global_inner_product(manifold, dx, dx, "volume")
+        dx = coordinate_form(manifold.ambient_dim, 1)[None, :]  # one constant form, (1, B)
+        oracle_density_weighted = float(oracle_global_inner_product(manifold, dx, 1, "density")[0, 0])
+        oracle_volume = float(oracle_global_inner_product(manifold, dx, 1, "volume")[0, 0])
 
     for n in sizes:
         eps_n = params.epsilon if theta is None else params.epsilon * n ** (-theta)
@@ -368,9 +368,9 @@ def convergence_study(
             rows.append(base | {"metric": f"g{k}_err_max", "value": float(err.max())})
             rows.append(base | {"metric": f"g{k}_min_eigenvalue", "value": float(eigs.min())})
             if k == 1 and manifold.ambient_dim >= 2:
-                est_uniform = global_inner_product(g1, dx.coeffs, dx.coeffs, np.full(n, 1.0 / n))
+                est_uniform = float(comparison_matrix(g1, dx, np.full(n, 1.0 / n))[0, 0])
                 q_true = manifold.density(u)
-                est_corrected = global_inner_product(g1, dx.coeffs, dx.coeffs, 1.0 / (n * q_true))
+                est_corrected = float(comparison_matrix(g1, dx, 1.0 / (n * q_true))[0, 0])
                 rows.append(base | {"metric": "gip_dxdx_uniform_err", "value": abs(est_uniform - oracle_density_weighted)})
                 rows.append(base | {"metric": "gip_dxdx_corrected_err", "value": abs(est_corrected - oracle_volume)})
     return rows
@@ -403,12 +403,8 @@ def density_check(
     1/(2 pi) and the two weight vectors coincide. Returns (rows, summary).
     """
     params = params or LaplacianParams()
-    circle = unit_circle()
-    forms = [coordinate_form(2, 1), coordinate_form(2, 2)]
-    target = np.empty((2, 2))
-    for a in range(2):
-        for b in range(a, 2):
-            target[a, b] = target[b, a] = oracle_global_inner_product(circle, forms[a], forms[b], "volume")
+    dxdy = np.eye(2)  # the coordinate forms dx, dy as rows
+    target = oracle_global_inner_product(unit_circle(), dxdy, 1, "volume")
 
     run_params = replace(params, knn="full", d=1)
     rows: list[dict] = []
@@ -421,8 +417,8 @@ def density_check(
             points, q = von_mises_sampler(n, kappa, mode=0.0, rng=rng)
             op = build_laplacian(points, run_params)
             g1 = gram_field_1(op, points)
-            est_unc = np.einsum("p,pab->ab", np.full(n, 2.0 * np.pi / n), g1.values)
-            est_corr = np.einsum("p,pab->ab", 1.0 / (n * q), g1.values)
+            est_unc = comparison_matrix(g1, dxdy, np.full(n, 2.0 * np.pi / n))
+            est_corr = comparison_matrix(g1, dxdy, 1.0 / (n * q))
             err_unc = float(np.abs(est_unc - target)[iu, ju].mean())
             err_corr = float(np.abs(est_corr - target)[iu, ju].mean())
             mae_unc.append(err_unc)

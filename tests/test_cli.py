@@ -188,8 +188,8 @@ def _small_dataset(root: Path, dim: int = 5) -> Path:
 
 @pytest.mark.parametrize(
     "flags",
-    [["--k", "4"], ["--k", "6"], ["--k", "0"], ["--knn", "foo"], ["--d", "auto"]],
-    ids=["k-above-3", "k-above-D", "k-zero", "knn-word", "d-word"],
+    [["--k", "4"], ["--k", "6"], ["--k", "0"], ["--knn", "foo"], ["--d", "auto"], ["--d", "0"], ["--knn", "0"]],
+    ids=["k-above-3", "k-above-D", "k-zero", "knn-word", "d-word", "d-zero", "knn-zero"],
 )
 def test_precompute_bad_setting_exits_1_once_before_any_cloud(flags, tmp_path, capsys):
     data_dir = _small_dataset(tmp_path / "data")
@@ -198,6 +198,17 @@ def test_precompute_bad_setting_exits_1_once_before_any_cloud(flags, tmp_path, c
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out.exists()
+
+
+def test_precompute_every_cloud_failing_reports_the_first_failure(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    clouds = [PointCloud(id=f"c{i}", points=rng.standard_normal((3, 2)), label=i % 2) for i in range(4)]
+    save_dataset(tmp_path / "data", "toy", clouds, {})
+    code = main(["precompute", "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "feat")])
+    assert code == InsufficientPointsError.exit_code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 5  # one line per cloud, then the first cloud's error
+    assert err[-1].startswith("error: need k0-1=7 neighbors")
 
 
 def test_precompute_empty_dataset_exit_2(tmp_path, capsys):
@@ -333,6 +344,30 @@ def test_eval_checkpoint_of_another_degree_exit_2(small_pipeline, tmp_path, caps
     code = main(["eval", "--model", str(small_pipeline["run"] / "model.ckpt"), "--features", str(feat2)])
     assert code == 2
     assert "degree" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_on_other_features_exit_2(small_pipeline, tmp_path, capsys):
+    feat2 = tmp_path / "feat2"
+    code = main(
+        ["precompute", "--dataset", str(small_pipeline["data"]), "--out", str(feat2), "--measure", "density_corrected"]
+    )
+    assert code == 0
+    capsys.readouterr()
+    code = main(["eval", "--model", str(small_pipeline["run"] / "model.ckpt"), "--features", str(feat2)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert hash_input(feat2) in err and hash_input(small_pipeline["feat"]) in err
+
+
+def test_train_into_its_own_features_exit_1(small_pipeline, tmp_path, capsys):
+    import shutil
+
+    feat = tmp_path / "feat"
+    shutil.copytree(small_pipeline["feat"], feat)
+    code = main(["train", "--features", str(feat), "--out", str(feat / "run"), "--epochs", "1"])
+    assert code == 1
+    assert "inside --features" in capsys.readouterr().err
+    assert not (feat / "run").exists()
 
 
 @pytest.mark.parametrize("damage", ["missing", "unparsable-echo", "echo-without-arch"])

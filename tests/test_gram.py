@@ -15,13 +15,12 @@ from pointforms import (
     LaplacianParams,
     build_laplacian,
     carre_du_champ,
+    comparison_matrix,
     compound_gram_field,
     coordinate_form,
     estimate_gram_memory,
     format_bytes,
-    global_inner_product,
     gram_field_1,
-    local_inner_product,
     multi_index_table,
     unit_circle,
 )
@@ -210,21 +209,27 @@ def test_compound_rejects_unsupported_degrees():
 
 
 # ---------------------------------------------------------------------------
-# local and global pairings
+# local and global pairings: the comparison matrix
+
+
+def _pointwise(gram: GramField, coeffs: np.ndarray) -> np.ndarray:
+    """Local inner products F_p G_p F_p^T, (m, l, l): the comparison matrix
+    under the unit measure at each point in turn."""
+    return np.array([comparison_matrix(gram, coeffs, unit) for unit in np.eye(gram.m)])
 
 
 def test_local_inner_product_basis_on_identity_slices():
     vals = np.tile(np.eye(3), (6, 1, 1))
     gram = GramField(D=3, k=1, values=vals)
-    e2 = coordinate_form(3, 2).coeffs
-    npt.assert_allclose(local_inner_product(gram, e2, e2), np.ones(6), atol=1e-15)
+    e2 = coordinate_form(3, 2)[None, :]
+    npt.assert_allclose(_pointwise(gram, e2)[:, 0, 0], np.ones(6), atol=1e-15)
 
 
 def test_local_inner_product_null_space_annihilates():
     vals = np.tile(np.diag([1.0, 1.0, 0.0]), (4, 1, 1))
     gram = GramField(D=3, k=1, values=vals)
-    null = coordinate_form(3, 3).coeffs
-    npt.assert_allclose(local_inner_product(gram, null, null), np.zeros(4), atol=1e-15)
+    null = coordinate_form(3, 3)[None, :]
+    npt.assert_allclose(_pointwise(gram, null)[:, 0, 0], np.zeros(4), atol=1e-15)
 
 
 def test_local_inner_product_matches_triple_product_oracle():
@@ -233,7 +238,8 @@ def test_local_inner_product_matches_triple_product_oracle():
     f = rng.standard_normal((5, 3))
     h = rng.standard_normal((5, 3))
     expected = np.array([f[p] @ gram.values[p] @ h[p] for p in range(5)])
-    npt.assert_allclose(local_inner_product(gram, f, h), expected, atol=1e-12)
+    local = _pointwise(gram, np.stack([f, h], axis=1))
+    npt.assert_allclose(local[:, 0, 1], expected, atol=1e-12)
 
 
 def test_local_inner_product_batched_ranks():
@@ -241,7 +247,7 @@ def test_local_inner_product_batched_ranks():
     rng = np.random.default_rng(17)
     f = rng.standard_normal((4, 2, 3))
     h = rng.standard_normal((4, 2, 3))
-    out = local_inner_product(gram, f, h)
+    out = _pointwise(gram, np.concatenate([f, h], axis=1))[:, :2, 2:]
     assert out.shape == (4, 2, 2)
     for p in range(4):
         npt.assert_allclose(out[p], f[p] @ gram.values[p] @ h[p].T, atol=1e-12)
@@ -250,14 +256,15 @@ def test_local_inner_product_batched_ranks():
 def test_global_inner_product_circle_uniform_and_corrected():
     op, pts = _circle_operator(2000, seed=18)
     g1 = gram_field_1(op, pts)
-    dx = coordinate_form(2, 1).coeffs
+    dx = coordinate_form(2, 1)[None, :]
     uniform = np.full(2000, 1.0 / 2000)
-    est = global_inner_product(g1, dx, dx, uniform)
-    assert est == pytest.approx(0.5, abs=0.05)
+    est = comparison_matrix(g1, dx, uniform)
+    assert est.shape == (1, 1)
+    assert est[0, 0] == pytest.approx(0.5, abs=0.05)
 
     q_true = np.full(2000, 1.0 / (2.0 * np.pi))
     corrected = 1.0 / (2000 * q_true)
-    est_vol = global_inner_product(g1, dx, dx, corrected)
+    est_vol = comparison_matrix(g1, dx, corrected)[0, 0]
     assert est_vol == pytest.approx(np.pi, abs=0.3)
 
 
@@ -269,7 +276,22 @@ def test_global_inner_product_nonnegative_on_squares():
     mu = np.full(8, 1.0 / 8)
     rng = np.random.default_rng(20)
     for w in rng.standard_normal((6, 3)):
-        assert global_inner_product(psd, w, w, mu) >= -1e-12
+        assert comparison_matrix(psd, w[None, :], mu)[0, 0] >= -1e-12
+
+
+def test_constant_forms_equal_their_explicit_tiling_bitwise():
+    gram = _random_g1(m=7, D=4, seed=21)
+    rng = np.random.default_rng(22)
+    forms = rng.standard_normal((3, 4))
+    mu = rng.uniform(0.1, 1.0, size=7)
+    tiled = np.tile(forms, (7, 1, 1))
+    npt.assert_array_equal(comparison_matrix(gram, forms, mu), comparison_matrix(gram, tiled, mu))
+    forms32 = forms.astype(np.float32)
+    npt.assert_array_equal(
+        comparison_matrix(gram, forms32, mu), comparison_matrix(gram, np.tile(forms32, (7, 1, 1)), mu)
+    )
+    with pytest.raises(ConfigurationError):
+        comparison_matrix(gram, np.ones((3, 5)), mu)  # B = 4
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +327,11 @@ def test_format_bytes_layout():
 
 
 # ---------------------------------------------------------------------------
-# ambient forms
+# coordinate forms
 
 
 def test_coordinate_form_basis_layout():
     form = coordinate_form(3, (1, 3))
-    assert form.k == 2 and form.D == 3
-    npt.assert_array_equal(form.coeffs, [0.0, 1.0, 0.0])
+    npt.assert_array_equal(form, [0.0, 1.0, 0.0])
     with pytest.raises(ConfigurationError):
         coordinate_form(3, (3, 1))

@@ -45,8 +45,9 @@ def test_params_validation_rejects_bad_values():
 
 
 @pytest.mark.parametrize(
-    "bad", [{"knn": "foo"}, {"d": "auto"}, {"bandwidth_scale": "fixed"}, {"epsilon": 0.0}, {"k0": 1}],
-    ids=["knn-word", "d-word", "bandwidth-scale", "epsilon", "k0"],
+    "bad",
+    [{"knn": "foo"}, {"d": "auto"}, {"bandwidth_scale": "fixed"}, {"epsilon": 0.0}, {"k0": 1}, {"d": 0}, {"knn": 0}],
+    ids=["knn-word", "d-word", "bandwidth-scale", "epsilon", "k0", "d-zero", "knn-zero"],
 )
 def test_params_reject_size_free_values_at_construction(bad):
     with pytest.raises(ConfigurationError):

@@ -20,7 +20,6 @@ from pointforms import (
     auroc,
     comparison_matrix,
     evaluate,
-    global_inner_product,
     load_checkpoint,
     loss_and_grad,
     predict_logits,
@@ -305,7 +304,8 @@ def test_single_form_diag_readout_equals_global_inner_product():
     model = FormClassifier.create(3, 3, n_forms=1, readout_kind="diag", rng=19, dtype=np.float64)
     coeffs = model.net.forward(sample.points)
     c = comparison_matrix(sample.gram, coeffs, sample.mu)
-    gip = global_inner_product(sample.gram, coeffs[:, 0, :], coeffs[:, 0, :], sample.mu)
+    f = coeffs[:, 0, :]
+    gip = sum(sample.mu[p] * f[p] @ sample.gram.values[p] @ f[p] for p in range(7))
     assert c[0, 0] == pytest.approx(gip, abs=1e-10)
     npt.assert_allclose(readout(c, "diag"), [gip], atol=1e-10)
 

@@ -73,7 +73,7 @@ def test_tangent_frames_are_orthonormal(name):
 def test_sampling_density_integrates_to_one(name):
     manifold = MANIFOLDS[name]()
     total = chart_quadrature(
-        lambda u: manifold.density(u) * manifold.volume_element(u), manifold.domain
+        lambda u, w: w @ (manifold.density(u) * manifold.volume_element(u)), manifold.domain
     )
     assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -129,13 +129,13 @@ def test_oracle_gram_k_is_compound_of_gram_1(name):
 
 
 def test_chart_quadrature_sin_squared():
-    val = chart_quadrature(lambda u: np.sin(u[:, 0]) ** 2, ((0.0, 2.0 * np.pi),))
+    val = chart_quadrature(lambda u, w: w @ np.sin(u[:, 0]) ** 2, ((0.0, 2.0 * np.pi),))
     assert val == pytest.approx(np.pi, rel=1e-10)
 
 
 def test_chart_quadrature_2d_separable():
     val = chart_quadrature(
-        lambda u: np.sin(u[:, 0]) ** 2 * np.cos(u[:, 1]) ** 2,
+        lambda u, w: w @ (np.sin(u[:, 0]) ** 2 * np.cos(u[:, 1]) ** 2),
         ((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi)),
     )
     assert val == pytest.approx(np.pi**2, rel=1e-10)
@@ -143,45 +143,54 @@ def test_chart_quadrature_2d_separable():
 
 def test_chart_quadrature_flags_nonsmooth_integrand():
     with pytest.raises(OraclePrecisionError):
-        chart_quadrature(lambda u: np.abs(u[:, 0]) ** -0.9, ((0.0, 1.0),), max_panels=64)
+        chart_quadrature(lambda u, w: w @ np.abs(u[:, 0]) ** -0.9, ((0.0, 1.0),), max_panels=64)
 
 
 def test_global_oracle_circle_values():
     circle = unit_circle()
-    dx, dy = coordinate_form(2, 1), coordinate_form(2, 2)
-    assert oracle_global_inner_product(circle, dx, dx, "volume") == pytest.approx(np.pi, rel=1e-8)
-    assert oracle_global_inner_product(circle, dx, dy, "volume") == pytest.approx(0.0, abs=1e-10)
-    assert oracle_global_inner_product(circle, dx, dx, "density") == pytest.approx(0.5, rel=1e-8)
+    dxdy = np.stack([coordinate_form(2, 1), coordinate_form(2, 2)])
+    volume = oracle_global_inner_product(circle, dxdy, 1, "volume")
+    assert volume[0, 0] == pytest.approx(np.pi, rel=1e-8)
+    assert volume[0, 1] == pytest.approx(0.0, abs=1e-10)
+    assert oracle_global_inner_product(circle, dxdy, 1, "density")[0, 0] == pytest.approx(0.5, rel=1e-8)
+
+
+def test_global_oracle_circle_volume_matrix_of_coordinate_forms():
+    c = oracle_global_inner_product(unit_circle(), np.eye(2), 1)
+    assert c.shape == (2, 2)
+    npt.assert_array_equal(c, c.T)
+    npt.assert_allclose(np.diag(c), [np.pi, np.pi], rtol=1e-8)
+    assert abs(c[0, 1]) <= 1e-10
 
 
 def test_global_oracle_sphere_and_torus_values():
     sphere = unit_sphere()
-    dx3 = coordinate_form(3, 1)
+    dx3 = coordinate_form(3, 1)[None, :]
     # integral of 1 - x^2 over the unit sphere: 4 pi - 4 pi / 3
-    assert oracle_global_inner_product(sphere, dx3, dx3, "volume") == pytest.approx(
+    assert oracle_global_inner_product(sphere, dx3, 1, "volume")[0, 0] == pytest.approx(
         8.0 * np.pi / 3.0, rel=1e-8
     )
     torus = flat_torus()
-    dx4 = coordinate_form(4, 1)
-    assert oracle_global_inner_product(torus, dx4, dx4, "density") == pytest.approx(0.5, rel=1e-8)
+    dx4 = coordinate_form(4, 1)[None, :]
+    assert oracle_global_inner_product(torus, dx4, 1, "density")[0, 0] == pytest.approx(0.5, rel=1e-8)
 
 
 def test_global_oracle_custom_density_callable():
     circle = unit_circle()
-    dx = coordinate_form(2, 1)
+    dx = coordinate_form(2, 1)[None, :]
     # doubling the density doubles the weighted integral
     doubled = oracle_global_inner_product(
-        circle, dx, dx, "density", density=lambda u: np.full(u.shape[0], 1.0 / np.pi)
+        circle, dx, 1, "density", density=lambda u: np.full(u.shape[0], 1.0 / np.pi)
     )
-    assert doubled == pytest.approx(1.0, rel=1e-8)
+    assert doubled[0, 0] == pytest.approx(1.0, rel=1e-8)
 
 
 def test_global_oracle_rejects_mismatches():
     circle = unit_circle()
     with pytest.raises(ConfigurationError):
-        oracle_global_inner_product(circle, coordinate_form(2, 1), coordinate_form(3, 1))
+        oracle_global_inner_product(circle, coordinate_form(3, 1)[None, :], 1)
     with pytest.raises(ConfigurationError):
-        oracle_global_inner_product(circle, coordinate_form(2, 1), coordinate_form(2, 2), "mass")
+        oracle_global_inner_product(circle, np.eye(2), 1, "mass")
 
 
 # ---------------------------------------------------------------------------
