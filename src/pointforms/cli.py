@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import warnings
+from collections.abc import Collection
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -194,7 +196,8 @@ def cmd_precompute(args) -> int:
     manifest = {
         "format": "pointforms-features",
         "version": 1,
-        "dataset": str(dataset_dir),
+        # a relative path is stored relative to the features, so they load from any working directory
+        "dataset": str(dataset_dir) if dataset_dir.is_absolute() else os.path.relpath(dataset_dir, out),
         "dataset_sha256": dataset_hash,
         "degree": args.k,
         "precision": args.precision,
@@ -227,33 +230,39 @@ def cmd_precompute(args) -> int:
     return 0
 
 
-def _load_features(features_dir: Path) -> tuple[list[CloudSample], dict]:
+def _load_features(features_dir: Path, ids: Collection[str] | None = None) -> tuple[list[CloudSample], dict]:
+    """Samples for the clouds named in ``ids`` (all when None), checked against the manifest and dataset."""
     manifest_path = features_dir / FEATURES_MANIFEST
     if not manifest_path.is_file():
         raise MissingCacheError(
             f"no feature manifest at {manifest_path}; run 'pointforms precompute' first"
         )
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "pointforms-features":
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise CacheFormatError(f"{manifest_path}: invalid feature manifest: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("format") != "pointforms-features":
         raise CacheFormatError(f"{manifest_path}: not a feature manifest")
     missing = {"dataset", "dataset_sha256", "degree", "measure", "clouds"} - manifest.keys()
     missing |= {k for rec in manifest.get("clouds", []) for k in ("id", "cache", "mu", "label") if k not in rec}
     if missing:
         raise CacheFormatError(f"{manifest_path}: manifest or cloud record lacks {', '.join(sorted(missing))}")
-    clouds, _ = load_dataset(manifest["dataset"])
-    dataset_hash = hash_input(manifest["dataset"])
+    dataset_dir = features_dir / manifest["dataset"]
+    records = [rec for rec in manifest["clouds"] if ids is None or rec["id"] in ids]
+    clouds, _ = load_dataset(dataset_dir, ids)
+    dataset_hash = hash_input(dataset_dir)
     if dataset_hash != manifest["dataset_sha256"]:
         raise CacheFormatError(
-            f"dataset {manifest['dataset']} has digest {dataset_hash}, the features were computed from "
+            f"dataset {dataset_dir} has digest {dataset_hash}, the features were computed from "
             f"{manifest['dataset_sha256']}; rerun 'pointforms precompute'"
         )
     by_id = {c.id: c for c in clouds}
     samples = []
-    for rec in manifest["clouds"]:
+    for rec in records:
         cloud = by_id.get(rec["id"])
         if cloud is None:
-            raise MissingCacheError(f"cloud {rec['id']} missing from dataset {manifest['dataset']}")
+            raise MissingCacheError(f"cloud {rec['id']} missing from dataset {dataset_dir}")
         cache_path, mu_path = features_dir / rec["cache"], features_dir / rec["mu"]
         for path, what in ((cache_path, "gram cache"), (mu_path, "measure file")):
             if not path.is_file():
@@ -341,7 +350,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, meta = load_checkpoint(args.model)
-    samples, _ = _load_features(Path(args.features))
+    # only the recorded test clouds are read; a checkpoint without a test split scores them all
+    test_ids = set(meta.get("splits", {}).get("test", [])) if args.split == "test" else set()
+    samples, _ = _load_features(Path(args.features), test_ids or None)
     trained = (meta.get("degree"), model.net.input_dim, model.net.n_coeffs)
     for s in samples:
         found = (s.gram.k, s.points.shape[1], s.gram.B)
@@ -350,10 +361,6 @@ def cmd_eval(args) -> int:
     digest = hash_input(args.features)
     if digest != meta.get("features_sha256", digest):
         raise CacheFormatError(f"features have digest {digest}, the checkpoint was trained on {meta['features_sha256']}")
-    if args.split == "test":
-        keep = set(meta.get("splits", {}).get("test", []))
-        if keep:
-            samples = [s for s in samples if s.cloud_id in keep]
     if any(s.label is None for s in samples):
         raise UndefinedMetricError("evaluation requires labeled clouds")
     score = evaluate(model, samples)
@@ -365,8 +372,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_consistency(args) -> int:
-    if args.manifold not in MANIFOLDS:
-        raise ConfigurationError(f"unknown manifold {args.manifold!r}; expected one of {sorted(MANIFOLDS)}")
     manifold = MANIFOLDS[args.manifold]()
     params = _laplacian_params(args)
     rows = convergence_study(
@@ -516,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("consistency", help="estimator error versus sample size on analytic manifolds")
-    p.add_argument("--manifold", required=True)
+    p.add_argument("--manifold", required=True, choices=MANIFOLDS)
     p.add_argument("--sizes", type=_list_of(int), default="250,500,1000,2000")
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--k", type=int, default=1, help="form degree")

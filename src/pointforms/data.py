@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import struct
+from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -221,8 +222,8 @@ def _load_matrix(path: Path, cloud_id: str) -> np.ndarray:
     return arr
 
 
-def load_dataset(dataset_dir: str | Path) -> tuple[list[PointCloud], dict]:
-    """Load a dataset directory; clouds come back sorted by id."""
+def load_dataset(dataset_dir: str | Path, ids: Collection[str] | None = None) -> tuple[list[PointCloud], dict]:
+    """Load a dataset directory, or only the clouds named in ``ids``; clouds come back sorted by id."""
     root = Path(dataset_dir)
     manifest_path = root / MANIFEST_NAME if root.is_dir() else root
     if not manifest_path.is_file():
@@ -242,6 +243,8 @@ def load_dataset(dataset_dir: str | Path) -> tuple[list[PointCloud], dict]:
     clouds: list[PointCloud] = []
     dim: int | None = None
     for rec in sorted(records, key=lambda r: r["id"]):
+        if ids is not None and rec["id"] not in ids:
+            continue
         pts = _load_matrix(base / rec["path"], rec["id"])
         if dim is None:
             dim = pts.shape[1]

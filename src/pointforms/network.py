@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import GramField
 from .errors import (
@@ -319,7 +318,11 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC needs both classes present")
-    ranks = rankdata(scores)
+    if np.isnan(scores).any():
+        raise NumericFailureError("AUROC scores contain NaN")
+    # Mann-Whitney U over average ranks: tied values share the mean of their 1-based ranks
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

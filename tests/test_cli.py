@@ -34,6 +34,7 @@ from pointforms import (
 from pointforms import READOUTS, cli, data, tasks
 from pointforms.cli import hash_input, main
 from pointforms.laplacian import BANDWIDTH_SCALES
+from pointforms.oracle import MANIFOLDS
 
 # Exit codes as documented: 1 configuration, 2 data or format, 3 numeric.
 DOCUMENTED_EXIT_CODES = {
@@ -108,6 +109,7 @@ def _option(command: str, dest: str) -> argparse.Action:
         ("precompute", "bandwidth_scale", BANDWIDTH_SCALES),
         ("consistency", "bandwidth_scale", BANDWIDTH_SCALES),
         ("train", "readout", READOUTS),
+        ("consistency", "manifold", MANIFOLDS),
     ],
     ids=lambda v: v if isinstance(v, str) else "table",
 )
@@ -384,6 +386,48 @@ def test_eval_unreadable_checkpoint_exit_2(damage, small_pipeline, tmp_path, cap
     assert "checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["{not json", "[]"])
+def test_unparsable_features_manifest_exit_2(text, small_pipeline, tmp_path, capsys):
+    import shutil
+
+    feat_copy = tmp_path / "feat"
+    shutil.copytree(small_pipeline["feat"], feat_copy)
+    (feat_copy / cli.FEATURES_MANIFEST).write_text(text)
+    code = main(["train", "--features", str(feat_copy), "--out", str(tmp_path / "run"), "--epochs", "1"])
+    assert code == 2
+    assert cli.FEATURES_MANIFEST in capsys.readouterr().err
+    code = main(["eval", "--model", str(small_pipeline["run"] / "model.ckpt"), "--features", str(feat_copy)])
+    assert code == 2
+    assert cli.FEATURES_MANIFEST in capsys.readouterr().err
+
+
+def test_relative_dataset_path_resolves_from_the_features(small_pipeline, tmp_path, monkeypatch, capsys):
+    import shutil
+
+    shutil.copytree(small_pipeline["data"], tmp_path / "data")
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    assert main(["precompute", "--dataset", "../data", "--out", "feat"]) == 0
+    assert main(["train", "--features", "feat", "--out", "run", "--epochs", "2", "--n-forms", "2"]) == 0
+    assert json.loads(Path("feat", cli.FEATURES_MANIFEST).read_text())["dataset"] == str(Path("..", "..", "data"))
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["eval", "--model", "work/run/model.ckpt", "--features", "work/feat"]) == 0
+    assert "match: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("split", ["test", "all"])
+def test_eval_reads_only_the_scored_caches(split, small_pipeline, monkeypatch, capsys):
+    run = small_pipeline["run"]
+    read = []
+    monkeypatch.setattr(cli, "read_gram_cache", lambda path: read.append(path) or data.read_gram_cache(path))
+    code = main(["eval", "--model", str(run / "model.ckpt"), "--features", str(small_pipeline["feat"]), "--split", split])
+    assert code == 0
+    splits = json.loads((run / "result.json").read_text())["split_sizes"]
+    assert len(read) == (splits["test"] if split == "test" else sum(splits.values()))
+    assert f"over {len(read)} clouds" in capsys.readouterr().out
+
+
 def test_eval_corrupt_cache_exit_2(small_pipeline, tmp_path, capsys):
     import shutil
 
@@ -433,8 +477,12 @@ def test_consistency_small_run_prints_table(tmp_path, capsys):
 
 
 def test_consistency_unknown_manifold_exit_1(capsys):
-    assert main(["consistency", "--manifold", "klein"]) == 1
-    assert "error:" in capsys.readouterr().err
+    # a parser choice, so a usage error like any other unknown word
+    with pytest.raises(SystemExit) as err:
+        main(["consistency", "--manifold", "klein"])
+    assert err.value.code == 1
+    err_text = capsys.readouterr().err
+    assert "usage:" in err_text and "error:" in err_text and "'klein'" in err_text
 
 
 def test_consistency_bad_theta_warns():

@@ -1,6 +1,10 @@
 """Form networks, comparison matrices, readouts, loss, and training."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +17,7 @@ from pointforms import (
     FormClassifier,
     FormNetwork,
     GramField,
+    NumericFailureError,
     PARAM_BUDGET,
     READOUTS,
     TrainConfig,
@@ -30,6 +35,7 @@ from pointforms import (
     split_samples,
     train,
 )
+import pointforms
 from pointforms.network import _loss_only
 
 
@@ -223,6 +229,45 @@ def test_auroc_reference_cases():
     assert auroc(np.array([0.5, 0.5, 0.5, 0.5]), np.array([0, 1, 0, 1])) == 0.5
     with pytest.raises(UndefinedMetricError):
         auroc(np.array([0.1, 0.2]), np.array([1, 1]))
+
+
+def _auroc_by_pairs(scores: np.ndarray, labels: np.ndarray) -> float:
+    """The definition: positive-over-negative wins plus 1/2 per tie, over n_pos * n_neg."""
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    wins = sum(float((p > neg).sum()) + 0.5 * float((p == neg).sum()) for p in pos)
+    return wins / (pos.size * neg.size)
+
+
+def test_auroc_matches_pairwise_definition_under_heavy_ties():
+    rng = np.random.default_rng(7)
+    checked = 0
+    for trial in range(300):
+        n = int(rng.integers(2, 120))
+        labels = rng.integers(0, 2, size=n)
+        if labels.min() == labels.max():
+            continue
+        scores = [
+            rng.standard_normal(n),
+            rng.integers(0, 4, size=n).astype(float),
+            np.round(rng.standard_normal(n), 1),
+            np.where(rng.random(n) < 0.3, np.inf * rng.choice([-1.0, 1.0], size=n), rng.integers(0, 3, size=n)),
+        ][trial % 4]
+        assert auroc(scores, labels) == _auroc_by_pairs(scores, labels)
+        checked += 1
+    assert checked > 250
+
+
+def test_auroc_nan_score_is_a_numeric_failure():
+    with pytest.raises(NumericFailureError):
+        auroc(np.array([np.nan, 1.0, 2.0, 0.5]), np.array([0, 1, 0, 1]))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter, since other test modules import scipy.stats into this one
+    src = Path(pointforms.__file__).resolve().parents[1]
+    code = "import sys, pointforms.cli; assert 'scipy.stats' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # ---------------------------------------------------------------------------
