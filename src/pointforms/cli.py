@@ -30,6 +30,7 @@ from .data import (
     measure_weights,
     read_gram_cache,
     save_dataset,
+    write_csv,
     write_gram_cache,
 )
 from .errors import (
@@ -180,7 +181,7 @@ def cmd_precompute(args) -> int:
             write_gram_cache(out / cache_rel, gram, precision=args.precision)
             mu = measure_weights(cloud, args.measure, density=op.density.q0)
             mu_rel = f"{cloud.id}.mu.csv"
-            np.savetxt(out / mu_rel, mu, fmt="%.17g", delimiter=",")
+            write_csv(out / mu_rel, mu)
         except PointFormsError as exc:
             print(f"cloud {cloud.id}: {exc}", file=sys.stderr)
             failures.append(exc)

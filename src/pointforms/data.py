@@ -170,6 +170,17 @@ def read_gram_cache(path: str | Path) -> GramField:
 # dataset layout: one CSV per cloud plus a JSON manifest
 
 
+def write_csv(path: str | Path, array: np.ndarray) -> None:
+    """Write a 2-D array one row per line, or a 1-D array one value per line,
+    each value as "%.17g" and comma separated: the bytes of
+    ``np.savetxt(path, array, fmt="%.17g", delimiter=",")`` from one format call."""
+    arr = np.asarray(array, dtype=np.float64)
+    rows = arr.reshape(-1, 1) if arr.ndim == 1 else arr
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
+
+
 def save_dataset(
     out_dir: str | Path,
     name: str,
@@ -188,13 +199,13 @@ def save_dataset(
     records = []
     for cloud in sorted(clouds, key=lambda c: c.id):
         rel = f"{cloud.id}.csv"
-        np.savetxt(out / rel, cloud.points, fmt="%.17g", delimiter=",")
+        write_csv(out / rel, cloud.points)
         rec: dict = {"id": cloud.id, "path": rel, "label": cloud.label}
         extra = dict((extras or {}).get(cloud.id, {}))
         q = extra.pop("q", None)
         if q is not None:
             q_rel = f"{cloud.id}.q.csv"
-            np.savetxt(out / q_rel, np.asarray(q, dtype=np.float64), fmt="%.17g", delimiter=",")
+            write_csv(out / q_rel, q)
             rec["q_path"] = q_rel
         rec.update(extra)
         records.append(rec)

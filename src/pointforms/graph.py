@@ -3,8 +3,10 @@
 Distances are dense (O(m^2 D)) and come from one ``cdist`` call at every
 size; clouds here are desk scale. One graph per cloud serves the dimension
 estimate, the pilot density, the kernel (through its full distance matrix
-``sq``) and the kNN truncation: the sort is stable, so each smaller neighbor
-list is a column prefix of the largest.
+``sq``) and the kNN truncation. ``knn`` selects the k nearest per row with a
+partition and stable-sorts only those k, ties to lower index; the order is
+that of a full stable sort, so each smaller neighbor list is a column prefix
+of the largest.
 """
 
 from __future__ import annotations
@@ -48,8 +50,20 @@ def knn(points: np.ndarray, k: int) -> NeighborGraph:
         raise InsufficientPointsError(f"k must satisfy 1 <= k <= m-1, got k={k}, m={m}")
     sq = pairwise_sq_dist(pts)
     np.fill_diagonal(sq, np.inf)
-    # stable sort keeps equal distances in index order; the copy frees the (m, m) sort
-    order = np.argsort(sq, axis=1, kind="stable")[:, :k].copy()
-    sq_dists = sq[np.arange(m)[:, None], order]
+    # The k smallest per row are those below the k-th value plus the
+    # lowest-index entries tied at it: the set a full stable sort keeps.
+    kth = np.partition(sq, k - 1, axis=1)[:, k - 1 : k]
+    keep = sq <= kth
+    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    sub, cut = sq[over], kth[over]
+    below, tied = sub < cut, sub == cut
+    room = k - np.count_nonzero(below, axis=1, keepdims=True)
+    keep[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
+    # candidates come in index order, so a stable sort by distance breaks ties toward lower index
+    cand = np.nonzero(keep)[1].reshape(m, k)
+    cand_sq = np.take_along_axis(sq, cand, axis=1)
+    order = np.argsort(cand_sq, axis=1, kind="stable")
+    indices = np.take_along_axis(cand, order, axis=1)
+    sq_dists = np.take_along_axis(cand_sq, order, axis=1)
     np.fill_diagonal(sq, 0.0)
-    return NeighborGraph(indices=order, sq_dists=sq_dists, sq=sq)
+    return NeighborGraph(indices=indices, sq_dists=sq_dists, sq=sq)

@@ -4,8 +4,11 @@ Three families of labeled point-cloud datasets, all built from fixed-step
 integration of planar or gene-kinetics vector fields plus observation
 noise, and one unlabeled family of non-uniformly sampled circles with
 known density sidecars. Every cloud draws from its own seed sequence, so
-datasets are reproducible element by element. ``TASKS`` lists the
-generators by the task name the CLI takes.
+datasets are reproducible element by element. The trajectories of one
+class are integrated together, one row per cloud, in one ``integrate_ode``
+call; each cloud's generator draws its start before that call and its
+subsample and noise after it. ``TASKS`` lists the generators by the task
+name the CLI takes.
 """
 
 from __future__ import annotations
@@ -21,31 +24,59 @@ from .oracle import von_mises_sampler
 _BLOWUP_LIMIT = 1e8
 
 
-def integrate_ode(field, y0: np.ndarray, t_max: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+def integrate_ode(
+    field, y0: np.ndarray, t_max: float, n_steps: int | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Classic fourth-order Runge-Kutta with a fixed step.
 
-    ``field(t, y)`` must broadcast over leading axes of ``y``. Returns the
-    time grid (n_steps+1,) and the states (n_steps+1, *y0.shape), both
-    endpoints included.
+    ``field(t, y)`` must broadcast over leading axes of ``y``. With an int
+    ``n_steps`` it returns the time grid (n_steps+1,) and the states
+    (n_steps+1, *y0.shape), both endpoints included.
+
+    ``n_steps`` may also be an (N,) int array for an (N, S) ``y0``: row i
+    then steps with its own h = t_max / n_steps[i] (``field`` sees t as an
+    (N, 1) column), every row runs to max(n_steps), and a row past its own
+    last step holds its final state, so only rows still inside their own
+    step count can blow up. The times are then (max+1, N) and the states
+    (max+1, N, S); row i matches a scalar call with n_steps[i] bitwise.
     """
-    if n_steps < 1:
+    steps = np.asarray(n_steps)
+    if (steps < 1).any():
         raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
     y0 = np.asarray(y0, dtype=np.float64)
-    times = np.linspace(0.0, t_max, n_steps + 1)
-    states = np.empty((n_steps + 1, *y0.shape))
+    n_max = int(steps.max())
+    if steps.ndim == 0:
+        times = np.linspace(0.0, t_max, n_max + 1)
+        t_col, h = times, t_max / n_max
+    else:
+        if y0.ndim != 2 or steps.shape != y0.shape[:1]:
+            raise ConfigurationError(f"n_steps of shape {steps.shape} needs y0 of shape (N, S), got {y0.shape}")
+        times = np.full((n_max + 1, steps.size), float(t_max))
+        for j, n in enumerate(steps):
+            times[: n + 1, j] = np.linspace(0.0, t_max, n + 1)
+        t_col, h = times[..., None], (t_max / steps)[:, None]
+    states = np.empty((n_max + 1, *y0.shape))
     states[0] = y0
-    h = t_max / n_steps
     y = y0
-    for i in range(n_steps):
-        t = times[i]
+    for i in range(n_max):
+        t = t_col[i]
         k1 = field(t, y)
         k2 = field(t + 0.5 * h, y + 0.5 * h * k1)
         k3 = field(t + 0.5 * h, y + 0.5 * h * k2)
         k4 = field(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y).all() or np.abs(y).max() > _BLOWUP_LIMIT:
+        y_next = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if steps.ndim:
+            y_next = np.where((i < steps)[:, None], y_next, y)
+        # NaN fails the comparison too
+        ok = np.abs(y_next) <= _BLOWUP_LIMIT
+        if not ok.all():
+            if steps.ndim:
+                row = int(np.flatnonzero(~ok.all(axis=1))[0])
+                raise IntegrationBlowupError(
+                    f"trajectory {row} blew up at step {i + 1} (t={times[i + 1, row]:.6g})"
+                )
             raise IntegrationBlowupError(f"trajectory blew up at step {i + 1} (t={times[i + 1]:.6g})")
-        states[i + 1] = y
+        y = states[i + 1] = y_next
     return times, states
 
 
@@ -85,14 +116,16 @@ def gen_circles_lines(config: CirclesLinesConfig | None = None) -> tuple[list[Po
         )
     clouds: list[PointCloud] = []
     for label, (name, field) in enumerate([("circles", circles_field), ("lines", lines_field)]):
-        for i in range(cfg.n_per_class):
-            rng = np.random.default_rng([cfg.seed, label, i])
+        rngs = [np.random.default_rng([cfg.seed, label, i]) for i in range(cfg.n_per_class)]
+        y0 = np.empty((cfg.n_per_class, 2))
+        for i, rng in enumerate(rngs):
             radius = rng.uniform(*cfg.radius_range)
             angle = rng.uniform(0.0, 2.0 * np.pi)
-            y0 = np.array([radius * np.cos(angle), radius * np.sin(angle)])
-            _, states = integrate_ode(field, y0, cfg.t_max, cfg.n_steps)
+            y0[i] = radius * np.cos(angle), radius * np.sin(angle)
+        _, states = integrate_ode(field, y0, cfg.t_max, cfg.n_steps)
+        for i, rng in enumerate(rngs):
             pick = rng.choice(states.shape[0], size=cfg.n_points, replace=False)
-            pts = states[pick] + cfg.noise * rng.standard_normal((cfg.n_points, 2))
+            pts = states[pick, i] + cfg.noise * rng.standard_normal((cfg.n_points, 2))
             clouds.append(PointCloud(id=f"{name}-{i:04d}", points=pts, label=label))
     return clouds, {"task": "circles-lines", **asdict(cfg)}
 
@@ -102,8 +135,12 @@ def gen_circles_lines(config: CirclesLinesConfig | None = None) -> tuple[list[Po
 
 
 def rna_field(alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray):
-    """du/dt = alpha - beta*u, ds/dt = beta*u - gamma*s, genes stacked (u, s)."""
-    n = alpha.shape[0]
+    """du/dt = alpha - beta*u, ds/dt = beta*u - gamma*s, genes stacked (u, s).
+
+    The rates may carry leading axes, such as one row per trajectory, that
+    broadcast against the state's.
+    """
+    n = alpha.shape[-1]
 
     def field(t, y):
         u = y[..., :n]
@@ -161,26 +198,28 @@ def gen_rna_kinetics(config: RnaKineticsConfig | None = None) -> tuple[list[Poin
     perturbed = np.sort(root.choice(cfg.n_genes, size=cfg.n_perturbed, replace=False))
     base_x0 = rna_steady_state(base_alpha, base_beta, base_gamma)
 
-    shift_alpha = np.ones(cfg.n_genes)
-    shift_beta = np.ones(cfg.n_genes)
-    shift_gamma = np.ones(cfg.n_genes)
+    # rate multipliers, rows (alpha, beta, gamma) like ``rates`` below
+    shift = np.ones((3, cfg.n_genes))
     if not cfg.control:
-        shift_alpha[perturbed] = 1.0 + cfg.alpha_shift
-        shift_beta[perturbed] = 1.0 + cfg.beta_shift
-        shift_gamma[perturbed] = 1.0 + cfg.gamma_shift
+        shift[:, perturbed] = 1.0 + np.array([[cfg.alpha_shift], [cfg.beta_shift], [cfg.gamma_shift]])
 
     clouds: list[PointCloud] = []
     for label in (0, 1):
-        for i in range(cfg.n_per_class):
-            rng = np.random.default_rng([cfg.seed, 1 + label, i])
+        rngs = [np.random.default_rng([cfg.seed, 1 + label, i]) for i in range(cfg.n_per_class)]
+        rates = np.empty((3, cfg.n_per_class, cfg.n_genes))
+        n_pts = np.empty(cfg.n_per_class, dtype=np.int64)
+        x0 = np.empty((cfg.n_per_class, cfg.ambient_dim))
+        for i, rng in enumerate(rngs):
             jit = lambda base: base * np.exp(cfg.param_jitter * rng.standard_normal(cfg.n_genes))
-            alpha, beta, gamma = jit(base_alpha), jit(base_beta), jit(base_gamma)
+            rates[:, i] = jit(base_alpha), jit(base_beta), jit(base_gamma)
             if label == 1:
-                alpha, beta, gamma = alpha * shift_alpha, beta * shift_beta, gamma * shift_gamma
-            n_pts = int(rng.integers(cfg.points_range[0], cfg.points_range[1] + 1))
-            x0 = base_x0 * np.exp(cfg.x0_jitter * rng.standard_normal(base_x0.shape))
-            _, states = integrate_ode(rna_field(alpha, beta, gamma), x0, cfg.t_max, n_pts - 1)
-            pts = states + cfg.noise * rng.standard_normal(states.shape)
+                rates[:, i] *= shift
+            n_pts[i] = rng.integers(cfg.points_range[0], cfg.points_range[1] + 1)
+            x0[i] = base_x0 * np.exp(cfg.x0_jitter * rng.standard_normal(base_x0.shape))
+        _, states = integrate_ode(rna_field(*rates), x0, cfg.t_max, n_pts - 1)
+        for i, rng in enumerate(rngs):
+            traj = states[: n_pts[i], i]
+            pts = traj + cfg.noise * rng.standard_normal(traj.shape)
             clouds.append(PointCloud(id=f"rna{label}-{i:03d}", points=pts, label=label))
     meta = {"task": "rna-kinetics", "perturbed_genes": perturbed.tolist(), **asdict(cfg)}
     return clouds, meta

@@ -24,7 +24,7 @@ from pointforms import (
     save_dataset,
     write_gram_cache,
 )
-from pointforms.data import CACHE_MAGIC, CACHE_VERSION, _HEADER
+from pointforms.data import CACHE_MAGIC, CACHE_VERSION, _HEADER, write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -262,3 +262,25 @@ def test_dataset_sidecar_missing_is_reported(tmp_path):
     _, manifest = load_dataset(tmp_path)
     with pytest.raises(IngestionError):
         load_cloud_q(tmp_path, manifest, "a")
+
+
+_EDGES = np.array([np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e-324, -1.7976931348623157e308, 0.1, 1.0 / 3.0])
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.random.default_rng(8).standard_normal((128, 2)),
+        np.random.default_rng(9).standard_normal((4, 48)) * 1e5,
+        np.random.default_rng(10).uniform(0.1, 1.0, 64),
+        _EDGES,
+        _EDGES.reshape(3, 3),
+        np.zeros((0, 2)),
+        np.zeros(0),
+    ],
+    ids=["points-2d", "points-48d", "q-1d", "edges-1d", "edges-2d", "no-rows", "empty-1d"],
+)
+def test_write_csv_matches_savetxt_bytes(tmp_path, array):
+    np.savetxt(tmp_path / "ref.csv", array, fmt="%.17g", delimiter=",")
+    write_csv(tmp_path / "out.csv", array)
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

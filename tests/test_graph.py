@@ -88,6 +88,35 @@ def test_knn_full_neighborhood_is_a_permutation():
         npt.assert_allclose(row, np.sort(sq[i][others]), rtol=0, atol=1e-12)
 
 
+def _lattice(n):
+    return np.stack(np.meshgrid(np.arange(n, dtype=float), np.arange(n, dtype=float)), axis=-1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        np.random.default_rng(4).standard_normal((40, 2)),
+        np.random.default_rng(5).standard_normal((30, 12)),
+        _lattice(6),
+        np.repeat(np.random.default_rng(6).standard_normal((12, 3)), 3, axis=0),
+        np.vstack([_lattice(5), _lattice(5)[::3]]),
+    ],
+    ids=["random-2d", "random-12d", "lattice", "triplicates", "lattice-with-duplicates"],
+)
+def test_knn_equals_the_full_stable_sort_for_every_k(pts):
+    # Lattices tie at the k-th distance on almost every row; duplicates tie at zero.
+    m = len(pts)
+    sq = pairwise_sq_dist(pts)
+    np.fill_diagonal(sq, np.inf)
+    order = np.argsort(sq, axis=1, kind="stable")
+    for k in range(1, m):
+        graph = knn(pts, k)
+        npt.assert_array_equal(graph.indices, order[:, :k], err_msg=f"k={k}")
+        npt.assert_array_equal(graph.sq_dists, np.take_along_axis(sq, order[:, :k], axis=1), err_msg=f"k={k}")
+        assert graph.indices.dtype == order.dtype
+    npt.assert_array_equal(graph.sq, pairwise_sq_dist(pts))
+
+
 def test_knn_excludes_self_even_with_duplicates():
     pts = np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
     graph = knn(pts, 1)

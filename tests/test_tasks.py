@@ -57,6 +57,48 @@ def test_integrator_flags_blowup():
 def test_integrator_rejects_zero_steps():
     with pytest.raises(ConfigurationError):
         integrate_ode(lines_field, np.array([1.0, 0.0]), 1.0, 0)
+    with pytest.raises(ConfigurationError):
+        integrate_ode(lines_field, np.ones((2, 2)), 1.0, np.array([3, 0]))
+
+
+def test_integrator_rejects_steps_that_do_not_match_the_rows():
+    with pytest.raises(ConfigurationError):
+        integrate_ode(lines_field, np.ones((3, 2)), 1.0, np.array([3, 4]))
+    with pytest.raises(ConfigurationError):
+        integrate_ode(lines_field, np.ones(2), 1.0, np.array([3, 4]))
+
+
+def test_per_row_steps_equal_one_scalar_call_per_row_bitwise():
+    # A time-dependent field checks that each row also sees its own clock.
+    rng = np.random.default_rng(7)
+    alpha, beta, gamma = rng.uniform(0.8, 1.6, (3, 5, 4))
+    kinetics = rna_field(alpha, beta, gamma)
+    forced = lambda t, y: np.sin(3.0 * t) * y[..., ::-1] - 0.5 * y
+    y0 = rng.uniform(0.5, 1.5, (5, 8))
+    steps = np.array([7, 30, 1, 30, 12])
+    for name, field in [("kinetics", kinetics), ("forced", forced)]:
+        times, states = integrate_ode(field, y0, 2.0, steps)
+        assert times.shape == (31, 5) and states.shape == (31, 5, 8), name
+        for i, n in enumerate(steps):
+            row_field = rna_field(alpha[i], beta[i], gamma[i]) if name == "kinetics" else forced
+            t_ref, s_ref = integrate_ode(row_field, y0[i], 2.0, int(n))
+            npt.assert_array_equal(times[: n + 1, i], t_ref, err_msg=name)
+            npt.assert_array_equal(states[: n + 1, i], s_ref, err_msg=name)
+            # past its last step a row holds its final state
+            npt.assert_array_equal(states[n:, i], np.broadcast_to(s_ref[-1], (31 - n, 8)), err_msg=name)
+
+
+def test_per_row_blowup_counts_only_steps_inside_each_row():
+    grow = lambda t, y: y
+    # Row 0 takes 2 steps of h = 0.5; run on for the 400 steps of row 1 it
+    # would grow by 2.6**398, so it must stop at its own last step.
+    times, states = integrate_ode(grow, np.ones((2, 1)), 1.0, np.array([2, 400]))
+    assert np.isfinite(states).all()
+    assert states[-1, 0, 0] == states[2, 0, 0]
+    npt.assert_allclose(states[-1, 1, 0], np.e, rtol=1e-9)
+    # a row that blows up within its own steps still raises
+    with pytest.raises(IntegrationBlowupError, match="trajectory 1 blew up"):
+        integrate_ode(lambda t, y: np.array([[0.0], [50.0]]) * y, np.ones((2, 1)), 20.0, np.array([300, 200]))
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +139,89 @@ def test_circles_lines_deterministic():
     for a, b in zip(first, second):
         assert a.id == b.id
         npt.assert_array_equal(a.points, b.points)
+
+
+def _circles_lines_per_cloud(cfg):
+    # the per-cloud loop the generator replaced, kept as its reference
+    clouds = []
+    for label, (name, field) in enumerate([("circles", circles_field), ("lines", lines_field)]):
+        for i in range(cfg.n_per_class):
+            rng = np.random.default_rng([cfg.seed, label, i])
+            radius = rng.uniform(*cfg.radius_range)
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            y0 = np.array([radius * np.cos(angle), radius * np.sin(angle)])
+            _, states = integrate_ode(field, y0, cfg.t_max, cfg.n_steps)
+            pick = rng.choice(states.shape[0], size=cfg.n_points, replace=False)
+            pts = states[pick] + cfg.noise * rng.standard_normal((cfg.n_points, 2))
+            clouds.append((f"{name}-{i:04d}", label, pts))
+    return clouds
+
+
+def _rna_kinetics_per_cloud(cfg):
+    # the per-cloud loop the generator replaced, kept as its reference
+    root = np.random.default_rng([cfg.seed, 0])
+    base_alpha, base_beta, base_gamma = (root.uniform(0.8, 1.6, cfg.n_genes) for _ in range(3))
+    perturbed = np.sort(root.choice(cfg.n_genes, size=cfg.n_perturbed, replace=False))
+    base_x0 = rna_steady_state(base_alpha, base_beta, base_gamma)
+    shift = np.ones((3, cfg.n_genes))
+    if not cfg.control:
+        shift[:, perturbed] = 1.0 + np.array([[cfg.alpha_shift], [cfg.beta_shift], [cfg.gamma_shift]])
+    clouds = []
+    for label in (0, 1):
+        for i in range(cfg.n_per_class):
+            rng = np.random.default_rng([cfg.seed, 1 + label, i])
+            jit = lambda base: base * np.exp(cfg.param_jitter * rng.standard_normal(cfg.n_genes))
+            alpha, beta, gamma = jit(base_alpha), jit(base_beta), jit(base_gamma)
+            if label == 1:
+                alpha, beta, gamma = alpha * shift[0], beta * shift[1], gamma * shift[2]
+            n_pts = int(rng.integers(cfg.points_range[0], cfg.points_range[1] + 1))
+            x0 = base_x0 * np.exp(cfg.x0_jitter * rng.standard_normal(base_x0.shape))
+            _, states = integrate_ode(rna_field(alpha, beta, gamma), x0, cfg.t_max, n_pts - 1)
+            pts = states + cfg.noise * rng.standard_normal(states.shape)
+            clouds.append((f"rna{label}-{i:03d}", label, pts))
+    return clouds
+
+
+@pytest.mark.parametrize(
+    "generate, reference, cfg",
+    [
+        (gen_circles_lines, _circles_lines_per_cloud, CirclesLinesConfig(n_per_class=20)),
+        (gen_circles_lines, _circles_lines_per_cloud, CirclesLinesConfig(n_per_class=5, n_steps=127, seed=1000)),
+        (gen_rna_kinetics, _rna_kinetics_per_cloud, RnaKineticsConfig()),
+        (gen_rna_kinetics, _rna_kinetics_per_cloud, RnaKineticsConfig(n_genes=6, n_per_class=40, n_perturbed=2)),
+        (gen_rna_kinetics, _rna_kinetics_per_cloud, RnaKineticsConfig(n_per_class=20, control=True)),
+    ],
+    ids=["circles-lines", "circles-lines-1000", "rna-default", "rna-6-genes", "rna-control"],
+)
+def test_generators_equal_their_per_cloud_loop_bitwise(generate, reference, cfg):
+    clouds, _ = generate(cfg)
+    expected = reference(cfg)
+    assert [(c.id, c.label) for c in clouds] == [(cid, label) for cid, label, _ in expected]
+    for cloud, (_, _, pts) in zip(clouds, expected):
+        assert cloud.points.shape == pts.shape
+        assert cloud.points.tobytes() == pts.tobytes(), cloud.id
+
+
+@pytest.mark.parametrize(
+    "generate, cfg",
+    [
+        (gen_circles_lines, CirclesLinesConfig(n_per_class=4)),
+        (gen_rna_kinetics, RnaKineticsConfig(n_genes=3, n_per_class=4, n_perturbed=1)),
+    ],
+    ids=["circles-lines", "rna-kinetics"],
+)
+def test_generators_integrate_once_per_class(generate, cfg, monkeypatch):
+    from pointforms import tasks
+
+    calls = []
+
+    def counted(field, y0, t_max, n_steps, _fn=tasks.integrate_ode):
+        calls.append(np.shape(y0))
+        return _fn(field, y0, t_max, n_steps)
+
+    monkeypatch.setattr(tasks, "integrate_ode", counted)
+    generate(cfg)
+    assert [shape[0] for shape in calls] == [cfg.n_per_class] * 2
 
 
 def test_circles_lines_rejects_short_trajectories():
