@@ -59,7 +59,6 @@ from .laplacian import (
 )
 from .network import (
     CloudSample,
-    FormClassifier,
     FormNetwork,
     PARAM_BUDGET,
     READOUTS,

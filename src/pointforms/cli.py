@@ -17,7 +17,7 @@ import os
 import sys
 import warnings
 from collections.abc import Collection
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +49,8 @@ from .network import (
     READOUTS,
     CloudSample,
     TrainConfig,
-    auroc,
     evaluate,
     load_checkpoint,
-    predict_logits,
     save_checkpoint,
     train,
 )
@@ -316,7 +314,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     feat_hash = hash_input(features_dir)
     meta = {
-        "train_config": {**asdict(config), "hidden": list(config.hidden)},
+        "train_config": asdict(config),
         "test_auroc": result.test_auroc,
         "splits": result.splits,
         "features": str(features_dir),
@@ -339,7 +337,7 @@ def cmd_train(args) -> int:
     _write_config_echo(
         out,
         "train",
-        {**asdict(config), "hidden": list(config.hidden), "features": str(features_dir)},
+        {**asdict(config), "features": str(features_dir)},
         {str(features_dir): feat_hash},
     )
     print(
@@ -354,7 +352,7 @@ def cmd_eval(args) -> int:
     # only the recorded test clouds are read; a checkpoint without a test split scores them all
     test_ids = set(meta.get("splits", {}).get("test", [])) if args.split == "test" else set()
     samples, _ = _load_features(Path(args.features), test_ids or None)
-    trained = (meta.get("degree"), model.net.input_dim, model.net.n_coeffs)
+    trained = (meta.get("degree"), model.input_dim, model.n_coeffs)
     for s in samples:
         found = (s.gram.k, s.points.shape[1], s.gram.B)
         if found != trained:
@@ -374,7 +372,8 @@ def cmd_eval(args) -> int:
 
 def cmd_consistency(args) -> int:
     manifold = MANIFOLDS[args.manifold]()
-    params = _laplacian_params(args)
+    # the study always runs the full kernel at the manifold's intrinsic dimension
+    params = replace(_laplacian_params(args), knn="full", d=manifold.intrinsic_dim)
     rows = convergence_study(
         manifold,
         args.sizes,
@@ -506,13 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the form classifier on cached features")
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-forms", type=int, default=8)
-    p.add_argument("--hidden", type=_list_of(int), default="32,32")
-    p.add_argument("--readout", default="tri", choices=READOUTS)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split-seed", type=int, default=0)
+    defaults = TrainConfig()
+    p.add_argument("--n-forms", type=int, default=defaults.n_forms)
+    p.add_argument("--hidden", type=_list_of(int), default=defaults.hidden)
+    p.add_argument("--readout", default=defaults.readout, choices=READOUTS)
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--lr", type=float, default=defaults.learning_rate)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--split-seed", type=int, default=defaults.split_seed)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on cached features")
@@ -521,7 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("test", "all"), default="test")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("consistency", help="estimator error versus sample size on analytic manifolds")
+    p = sub.add_parser(
+        "consistency",
+        help="estimator error versus sample size on analytic manifolds; "
+        "the study fixes --knn full and --d to the manifold's intrinsic dimension",
+    )
     p.add_argument("--manifold", required=True, choices=MANIFOLDS)
     p.add_argument("--sizes", type=_list_of(int), default="250,500,1000,2000")
     p.add_argument("--seeds", type=int, default=5)

@@ -73,12 +73,9 @@ def compound_gram_field(g1: GramField, k: int) -> GramField:
     slice with rows I and columns J, multi-indices in lexicographic order."""
     if g1.k != 1:
         raise ConfigurationError(f"expected a degree-1 field, got k={g1.k}")
-    D = g1.D
-    if not 1 <= k <= D:
-        raise InvalidDegreeError(f"degree k must satisfy 1 <= k <= D, got k={k}, D={D}")
     if k == 1:
-        return GramField(D=D, k=1, values=g1.values.copy())
-    return GramField(D=D, k=k, values=minors(g1.values, k))
+        return GramField(D=g1.D, k=1, values=g1.values.copy())
+    return GramField(D=g1.D, k=k, values=minors(g1.values, k))
 
 
 def contract(gram: GramField, coeffs: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

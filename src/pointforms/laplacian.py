@@ -32,7 +32,7 @@ All arithmetic is float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,7 +100,6 @@ class DiffusionOperator:
     rho: np.ndarray  # (m,) bandwidth function as used in the kernel
     q_eps: np.ndarray  # (m,) kernel density at bandwidth eps
     density: DensityEstimate
-    params: LaplacianParams
     eps_star: float  # squared-scale factor applied in auto mode (1.0 in raw mode)
 
     @property
@@ -175,8 +174,6 @@ def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -
 
     d = estimate_dimension(pts, graph) if params.d == "estimate" else int(params.d)
     density = estimate_density(graph, k0=params.k0, d=d)
-    if params.d == "estimate":
-        params = replace(params, d=d)
 
     sq = graph.sq
     if params.bandwidth_scale == "raw":
@@ -222,7 +219,6 @@ def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -
         rho=rho,
         q_eps=q_eps,
         density=density,
-        params=params,
         eps_star=eps_star,
     )
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -117,14 +117,20 @@ def readout_grad(c: np.ndarray, kind: str, g: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class FormNetwork:
-    """Dense tanh network from R^D to n_forms x B coefficient blocks."""
+    """The form classifier: a dense tanh network from R^D to n_forms x B
+    coefficient blocks, the readout of the comparison matrix, and a
+    logistic head. ``parameters()`` is the one parameter order shared by
+    gradients, the optimizer and checkpoints."""
 
     input_dim: int
     n_coeffs: int
     n_forms: int
     hidden: tuple[int, ...]
+    readout: str
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    head_w: np.ndarray
+    head_b: np.ndarray  # shape () scalar
 
     @classmethod
     def create(
@@ -132,10 +138,12 @@ class FormNetwork:
         input_dim: int,
         n_coeffs: int,
         n_forms: int,
-        hidden: tuple[int, ...] = (32, 32),
-        rng: np.random.Generator | int | None = None,
+        hidden: tuple[int, ...],
+        readout: str,
+        rng: np.random.Generator | int | None,
         dtype: np.dtype | type = np.float32,
     ) -> "FormNetwork":
+        """Uniform fan-in weights and biases drawn layer by layer; zero head."""
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         sizes = [input_dim, *hidden, n_forms * n_coeffs]
@@ -149,26 +157,31 @@ class FormNetwork:
             n_coeffs=n_coeffs,
             n_forms=n_forms,
             hidden=tuple(hidden),
+            readout=readout,
             weights=weights,
             biases=biases,
+            head_w=np.zeros(readout_dim(readout, n_forms), dtype=dtype),
+            head_b=np.zeros((), dtype=dtype),
         )
 
     @property
     def dtype(self) -> np.dtype:
         return self.weights[0].dtype
 
+    def parameters(self) -> list[np.ndarray]:
+        return [*self.weights, *self.biases, self.head_w, self.head_b]
+
     @property
     def param_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return sum(p.size for p in self.parameters())
 
     def astype(self, dtype) -> "FormNetwork":
-        return FormNetwork(
-            input_dim=self.input_dim,
-            n_coeffs=self.n_coeffs,
-            n_forms=self.n_forms,
-            hidden=self.hidden,
+        return replace(
+            self,
             weights=[w.astype(dtype) for w in self.weights],
             biases=[b.astype(dtype) for b in self.biases],
+            head_w=self.head_w.astype(dtype),
+            head_b=self.head_b.astype(dtype),
         )
 
     def forward_trace(self, points: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -212,58 +225,11 @@ class CloudSample:
     label: int | None = None
 
 
-@dataclass(eq=False)
-class FormClassifier:
-    net: FormNetwork
-    head_w: np.ndarray
-    head_b: np.ndarray  # shape () scalar
-    readout: str
-
-    @classmethod
-    def create(
-        cls,
-        input_dim: int,
-        n_coeffs: int,
-        n_forms: int = 8,
-        hidden: tuple[int, ...] = (32, 32),
-        readout_kind: str = "tri",
-        rng: np.random.Generator | int | None = None,
-        dtype: np.dtype | type = np.float32,
-    ) -> "FormClassifier":
-        net = FormNetwork.create(input_dim, n_coeffs, n_forms, hidden, rng, dtype)
-        f_dim = readout_dim(readout_kind, n_forms)
-        return cls(
-            net=net,
-            head_w=np.zeros(f_dim, dtype=dtype),
-            head_b=np.zeros((), dtype=dtype),
-            readout=readout_kind,
-        )
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.net.dtype
-
-    @property
-    def param_count(self) -> int:
-        return self.net.param_count + self.head_w.size + 1
-
-    def parameters(self) -> list[np.ndarray]:
-        return [*self.net.weights, *self.net.biases, self.head_w, self.head_b]
-
-    def astype(self, dtype) -> "FormClassifier":
-        return FormClassifier(
-            net=self.net.astype(dtype),
-            head_w=self.head_w.astype(dtype),
-            head_b=self.head_b.astype(dtype),
-            readout=self.readout,
-        )
-
-
-def _forward(model: FormClassifier, sample: CloudSample) -> tuple[float, tuple]:
+def _forward(model: FormNetwork, sample: CloudSample) -> tuple[float, tuple]:
     """Logit of one cloud, and the cache the backward pass reuses: network
     activations, F G (m, l, B), the measure in the model dtype, C, and the
     readout features."""
-    coeffs, trace = model.net.forward_trace(sample.points)
+    coeffs, trace = model.forward_trace(sample.points)
     c, fg, w = contract(sample.gram, coeffs, sample.mu)
     phi = readout(c, model.readout)
     return float(phi @ model.head_w + model.head_b), (trace, fg, w, c, phi)
@@ -279,35 +245,29 @@ def _bce(s: float, sample: CloudSample) -> float:
     return loss
 
 
-def predict_logits(model: FormClassifier, samples: list[CloudSample]) -> np.ndarray:
+def predict_logits(model: FormNetwork, samples: list[CloudSample]) -> np.ndarray:
     return np.array([_forward(model, s)[0] for s in samples])
 
 
-def loss_and_grad(model: FormClassifier, samples: list[CloudSample]) -> tuple[float, list[np.ndarray]]:
+def loss_and_grad(model: FormNetwork, samples: list[CloudSample]) -> tuple[float, list[np.ndarray]]:
     """Summed binary cross-entropy and gradients for all parameters.
 
     The gradient list matches ``model.parameters()`` order. Each cloud
     contributes independently, so duplicating a cloud doubles its term.
     """
-    d_weights = [np.zeros_like(w) for w in model.net.weights]
-    d_biases = [np.zeros_like(b) for b in model.net.biases]
-    d_hw = np.zeros_like(model.head_w)
-    d_hb = np.zeros_like(model.head_b)
+    grads = [np.zeros_like(p) for p in model.parameters()]
     total = 0.0
     for sample in samples:
         s, (trace, fg, w_mu, c, phi) = _forward(model, sample)
         total += _bce(s, sample)
         ds = np.asarray(1.0 / (1.0 + np.exp(-s)) - float(sample.label), dtype=model.dtype)
-        d_hw += ds * phi
-        d_hb += ds
         dc = readout_grad(c, model.readout, ds * model.head_w)
         # d/dF of mu_p F G F^T contracted with dc; G symmetric
         d_coeffs = ((dc + dc.T) @ fg) * w_mu[:, None, None]
-        dw, db = model.net.backward(trace, d_coeffs)
-        for i in range(len(d_weights)):
-            d_weights[i] += dw[i]
-            d_biases[i] += db[i]
-    return total, [*d_weights, *d_biases, d_hw, d_hb]
+        dw, db = model.backward(trace, d_coeffs)
+        for g, d in zip(grads, [*dw, *db, ds * phi, ds]):
+            g += d
+    return total, grads
 
 
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -354,7 +314,7 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class TrainResult:
-    model: FormClassifier
+    model: FormNetwork
     history: list[dict]
     test_auroc: float
     splits: dict[str, list[str]]
@@ -416,12 +376,12 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
     val_set = [samples[i] for i in splits["val"]]
     test_set = [samples[i] for i in splits["test"]]
     first = samples[0]
-    model = FormClassifier.create(
+    model = FormNetwork.create(
         input_dim=first.points.shape[1],
         n_coeffs=first.gram.B,
         n_forms=config.n_forms,
         hidden=config.hidden,
-        readout_kind=config.readout,
+        readout=config.readout,
         rng=np.random.default_rng([config.seed]),
         dtype=np.float32,
     )
@@ -435,21 +395,19 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
         if val_set:
             row["val_loss"] = _loss_only(model, val_set) / len(val_set)
         history.append(row)
-    scores = predict_logits(model, test_set)
-    labels = np.array([s.label for s in test_set])
     return TrainResult(
         model=model,
         history=history,
-        test_auroc=auroc(scores, labels),
+        test_auroc=evaluate(model, test_set),
         splits={k: [samples[i].cloud_id for i in v] for k, v in splits.items()},
     )
 
 
-def _loss_only(model: FormClassifier, samples: list[CloudSample]) -> float:
+def _loss_only(model: FormNetwork, samples: list[CloudSample]) -> float:
     return sum(_bce(_forward(model, s)[0], s) for s in samples)
 
 
-def evaluate(model: FormClassifier, samples: list[CloudSample]) -> float:
+def evaluate(model: FormNetwork, samples: list[CloudSample]) -> float:
     scores = predict_logits(model, samples)
     labels = np.array([s.label for s in samples])
     return auroc(scores, labels)
@@ -459,13 +417,13 @@ def evaluate(model: FormClassifier, samples: list[CloudSample]) -> float:
 # checkpoints
 
 
-def save_checkpoint(path: str | Path, model: FormClassifier, meta: dict | None = None) -> None:
+def save_checkpoint(path: str | Path, model: FormNetwork, meta: dict | None = None) -> None:
     """Header, float32 little-endian parameter blob, then a JSON echo."""
     arch = {
-        "input_dim": model.net.input_dim,
-        "n_coeffs": model.net.n_coeffs,
-        "n_forms": model.net.n_forms,
-        "hidden": list(model.net.hidden),
+        "input_dim": model.input_dim,
+        "n_coeffs": model.n_coeffs,
+        "n_forms": model.n_forms,
+        "hidden": model.hidden,
         "readout": model.readout,
     }
     echo = json.dumps({"arch": arch, "meta": meta or {}}, sort_keys=True).encode()
@@ -476,7 +434,7 @@ def save_checkpoint(path: str | Path, model: FormClassifier, meta: dict | None =
         fh.write(echo)
 
 
-def load_checkpoint(path: str | Path) -> tuple[FormClassifier, dict]:
+def load_checkpoint(path: str | Path) -> tuple[FormNetwork, dict]:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -496,12 +454,12 @@ def load_checkpoint(path: str | Path) -> tuple[FormClassifier, dict]:
         arch, meta = info["arch"], info["meta"]
     except (ValueError, KeyError, TypeError) as exc:  # undecodable, unparsable, or missing keys
         raise CacheFormatError(f"{path}: unreadable checkpoint echo: {exc!r}") from exc
-    model = FormClassifier.create(
+    model = FormNetwork.create(
         input_dim=arch["input_dim"],
         n_coeffs=arch["n_coeffs"],
         n_forms=arch["n_forms"],
         hidden=tuple(arch["hidden"]),
-        readout_kind=arch["readout"],
+        readout=arch["readout"],
         rng=0,
         dtype=np.float32,
     )

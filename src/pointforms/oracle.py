@@ -389,7 +389,6 @@ def density_check(
     kappas: list[float],
     n: int = 512,
     n_seeds: int = 10,
-    params: LaplacianParams | None = None,
     base_seed: int = 0,
 ) -> tuple[list[dict], list[dict]]:
     """Density-corrected vs uncorrected global inner products under
@@ -402,11 +401,10 @@ def density_check(
     scaled by the circle volume; at kappa=0 the true density is exactly
     1/(2 pi) and the two weight vectors coincide. Returns (rows, summary).
     """
-    params = params or LaplacianParams()
     dxdy = np.eye(2)  # the coordinate forms dx, dy as rows
     target = oracle_global_inner_product(unit_circle(), dxdy, 1, "volume")
 
-    run_params = replace(params, knn="full", d=1)
+    run_params = LaplacianParams(knn="full", d=1)
     rows: list[dict] = []
     summary: list[dict] = []
     iu, ju = np.triu_indices(2)

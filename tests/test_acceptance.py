@@ -15,7 +15,7 @@ import pytest
 from pointforms import (
     CirclesLinesConfig,
     CloudSample,
-    FormClassifier,
+    FormNetwork,
     GramField,
     LaplacianParams,
     MANIFOLDS,
@@ -206,8 +206,8 @@ def test_criterion_07_gradients_match_finite_differences():
                 D = int(rng.integers(2, 4))
                 samples = [_gradcheck_sample(rng, D, k, 0), _gradcheck_sample(rng, D, k, 1)]
                 n_coeffs = math.comb(D, k)
-                model = FormClassifier.create(
-                    D, n_coeffs, n_forms=2, hidden=(4,), readout_kind=kind, rng=rng, dtype=np.float64
+                model = FormNetwork.create(
+                    D, n_coeffs, n_forms=2, hidden=(4,), readout=kind, rng=rng, dtype=np.float64
                 )
                 model.head_w[:] = rng.standard_normal(model.head_w.size)
                 model.head_b[...] = rng.standard_normal()
@@ -242,12 +242,12 @@ def test_criterion_08_comparison_matrix_permutation_invariant():
         gram = GramField(D=D, k=1, values=np.einsum("pik,pjk->pij", raw, raw))
         w = rng.uniform(0.5, 1.5, size=m)
         mu = w / w.sum()
-        model = FormClassifier.create(D, D, n_forms=3, hidden=(6,), rng=rng, dtype=np.float64)
-        c = comparison_matrix(gram, model.net.forward(pts), mu)
+        model = FormNetwork.create(D, D, n_forms=3, hidden=(6,), readout="tri", rng=rng, dtype=np.float64)
+        c = comparison_matrix(gram, model.forward(pts), mu)
         perm = rng.permutation(m)
         c_perm = comparison_matrix(
             GramField(D=D, k=1, values=gram.values[perm]),
-            model.net.forward(pts[perm]),
+            model.forward(pts[perm]),
             mu[perm],
         )
         worst = max(worst, float(np.abs(c - c_perm).max()))

@@ -1,6 +1,7 @@
 """Command-line harness: plumbing, determinism, exit codes, reporting."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -27,6 +28,7 @@ from pointforms import (
     OraclePrecisionError,
     PointCloud,
     PointFormsError,
+    TrainConfig,
     UndefinedMetricError,
     gen_density_shift,
     save_dataset,
@@ -116,6 +118,23 @@ def _option(command: str, dest: str) -> argparse.Action:
 def test_parser_choices_are_the_library_tables(command, dest, table):
     # the very object, so a second copy of the list cannot drift from the library
     assert _option(command, dest).choices is table
+
+
+def test_train_parser_defaults_are_train_config():
+    args = cli.build_parser().parse_args(["train", "--features", "f", "--out", "o"])
+    field_of = {
+        "n_forms": "n_forms",
+        "hidden": "hidden",
+        "readout": "readout",
+        "epochs": "epochs",
+        "lr": "learning_rate",
+        "seed": "seed",
+        "split_seed": "split_seed",
+    }
+    assert set(field_of.values()) == {f.name for f in dataclasses.fields(TrainConfig)}
+    defaults = TrainConfig()
+    for dest, field in field_of.items():
+        assert getattr(args, dest) == getattr(defaults, field), dest
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +493,18 @@ def test_consistency_small_run_prints_table(tmp_path, capsys):
     assert "median gram error by size" in text
     assert "n=    60" in text and "n=    90" in text
     assert (out / "consistency.csv").is_file()
+
+
+def test_consistency_echo_records_the_operator_it_ran(tmp_path):
+    # the study always runs the full kernel at the manifold's intrinsic dimension
+    base = ["consistency", "--manifold", "circle", "--sizes", "60", "--seeds", "1"]
+    assert main([*base, "--out", str(tmp_path / "plain")]) == 0
+    assert main([*base, "--knn", "5", "--d", "3", "--out", str(tmp_path / "flags")]) == 0
+    csv = [(tmp_path / run / "consistency.csv").read_bytes() for run in ("plain", "flags")]
+    assert csv[0] == csv[1]
+    for run in ("plain", "flags"):
+        params = json.loads((tmp_path / run / "config.json").read_text())["args"]["params"]
+        assert (params["knn"], params["d"]) == ("full", 1)
 
 
 def test_consistency_unknown_manifold_exit_1(capsys):

@@ -1,7 +1,9 @@
 """Form networks, comparison matrices, readouts, loss, and training."""
 
+import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,6 @@ from pointforms import (
     CacheFormatError,
     CloudSample,
     ConfigurationError,
-    FormClassifier,
     FormNetwork,
     GramField,
     NumericFailureError,
@@ -41,14 +42,17 @@ from pointforms.network import _loss_only
 
 def _identity_coeff_net(D: int) -> FormNetwork:
     """No hidden layers, zero weights, bias = flattened identity: every
-    point maps to the l = B = D standard basis rows."""
+    point maps to the l = B = D standard basis rows. Tri readout, zero head."""
     return FormNetwork(
         input_dim=D,
         n_coeffs=D,
         n_forms=D,
         hidden=(),
+        readout="tri",
         weights=[np.zeros((D, D * D))],
         biases=[np.eye(D).ravel().copy()],
+        head_w=np.zeros(readout_dim("tri", D)),
+        head_b=np.zeros(()),
     )
 
 
@@ -68,7 +72,7 @@ def _random_sample(m=6, D=3, n_forms=2, seed=0, label=0, psd=True):
 
 def test_forward_matches_dense_oracle():
     rng = np.random.default_rng(1)
-    net = FormNetwork.create(3, 4, 2, hidden=(5, 7), rng=rng, dtype=np.float64)
+    net = FormNetwork.create(3, 4, 2, hidden=(5, 7), readout="tri", rng=rng, dtype=np.float64)
     pts = rng.standard_normal((6, 3))
     out = net.forward(pts)
     assert out.shape == (6, 2, 4)
@@ -80,7 +84,7 @@ def test_forward_matches_dense_oracle():
 
 
 def test_forward_zero_parameters_gives_zero():
-    net = FormNetwork.create(2, 3, 2, hidden=(4,), rng=0, dtype=np.float64)
+    net = FormNetwork.create(2, 3, 2, hidden=(4,), readout="tri", rng=0, dtype=np.float64)
     for w in net.weights:
         w[...] = 0.0
     for b in net.biases:
@@ -98,7 +102,7 @@ def test_forward_identity_bias_net_outputs_basis_rows():
 
 
 def test_forward_rejects_wrong_width():
-    net = FormNetwork.create(3, 2, 1, rng=0)
+    net = FormNetwork.create(3, 2, 1, hidden=(32, 32), readout="tri", rng=0)
     with pytest.raises(ConfigurationError):
         net.forward(np.zeros((4, 2)))
 
@@ -113,7 +117,7 @@ def test_param_budget_holds_for_benchmark_shapes():
     ]
     for D, B in shapes:
         for kind in READOUTS:
-            model = FormClassifier.create(D, B, n_forms=8, readout_kind=kind, rng=0)
+            model = FormNetwork.create(D, B, n_forms=8, hidden=(32, 32), readout=kind, rng=0)
             assert model.param_count <= PARAM_BUDGET
 
 
@@ -287,8 +291,7 @@ def _separable_pair():
 
 def test_converged_head_saturates_loss():
     s0, s1 = _separable_pair()
-    net = _identity_coeff_net(2).astype(np.float64)
-    model = FormClassifier(net=net, head_w=np.zeros(3), head_b=np.zeros(()), readout="tri")
+    model = _identity_coeff_net(2)
     # tri features: zero field -> (0, 0, 0); identity field -> (1, 0, 1)
     model.head_w[:] = [10.0, 0.0, 10.0]
     model.head_b[...] = -10.0
@@ -299,7 +302,7 @@ def test_converged_head_saturates_loss():
 
 def test_duplicated_cloud_doubles_loss_exactly():
     sample = _random_sample(m=5, D=2, seed=12, label=1)
-    model = FormClassifier.create(2, 2, n_forms=3, rng=13, dtype=np.float64)
+    model = FormNetwork.create(2, 2, n_forms=3, hidden=(32, 32), readout="tri", rng=13, dtype=np.float64)
     single, _ = loss_and_grad(model, [sample])
     double, _ = loss_and_grad(model, [sample, sample])
     assert double == 2.0 * single
@@ -309,7 +312,7 @@ def test_gradients_match_finite_differences():
     sample0 = _random_sample(m=5, D=3, seed=14, label=0)
     sample1 = _random_sample(m=5, D=3, seed=15, label=1)
     samples = [sample0, sample1]
-    model = FormClassifier.create(3, 3, n_forms=2, hidden=(4,), rng=16, dtype=np.float64)
+    model = FormNetwork.create(3, 3, n_forms=2, hidden=(4,), readout="tri", rng=16, dtype=np.float64)
     _, grads = loss_and_grad(model, samples)
     params = model.parameters()
     step = 1e-5
@@ -332,22 +335,22 @@ def test_gradients_match_finite_differences():
 @pytest.mark.parametrize("kind", READOUTS)
 def test_logit_loss_and_validation_paths_agree(kind):
     samples = [_random_sample(m=6, D=3, seed=30 + i, label=i % 2) for i in range(4)]
-    model = FormClassifier.create(3, 3, n_forms=3, hidden=(5,), readout_kind=kind, rng=31, dtype=np.float64)
+    model = FormNetwork.create(3, 3, n_forms=3, hidden=(5,), readout=kind, rng=31, dtype=np.float64)
     model.head_w[:] = np.random.default_rng(32).standard_normal(model.head_w.shape)
     model.head_b[...] = 0.3
     loss, _ = loss_and_grad(model, samples)
     assert loss == _loss_only(model, samples)
     by_hand = []
     for s in samples:
-        c = comparison_matrix(s.gram, model.net.forward(s.points), s.mu)
+        c = comparison_matrix(s.gram, model.forward(s.points), s.mu)
         by_hand.append(readout(c, kind) @ model.head_w + model.head_b)
     npt.assert_array_equal(predict_logits(model, samples), by_hand)
 
 
 def test_single_form_diag_readout_equals_global_inner_product():
     sample = _random_sample(m=7, D=3, seed=18, label=1)
-    model = FormClassifier.create(3, 3, n_forms=1, readout_kind="diag", rng=19, dtype=np.float64)
-    coeffs = model.net.forward(sample.points)
+    model = FormNetwork.create(3, 3, n_forms=1, hidden=(32, 32), readout="diag", rng=19, dtype=np.float64)
+    coeffs = model.forward(sample.points)
     c = comparison_matrix(sample.gram, coeffs, sample.mu)
     f = coeffs[:, 0, :]
     gip = sum(sample.mu[p] * f[p] @ sample.gram.values[p] @ f[p] for p in range(7))
@@ -425,8 +428,30 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     assert loaded.param_count == result.model.param_count
 
 
+def test_checkpoint_layout_is_pinned(tmp_path):
+    model = FormNetwork.create(3, 2, n_forms=2, hidden=(4,), readout="pool", rng=5)
+    model.head_w[:] = [0.5, -1.0, 2.0]
+    model.head_b[...] = 0.25
+    params = model.parameters()
+    assert all(p is q for p, q in zip(params, [*model.weights, *model.biases, model.head_w, model.head_b], strict=True))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, meta={"note": "pinned"})
+    raw = path.read_bytes()
+    header = struct.Struct("<4sIQQ")
+    n_params = model.param_count
+    blob_end = header.size + 4 * n_params
+    echo = raw[blob_end:]
+    assert header.unpack_from(raw, 0) == (b"NPFC", 1, n_params, len(echo))
+    blob = np.frombuffer(raw[header.size : blob_end], dtype="<f4")
+    npt.assert_array_equal(blob, np.concatenate([p.astype("<f4").reshape(-1) for p in params]))
+    info = json.loads(echo)
+    assert set(info["arch"]) == {"input_dim", "n_coeffs", "n_forms", "hidden", "readout"}
+    assert info["arch"] == {"input_dim": 3, "n_coeffs": 2, "n_forms": 2, "hidden": [4], "readout": "pool"}
+    assert info["meta"] == {"note": "pinned"}
+
+
 def test_checkpoint_corruption_detected(tmp_path):
-    model = FormClassifier.create(2, 2, n_forms=1, rng=2)
+    model = FormNetwork.create(2, 2, n_forms=1, hidden=(32, 32), readout="tri", rng=2)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model)
     raw = bytearray(path.read_bytes())
