@@ -78,9 +78,24 @@ def compound_gram_field(g1: GramField, k: int) -> GramField:
     return GramField(D=g1.D, k=k, values=minors(g1.values, k))
 
 
-def contract(gram: GramField, coeffs: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C = sum_p mu_p F_p G_p F_p^T in stored point order, with F G and mu
-    in the coefficient dtype kept for the backward pass.
+def contract(values: np.ndarray, coeffs: np.ndarray, mu: np.ndarray, cols: list[slice]) -> tuple[list, np.ndarray]:
+    """Comparison matrices C_c = sum_p mu_p F_p G_p F_p^T of clouds packed along the point axis.
+
+    ``values`` (P, B, B), ``coeffs`` (P, l, B) and ``mu`` (P B,), each point's measure repeated over
+    its B columns, share a dtype. A = mu F G is laid out forms-major, (l, P B), and returned for the
+    backward pass; cloud c owns columns ``cols[c]``: C_c = A_c F_c^T and dL/dF_c = (dC_c + dC_c^T) A_c.
+    """
+    P, n_forms, B = coeffs.shape
+    a = np.empty((n_forms, P, B), dtype=coeffs.dtype)
+    np.matmul(coeffs, values, out=a.transpose(1, 0, 2))
+    a = a.reshape(n_forms, P * B)
+    a *= mu
+    f = coeffs.transpose(1, 0, 2).reshape(n_forms, P * B)
+    return [a[:, c] @ f[:, c].T for c in cols], a
+
+
+def comparison_matrix(gram: GramField, coeffs: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The (l, l) matrix C = sum_p mu_p F_p G_p F_p^T of one cloud: ``contract`` of a one-cloud pack.
 
     Coefficients are (m, l, B), one block per point, or (l, B) for constant
     forms, which are broadcast to every point as a view.
@@ -94,15 +109,8 @@ def contract(gram: GramField, coeffs: np.ndarray, mu: np.ndarray) -> tuple[np.nd
         )
     if mu.shape != (gram.m,):
         raise ConfigurationError(f"measure has shape {mu.shape}, expected ({gram.m},) for {gram.m} points")
-    w = mu.astype(coeffs.dtype, copy=False)
-    fg = coeffs @ gram.values.astype(coeffs.dtype, copy=False)  # (m, l, B)
-    c = ((fg @ coeffs.transpose(0, 2, 1)) * w[:, None, None]).sum(axis=0)
-    return c, fg, w
-
-
-def comparison_matrix(gram: GramField, coeffs: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """The (l, l) matrix C = sum_p mu_p F_p G_p F_p^T of ``contract``."""
-    return contract(gram, coeffs, mu)[0]
+    w = np.repeat(mu.astype(coeffs.dtype), gram.B)
+    return contract(gram.values.astype(coeffs.dtype, copy=False), coeffs, w, [slice(None)])[0][0]
 
 
 def estimate_gram_memory(m: int, D: int, k: int, precision: str = "fp32") -> int:

@@ -214,8 +214,12 @@ def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -
     L = (np.eye(m) - K_hat) / scale[:, None]
     if not np.isfinite(L).all():
         raise NumericFailureError("Laplacian contains non-finite entries")
+    # the CSR arrays sp.csr_matrix(L) would build, without its COO temporaries
+    flat = np.flatnonzero(L)
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(L, axis=1), out=indptr[1:])
     return DiffusionOperator(
-        L=sp.csr_matrix(L),
+        L=sp.csr_matrix((L.ravel()[flat], (flat % m).astype(np.int32), indptr), shape=(m, m)),
         rho=rho,
         q_eps=q_eps,
         density=density,

@@ -3,8 +3,10 @@
 A small dense network maps each ambient point to an (n_forms x B) block of
 degree-k form coefficients. Per cloud those blocks are contracted against
 the Gram field into a symmetric comparison matrix, reduced by a fixed
-readout, and scored by a logistic head. Gradients are computed in closed
-form end to end; training uses full-batch adaptive moment updates.
+readout, and scored by a logistic head, in cache-sized packs of clouds:
+one network pass per pack, one GEMM per cloud for its comparison matrix.
+Gradients are computed in closed form end to end; training uses
+full-batch adaptive moment updates.
 
 Training runs in float32. Gradient correctness is validated in float64
 against central finite differences, so every backward formula here is
@@ -203,7 +205,7 @@ class FormNetwork:
 
     def backward(self, trace: list[np.ndarray], d_out: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Parameter gradients from the gradient w.r.t. the (m, l, B) output."""
-        delta = d_out.reshape(d_out.shape[0], -1).astype(self.dtype)
+        delta = d_out.reshape(d_out.shape[0], -1).astype(self.dtype, copy=False)
         d_weights = [np.empty(0)] * len(self.weights)
         d_biases = [np.empty(0)] * len(self.biases)
         for i in range(len(self.weights) - 1, -1, -1):
@@ -225,20 +227,63 @@ class CloudSample:
     label: int | None = None
 
 
-def _forward(model: FormNetwork, sample: CloudSample) -> tuple[float, tuple]:
-    """Logit of one cloud, and the cache the backward pass reuses: network
-    activations, F G (m, l, B), the measure in the model dtype, C, and the
-    readout features."""
-    coeffs, trace = model.forward_trace(sample.points)
-    c, fg, w = contract(sample.gram, coeffs, sample.mu)
-    phi = readout(c, model.readout)
-    return float(phi @ model.head_w + model.head_b), (trace, fg, w, c, phi)
+# Network output floats (points x n_forms x B) a pack holds, 128 KiB at fp32: its activations
+# and A stay in cache, where a whole-split stack fell out of it and ran slower than one cloud at a time.
+PACK_FLOATS = 32_768
+
+
+class _Pack(NamedTuple):
+    """Consecutive clouds concatenated along the point axis, in the model dtype."""
+
+    samples: list[CloudSample]
+    points: np.ndarray  # (P, D)
+    values: np.ndarray  # (P, B, B); a lone cloud's field itself, as a copy of wide fields costs a split's worth
+    mu: np.ndarray  # (P B,): each point's measure over its B columns of A
+    cols: list[slice]  # each cloud's columns of A
+
+
+def _pack(model: FormNetwork, samples: list[CloudSample], labelled: bool = True) -> list[_Pack]:
+    """Group clouds into packs of at most PACK_FLOATS network outputs (a wider cloud is a pack
+    of its own), checking each against the model; packs pass through unchanged."""
+    if samples and isinstance(samples[0], _Pack):
+        return samples
+    groups: list[list[CloudSample]] = []
+    size = 0
+    for s in samples:
+        m = s.gram.m
+        if np.shape(s.points) != (m, model.input_dim) or s.gram.B != model.n_coeffs or np.shape(s.mu) != (m,):
+            got = f"points {np.shape(s.points)}, measure {np.shape(s.mu)} and a B={s.gram.B} field over {m} points"
+            raise ConfigurationError(f"cloud {s.cloud_id}: {got} do not fit D={model.input_dim}, B={model.n_coeffs}")
+        if labelled and s.label not in (0, 1):
+            raise ConfigurationError(f"cloud {s.cloud_id}: label must be 0 or 1, got {s.label}")
+        n = m * model.n_forms * model.n_coeffs
+        if not groups or size + n > PACK_FLOATS:
+            groups.append([])
+            size = 0
+        groups[-1].append(s)
+        size += n
+
+    packs = []
+    for g in groups:
+        fields = [s.gram.values for s in g]
+        values = fields[0].astype(model.dtype, copy=False) if len(g) == 1 else np.concatenate(fields, dtype=model.dtype)
+        mu = np.repeat(np.concatenate([s.mu for s in g], dtype=model.dtype), model.n_coeffs)
+        ends = (np.cumsum([s.gram.m for s in g]) * model.n_coeffs).tolist()
+        cols = [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
+        packs.append(_Pack(g, np.concatenate([s.points for s in g], dtype=model.dtype), values, mu, cols))
+    return packs
+
+
+def _forward(model: FormNetwork, pack: _Pack) -> tuple[list[float], tuple]:
+    """Logits of a pack's clouds, and what backward reuses: activations, A = mu F G, each C and its features."""
+    coeffs, trace = model.forward_trace(pack.points)
+    cs, a = contract(pack.values, coeffs, pack.mu, pack.cols)
+    phis = [readout(c, model.readout) for c in cs]
+    return [float(phi @ model.head_w + model.head_b) for phi in phis], (trace, a, cs, phis)
 
 
 def _bce(s: float, sample: CloudSample) -> float:
     """Binary cross-entropy of logit s against the cloud's label."""
-    if sample.label not in (0, 1):
-        raise ConfigurationError(f"cloud {sample.cloud_id}: label must be 0 or 1, got {sample.label}")
     loss = float(np.logaddexp(0.0, s) - float(sample.label) * s)
     if not np.isfinite(loss):
         raise NumericFailureError(f"cloud {sample.cloud_id}: non-finite loss")
@@ -246,7 +291,7 @@ def _bce(s: float, sample: CloudSample) -> float:
 
 
 def predict_logits(model: FormNetwork, samples: list[CloudSample]) -> np.ndarray:
-    return np.array([_forward(model, s)[0] for s in samples])
+    return np.array([s for pack in _pack(model, samples, labelled=False) for s in _forward(model, pack)[0]])
 
 
 def loss_and_grad(model: FormNetwork, samples: list[CloudSample]) -> tuple[float, list[np.ndarray]]:
@@ -254,18 +299,23 @@ def loss_and_grad(model: FormNetwork, samples: list[CloudSample]) -> tuple[float
 
     The gradient list matches ``model.parameters()`` order. Each cloud
     contributes independently, so duplicating a cloud doubles its term.
+    Takes clouds or the packs ``train`` makes of them once.
     """
     grads = [np.zeros_like(p) for p in model.parameters()]
     total = 0.0
-    for sample in samples:
-        s, (trace, fg, w_mu, c, phi) = _forward(model, sample)
-        total += _bce(s, sample)
-        ds = np.asarray(1.0 / (1.0 + np.exp(-s)) - float(sample.label), dtype=model.dtype)
-        dc = readout_grad(c, model.readout, ds * model.head_w)
-        # d/dF of mu_p F G F^T contracted with dc; G symmetric
-        d_coeffs = ((dc + dc.T) @ fg) * w_mu[:, None, None]
-        dw, db = model.backward(trace, d_coeffs)
-        for g, d in zip(grads, [*dw, *db, ds * phi, ds]):
+    for pack in _pack(model, samples):
+        logits, (trace, a, cs, phis) = _forward(model, pack)
+        d_a = np.empty_like(a)
+        for s, sample, c, phi, cols in zip(logits, pack.samples, cs, phis, pack.cols):
+            total += _bce(s, sample)
+            ds = np.asarray(1.0 / (1.0 + np.exp(-s)) - float(sample.label), dtype=model.dtype)
+            dc = readout_grad(c, model.readout, ds * model.head_w)
+            # d/dF of mu_p F G F^T contracted with dc; G symmetric
+            np.matmul(dc + dc.T, a[:, cols], out=d_a[:, cols])
+            grads[-2] += ds * phi
+            grads[-1] += ds
+        dw, db = model.backward(trace, d_a.reshape(model.n_forms, -1, model.n_coeffs).transpose(1, 0, 2))
+        for g, d in zip(grads, [*dw, *db]):
             g += d
     return total, grads
 
@@ -387,13 +437,14 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
     )
     params = model.parameters()
     opt = _Adam(params, lr=config.learning_rate)
+    train_packs, val_packs = _pack(model, train_set), _pack(model, val_set)
     history: list[dict] = []
     for epoch in range(config.epochs):
-        loss, grads = loss_and_grad(model, train_set)
+        loss, grads = loss_and_grad(model, train_packs)
         opt.update(params, grads)
         row = {"epoch": epoch, "train_loss": loss / max(1, len(train_set))}
         if val_set:
-            row["val_loss"] = _loss_only(model, val_set) / len(val_set)
+            row["val_loss"] = _loss_only(model, val_packs) / len(val_set)
         history.append(row)
     return TrainResult(
         model=model,
@@ -404,7 +455,7 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
 
 
 def _loss_only(model: FormNetwork, samples: list[CloudSample]) -> float:
-    return sum(_bce(_forward(model, s)[0], s) for s in samples)
+    return sum(_bce(s, c) for pack in _pack(model, samples) for s, c in zip(_forward(model, pack)[0], pack.samples))
 
 
 def evaluate(model: FormNetwork, samples: list[CloudSample]) -> float:
@@ -452,22 +503,19 @@ def load_checkpoint(path: str | Path) -> tuple[FormNetwork, dict]:
     try:
         info = json.loads(raw[blob_end:].decode())
         arch, meta = info["arch"], info["meta"]
+        input_dim, n_coeffs, n_forms, kind = (arch[k] for k in ("input_dim", "n_coeffs", "n_forms", "readout"))
+        hidden = tuple(arch["hidden"])
     except (ValueError, KeyError, TypeError) as exc:  # undecodable, unparsable, or missing keys
         raise CacheFormatError(f"{path}: unreadable checkpoint echo: {exc!r}") from exc
-    model = FormNetwork.create(
-        input_dim=arch["input_dim"],
-        n_coeffs=arch["n_coeffs"],
-        n_forms=arch["n_forms"],
-        hidden=tuple(arch["hidden"]),
-        readout=arch["readout"],
-        rng=0,
-        dtype=np.float32,
-    )
+    if kind not in tuple(READOUTS) or not all(type(n) is int and n > 0 for n in (input_dim, n_coeffs, n_forms, *hidden)):
+        raise CacheFormatError(f"{path}: checkpoint arch needs positive integer sizes and a known readout, got {arch}")
+    sizes = [input_dim, *hidden, n_forms * n_coeffs]
+    expected = sum((i + 1) * o for i, o in zip(sizes, sizes[1:])) + readout_dim(kind, n_forms) + 1
+    if expected != n_params:
+        raise CacheFormatError(f"{path}: checkpoint arch has {expected} parameters, its blob holds {n_params}")
+    model = FormNetwork.create(input_dim, n_coeffs, n_forms, hidden, kind, rng=0, dtype=np.float32)
     offset = 0
     for p in model.parameters():
-        chunk = flat[offset : offset + p.size].reshape(p.shape)
-        p[...] = chunk
+        p[...] = flat[offset : offset + p.size].reshape(p.shape)
         offset += p.size
-    if offset != n_params:
-        raise CacheFormatError(f"{path}: parameter count mismatch")
     return model, meta

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import struct
 import math
 import re
 from pathlib import Path
@@ -400,6 +401,25 @@ def test_eval_unreadable_checkpoint_exit_2(damage, small_pipeline, tmp_path, cap
         echo = b"not json" if damage == "unparsable-echo" else json.dumps({"meta": {}}).encode()
         # same length, so only the echo is wrong; JSON allows the trailing spaces
         ckpt.write_bytes(raw[:echo_start] + echo.ljust(len(raw) - echo_start))
+    code = main(["eval", "--model", str(ckpt), "--features", str(small_pipeline["feat"])])
+    assert code == 2
+    assert "checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [{"hidden": [64, 64]}, {"input_dim": None}, {"readout": "mean"}],
+    ids=["hidden-64-64", "no-input-dim", "unknown-readout"],
+)
+def test_eval_checkpoint_arch_unlike_its_blob_exit_2(edit, small_pipeline, tmp_path, capsys):
+    raw = (small_pipeline["run"] / "model.ckpt").read_bytes()
+    header = struct.Struct("<4sIQQ")
+    magic, version, n_params, echo_len = header.unpack_from(raw, 0)
+    info = json.loads(raw[-echo_len:])
+    info["arch"] = {k: v for k, v in {**info["arch"], **edit}.items() if v is not None}
+    echo = json.dumps(info).encode()
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(header.pack(magic, version, n_params, len(echo)) + raw[header.size : -echo_len] + echo)
     code = main(["eval", "--model", str(ckpt), "--features", str(small_pipeline["feat"])])
     assert code == 2
     assert "checkpoint" in capsys.readouterr().err

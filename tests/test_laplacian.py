@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from pointforms import (
     ConfigurationError,
@@ -259,6 +260,18 @@ def test_build_rejects_bad_shapes():
 
 # ---------------------------------------------------------------------------
 # operator application
+
+
+@pytest.mark.parametrize("knn_word", ["full", "default"])
+def test_operator_csr_arrays_equal_scipy_conversion_of_the_dense_operator(knn_word):
+    op = build_laplacian(_circle_points(200, seed=7), LaplacianParams(d=1, knn=knn_word))
+    ref = sp.csr_matrix(op.L.toarray())  # drops explicit zeros, sorts indices
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(op.L, name), getattr(ref, name)
+        assert got.dtype == want.dtype
+        npt.assert_array_equal(got, want)
+    assert op.L.has_sorted_indices and ref.has_sorted_indices
+    assert (op.L.nnz == 200 * 200) == (knn_word == "full")
 
 
 def test_apply_indicator_reads_columns():

@@ -37,7 +37,7 @@ from pointforms import (
     train,
 )
 import pointforms
-from pointforms.network import _loss_only
+from pointforms.network import PACK_FLOATS, _loss_only, _pack
 
 
 def _identity_coeff_net(D: int) -> FormNetwork:
@@ -332,19 +332,64 @@ def test_gradients_match_finite_differences():
             assert abs(fd - flat_g[i]) / denom <= 1e-4
 
 
+def _ragged_samples(n=200, D=3, seed=40):
+    """Clouds of 3 to 40 points: at n_forms = B = 3 they fill more than one pack."""
+    sizes = np.random.default_rng(seed).integers(3, 41, size=n)
+    return [_random_sample(m=int(m), D=D, seed=seed + 1 + i, label=i % 2) for i, m in enumerate(sizes)]
+
+
 @pytest.mark.parametrize("kind", READOUTS)
 def test_logit_loss_and_validation_paths_agree(kind):
-    samples = [_random_sample(m=6, D=3, seed=30 + i, label=i % 2) for i in range(4)]
+    equal = [_random_sample(m=6, D=3, seed=30 + i, label=i % 2) for i in range(4)]
+    ragged = _ragged_samples()
     model = FormNetwork.create(3, 3, n_forms=3, hidden=(5,), readout=kind, rng=31, dtype=np.float64)
+    assert len(_pack(model, ragged)) >= 2
     model.head_w[:] = np.random.default_rng(32).standard_normal(model.head_w.shape)
     model.head_b[...] = 0.3
-    loss, _ = loss_and_grad(model, samples)
-    assert loss == _loss_only(model, samples)
-    by_hand = []
-    for s in samples:
-        c = comparison_matrix(s.gram, model.forward(s.points), s.mu)
-        by_hand.append(readout(c, kind) @ model.head_w + model.head_b)
-    npt.assert_array_equal(predict_logits(model, samples), by_hand)
+    for samples in (equal, ragged):
+        loss, _ = loss_and_grad(model, samples)
+        assert loss == _loss_only(model, samples)
+        by_hand = []
+        for s in samples:
+            c = comparison_matrix(s.gram, model.forward(s.points), s.mu)
+            by_hand.append(readout(c, kind) @ model.head_w + model.head_b)
+        npt.assert_array_equal(predict_logits(model, samples), by_hand)
+
+
+def test_packed_loss_and_grad_equal_the_sum_of_one_cloud_calls():
+    samples = _ragged_samples()
+    model = FormNetwork.create(3, 3, n_forms=3, hidden=(5,), readout="tri", rng=33, dtype=np.float64)
+    model.head_w[:] = np.random.default_rng(34).standard_normal(model.head_w.shape)
+    assert len(_pack(model, samples)) >= 2
+    loss, grads = loss_and_grad(model, samples)
+    singles = [loss_and_grad(model, [s]) for s in samples]
+    npt.assert_allclose(loss, sum(single for single, _ in singles), rtol=1e-12)
+    for i, g in enumerate(grads):
+        npt.assert_allclose(g, sum(gs[i] for _, gs in singles), rtol=1e-10)
+
+
+@pytest.mark.parametrize(("m", "n_clouds"), [(6, 40), (PACK_FLOATS // (8 * 3) + 1, 3)], ids=["narrow", "wide"])
+def test_one_network_pass_per_pack(m, n_clouds, monkeypatch):
+    samples = [_random_sample(m=m, D=3, seed=50 + i, label=i % 2) for i in range(n_clouds)]
+    model = FormNetwork.create(3, 3, n_forms=8, hidden=(5,), readout="tri", rng=51, dtype=np.float64)
+    calls = []
+    forward_trace = FormNetwork.forward_trace
+    monkeypatch.setattr(FormNetwork, "forward_trace", lambda self, pts: calls.append(len(pts)) or forward_trace(self, pts))
+    loss_and_grad(model, samples)
+    assert sum(calls) == m * n_clouds
+    if m * 8 * 3 <= PACK_FLOATS:
+        assert len(calls) < n_clouds
+    else:
+        assert calls == [m] * n_clouds
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_cloud_pack_views_the_gram_field(dtype):
+    sample = _random_sample(m=7, D=3, seed=60, label=1)
+    sample.gram.values = sample.gram.values.astype(dtype)
+    model = FormNetwork.create(3, 3, n_forms=2, hidden=(5,), readout="tri", rng=61, dtype=dtype)
+    (pack,) = _pack(model, [sample])
+    assert np.shares_memory(pack.values, sample.gram.values)
 
 
 def test_single_form_diag_readout_equals_global_inner_product():
