@@ -54,17 +54,22 @@ def minors(values: np.ndarray, k: int) -> np.ndarray:
     lexicographic order. Determinants use closed-form cofactor expansions."""
     if not 1 <= k <= MAX_DEGREE:
         raise InvalidDegreeError(f"closed-form minors are provided for 1 <= k <= {MAX_DEGREE}, got k={k}")
-    rows = multi_index_table(values.shape[-1], k)  # (B, k)
-    # gather all (I, J) submatrices: (m, B, B, k, k)
-    sub = values[:, rows[:, None, :, None], rows[None, :, None, :]]
+    D = values.shape[-1]
+    rows = multi_index_table(D, k)  # (B, k)
+    flat = values.reshape(values.shape[0], D * D)
+
+    def sub(a: int, b: int) -> np.ndarray:
+        """C-contiguous (m, B, B) stack of entry (a, b) of every (I, J) submatrix."""
+        return np.take(flat, rows[:, a, None] * D + rows[None, :, b], axis=1)
+
     if k == 1:
-        return sub[..., 0, 0]
+        return sub(0, 0)
     if k == 2:
-        return sub[..., 0, 0] * sub[..., 1, 1] - sub[..., 0, 1] * sub[..., 1, 0]
+        return sub(0, 0) * sub(1, 1) - sub(0, 1) * sub(1, 0)
     return (
-        sub[..., 0, 0] * (sub[..., 1, 1] * sub[..., 2, 2] - sub[..., 1, 2] * sub[..., 2, 1])
-        - sub[..., 0, 1] * (sub[..., 1, 0] * sub[..., 2, 2] - sub[..., 1, 2] * sub[..., 2, 0])
-        + sub[..., 0, 2] * (sub[..., 1, 0] * sub[..., 2, 1] - sub[..., 1, 1] * sub[..., 2, 0])
+        sub(0, 0) * (sub(1, 1) * sub(2, 2) - sub(1, 2) * sub(2, 1))
+        - sub(0, 1) * (sub(1, 0) * sub(2, 2) - sub(1, 2) * sub(2, 0))
+        + sub(0, 2) * (sub(1, 0) * sub(2, 1) - sub(1, 1) * sub(2, 0))
     )
 
 

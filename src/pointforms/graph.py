@@ -6,7 +6,8 @@ estimate, the pilot density, the kernel (through its full distance matrix
 ``sq``) and the kNN truncation. ``knn`` selects the k nearest per row with a
 partition and stable-sorts only those k, ties to lower index; the order is
 that of a full stable sort, so each smaller neighbor list is a column prefix
-of the largest.
+of the largest. Passes over ``sq`` walk its rows in blocks (``row_blocks``),
+so their temporaries are block-sized.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import InsufficientPointsError
+
+ROW_BLOCK = 1 << 16  # entries per row block of an (m, m) pass; clouds up to m = 256 are one block
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,17 @@ def pairwise_sq_dist(points: np.ndarray) -> np.ndarray:
     return sq
 
 
+def row_blocks(m: int):
+    """Row slices of an (m, m) array in blocks of at most ``ROW_BLOCK`` entries (one row at least),
+    each with a float64 (rows, m) scratch block reused from block to block. Row reductions of a
+    C-contiguous block equal those of the same rows of the whole array, bit for bit."""
+    step = max(1, ROW_BLOCK // m)
+    buf = np.empty(min(step, m) * m)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        yield slice(lo, hi), buf[: (hi - lo) * m].reshape(hi - lo, m)
+
+
 def knn(points: np.ndarray, k: int) -> NeighborGraph:
     """k nearest neighbors per point by squared distance.
 
@@ -50,20 +64,23 @@ def knn(points: np.ndarray, k: int) -> NeighborGraph:
         raise InsufficientPointsError(f"k must satisfy 1 <= k <= m-1, got k={k}, m={m}")
     sq = pairwise_sq_dist(pts)
     np.fill_diagonal(sq, np.inf)
-    # The k smallest per row are those below the k-th value plus the
-    # lowest-index entries tied at it: the set a full stable sort keeps.
-    kth = np.partition(sq, k - 1, axis=1)[:, k - 1 : k]
-    keep = sq <= kth
-    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
-    sub, cut = sq[over], kth[over]
-    below, tied = sub < cut, sub == cut
-    room = k - np.count_nonzero(below, axis=1, keepdims=True)
-    keep[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
-    # candidates come in index order, so a stable sort by distance breaks ties toward lower index
-    cand = np.nonzero(keep)[1].reshape(m, k)
-    cand_sq = np.take_along_axis(sq, cand, axis=1)
-    order = np.argsort(cand_sq, axis=1, kind="stable")
-    indices = np.take_along_axis(cand, order, axis=1)
-    sq_dists = np.take_along_axis(cand_sq, order, axis=1)
+    indices, sq_dists = np.empty((m, k), dtype=np.intp), np.empty((m, k))
+    for rows, _ in row_blocks(m):
+        block = sq[rows]
+        # The k smallest per row are those below the k-th value plus the
+        # lowest-index entries tied at it: the set a full stable sort keeps.
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
+        keep = block <= kth
+        over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+        sub, cut = block[over], kth[over]
+        below, tied = sub < cut, sub == cut
+        room = k - np.count_nonzero(below, axis=1, keepdims=True)
+        keep[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
+        # candidates come in index order, so a stable sort by distance breaks ties toward lower index
+        cand = np.nonzero(keep)[1].reshape(-1, k)
+        cand_sq = np.take_along_axis(block, cand, axis=1)
+        order = np.argsort(cand_sq, axis=1, kind="stable")
+        indices[rows] = np.take_along_axis(cand, order, axis=1)
+        sq_dists[rows] = np.take_along_axis(cand_sq, order, axis=1)
     np.fill_diagonal(sq, 0.0)
     return NeighborGraph(indices=indices, sq_dists=sq_dists, sq=sq)

@@ -28,6 +28,11 @@ noisy than the k0-neighbor pilot density.
 
 ``bandwidth_scale="raw"`` uses rho = q0**beta and the caller's eps verbatim.
 All arithmetic is float64.
+
+Steps 2-8 walk the rows of the graph's distance matrix in blocks, in place:
+it is overwritten as K, then as L, whose nonzeros fill the CSR arrays. Each
+step is the elementwise one of whole-matrix assembly, so L is bitwise the
+same, and peak memory is about the distance matrix plus the CSR arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .errors import (
     IsolatedPointError,
     NumericFailureError,
 )
-from .graph import NeighborGraph, knn
+from .graph import NeighborGraph, knn, row_blocks
 
 _AUTO_SCALE = 0.5  # prefactor of the auto bandwidth rule
 _PCA_NEIGHBORS = 16  # neighbors per local PCA in the dimension estimate
@@ -138,10 +143,14 @@ def estimate_density(graph: NeighborGraph, k0: int = 8, d: int = 1) -> DensityEs
         raise DegenerateDensityError("coincident points give a zero local scale")
     eps0 = float(rho0.mean()) ** 2
     # Gaussian kernel density with per-pair bandwidth 2 rho0_i rho0_j,
-    # self term included
-    band = 2.0 * rho0[:, None] * rho0[None, :]
-    weights = np.exp(-graph.sq / band)
-    q0 = (2.0 * np.pi) ** (-0.5 * d) * weights.sum(axis=1) / (rho0**d * m)
+    # self term included; -(sq / band) is -sq / band bit for bit
+    weight_sums = np.empty(m)
+    for rows, w in row_blocks(m):
+        np.multiply(2.0 * rho0[rows, None], rho0, out=w)
+        np.divide(graph.sq[rows], w, out=w)
+        np.negative(w, out=w)
+        weight_sums[rows] = np.exp(w, out=w).sum(axis=1)
+    q0 = (2.0 * np.pi) ** (-0.5 * d) * weight_sums / (rho0**d * m)
     if not np.isfinite(q0).all() or (q0 <= 0).any():
         raise DegenerateDensityError("density estimate is not positive and finite")
     return DensityEstimate(rho0=rho0, eps0=eps0, q0=q0)
@@ -175,6 +184,7 @@ def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -
     d = estimate_dimension(pts, graph) if params.d == "estimate" else int(params.d)
     density = estimate_density(graph, k0=params.k0, d=d)
 
+    # the graph is local to this build: sq is overwritten in place as K, then as L
     sq = graph.sq
     if params.bandwidth_scale == "raw":
         eps_star = 1.0
@@ -185,41 +195,76 @@ def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -
         # scale: its effective sample size grows with n, unlike the
         # k0-neighbor pilot whose relative noise is constant and would leak
         # into the operator through rho**beta.
-        log_q = np.log(np.exp(-0.25 * sq / eps_star).sum(axis=1))
+        q_sums = np.empty(m)
+        for rows, w in row_blocks(m):
+            np.multiply(sq[rows], -0.25, out=w)
+            np.divide(w, eps_star, out=w)
+            q_sums[rows] = np.exp(w, out=w).sum(axis=1)
+        log_q = np.log(q_sums)
         rho_hat = np.exp(params.beta * (log_q - log_q.mean()))
         rho = np.sqrt(eps_star) * rho_hat
     if not np.isfinite(rho).all() or (rho <= 0).any():
         raise DegenerateDensityError("bandwidth function is not positive and finite")
-
-    K = np.exp(-0.25 * (sq / (params.epsilon * rho[:, None] * rho[None, :])))
 
     if n_neighbors is not None:
         mask = np.zeros((m, m), dtype=bool)
         mask[np.arange(m)[:, None], graph.indices[:, :n_neighbors]] = True
         mask |= mask.T  # union symmetrization
         np.fill_diagonal(mask, True)
-        K = np.where(mask, K, 0.0)
 
-    off_diag = K.sum(axis=1) - np.diag(K)
+    # K = exp(-0.25 * (sq / (eps rho_i rho_j))), truncated, with its row sums and diagonal
+    eps_rho = params.epsilon * rho
+    k_sums, k_diag = np.empty(m), np.empty(m)
+    for rows, w in row_blocks(m):
+        K = sq[rows]
+        np.multiply(eps_rho[rows, None], rho, out=w)
+        np.divide(K, w, out=K)
+        np.multiply(K, -0.25, out=K)
+        np.exp(K, out=K)
+        if n_neighbors is not None:
+            np.copyto(K, 0.0, where=~mask[rows])
+        k_sums[rows] = K.sum(axis=1)
+        k_diag[rows] = K.ravel()[rows.start :: m + 1]
+    off_diag = k_sums - k_diag
     if (off_diag <= 0).any():
         bad = int(np.argmax(off_diag <= 0))
         raise IsolatedPointError(f"point {bad} has no usable neighbors at this bandwidth")
 
-    q_eps = K.sum(axis=1) / rho**d
-    K_alpha = K / (q_eps[:, None] ** params.alpha * q_eps[None, :] ** params.alpha)
-    row_sums = K_alpha.sum(axis=1)
-    K_hat = K_alpha / row_sums[:, None]
+    q_eps = k_sums / rho**d
+    # divide K by q_eps**alpha on both sides; at alpha = 0 that divides by 1, exactly
+    row_sums = k_sums
+    if params.alpha != 0:
+        q_alpha = q_eps**params.alpha
+        row_sums = np.empty(m)
+        for rows, w in row_blocks(m):
+            K = sq[rows]
+            np.multiply(q_alpha[rows, None], q_alpha, out=w)
+            row_sums[rows] = np.divide(K, w, out=K).sum(axis=1)
 
+    # L = (I - K_hat) / scale; off the diagonal (0 - k) / s is k / -s bit for bit, zeros aside
     scale = params.epsilon * rho**2
-    L = (np.eye(m) - K_hat) / scale[:, None]
-    if not np.isfinite(L).all():
-        raise NumericFailureError("Laplacian contains non-finite entries")
-    # the CSR arrays sp.csr_matrix(L) would build, without its COO temporaries
-    flat = np.flatnonzero(L)
+    counts = np.empty(m, dtype=np.int32)
+    for rows, _ in row_blocks(m):
+        L = sq[rows]
+        diag = L.ravel()[rows.start :: m + 1]
+        np.divide(L, row_sums[rows, None], out=L)
+        one_minus = 1.0 - diag
+        np.divide(L, -scale[rows, None], out=L)
+        diag[:] = one_minus / scale[rows]
+        if not np.isfinite(L).all():
+            raise NumericFailureError("Laplacian contains non-finite entries")
+        counts[rows] = np.count_nonzero(L, axis=1)
+    # the CSR arrays sp.csr_matrix(L) would build, explicit zeros dropped
     indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(L, axis=1), out=indptr[1:])
+    np.cumsum(counts, out=indptr[1:])
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+    for rows, _ in row_blocks(m):
+        flat = np.flatnonzero(sq[rows])
+        at = slice(indptr[rows.start], indptr[rows.stop])
+        data[at] = sq[rows].ravel()[flat]
+        indices[at] = flat % m
     return DiffusionOperator(
-        L=sp.csr_matrix((L.ravel()[flat], (flat % m).astype(np.int32), indptr), shape=(m, m)),
+        L=sp.csr_matrix((data, indices, indptr), shape=(m, m)),
         rho=rho,
         q_eps=q_eps,
         density=density,

@@ -349,8 +349,8 @@ def convergence_study(
         for seed in range(n_seeds):
             rng = np.random.default_rng([base_seed, n, seed])
             points, u = manifold.sample(n, rng)
-            op = build_laplacian(points, run_params)
-            g1 = gram_field_1(op, points)
+            # no operator outlives its Gram field, so none is alive during the next build
+            g1 = gram_field_1(build_laplacian(points, run_params), points)
             gk = g1 if k == 1 else compound_gram_field(g1, k)
             oracle = oracle_gram_1(manifold, u) if k == 1 else oracle_gram_k(manifold, u, k)
             mask = _interior_mask(manifold, u)
@@ -413,8 +413,7 @@ def density_check(
         for seed in range(n_seeds):
             rng = np.random.default_rng([base_seed, ki, seed])
             points, q = von_mises_sampler(n, kappa, mode=0.0, rng=rng)
-            op = build_laplacian(points, run_params)
-            g1 = gram_field_1(op, points)
+            g1 = gram_field_1(build_laplacian(points, run_params), points)
             est_unc = comparison_matrix(g1, dxdy, np.full(n, 2.0 * np.pi / n))
             est_corr = comparison_matrix(g1, dxdy, 1.0 / (n * q))
             err_unc = float(np.abs(est_unc - target)[iu, ju].mean())

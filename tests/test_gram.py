@@ -24,6 +24,7 @@ from pointforms import (
     multi_index_table,
     unit_circle,
 )
+from pointforms.gram import minors
 
 
 def _toy_operator(m=5, dim=2, seed=0):
@@ -186,6 +187,29 @@ def test_compound_matches_leibniz_oracle(k):
             for b, J in enumerate(rows):
                 minor = g1.values[p][np.ix_(I, J)]
                 assert gk.values[p, a, b] == pytest.approx(_leibniz_det(minor), abs=1e-10)
+
+
+def _gathered_minors(values: np.ndarray, k: int) -> np.ndarray:
+    """Minors from one (m, B, B, k, k) gather of every submatrix: the reference formula."""
+    rows = multi_index_table(values.shape[-1], k)
+    sub = values[:, rows[:, None, :, None], rows[None, :, None, :]]
+    if k == 1:
+        return sub[..., 0, 0]
+    if k == 2:
+        return sub[..., 0, 0] * sub[..., 1, 1] - sub[..., 0, 1] * sub[..., 1, 0]
+    return (
+        sub[..., 0, 0] * (sub[..., 1, 1] * sub[..., 2, 2] - sub[..., 1, 2] * sub[..., 2, 1])
+        - sub[..., 0, 1] * (sub[..., 1, 0] * sub[..., 2, 2] - sub[..., 1, 2] * sub[..., 2, 0])
+        + sub[..., 0, 2] * (sub[..., 1, 0] * sub[..., 2, 1] - sub[..., 1, 1] * sub[..., 2, 0])
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_minors_are_c_contiguous_and_equal_the_gathered_formula(k):
+    values = _random_g1(m=9, D=6, seed=14).values
+    got = minors(values, k)
+    assert got.flags.c_contiguous
+    npt.assert_array_equal(got, _gathered_minors(values, k))
 
 
 def test_compound_of_rank_one_field_vanishes():

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from pointforms import InsufficientPointsError, knn, pairwise_sq_dist
+from pointforms import graph as graph_module
 
 
 def test_pairwise_sq_dist_345_triangle():
@@ -103,17 +104,19 @@ def _lattice(n):
     ],
     ids=["random-2d", "random-12d", "lattice", "triplicates", "lattice-with-duplicates"],
 )
-def test_knn_equals_the_full_stable_sort_for_every_k(pts):
+def test_knn_equals_the_full_stable_sort_for_every_k(pts, monkeypatch):
     # Lattices tie at the k-th distance on almost every row; duplicates tie at zero.
     m = len(pts)
     sq = pairwise_sq_dist(pts)
     np.fill_diagonal(sq, np.inf)
     order = np.argsort(sq, axis=1, kind="stable")
-    for k in range(1, m):
-        graph = knn(pts, k)
-        npt.assert_array_equal(graph.indices, order[:, :k], err_msg=f"k={k}")
-        npt.assert_array_equal(graph.sq_dists, np.take_along_axis(sq, order[:, :k], axis=1), err_msg=f"k={k}")
-        assert graph.indices.dtype == order.dtype
+    for row_block in (graph_module.ROW_BLOCK, 3 * m):  # one block, then blocks of three rows
+        monkeypatch.setattr(graph_module, "ROW_BLOCK", row_block)
+        for k in range(1, m):
+            graph = knn(pts, k)
+            npt.assert_array_equal(graph.indices, order[:, :k], err_msg=f"k={k}")
+            npt.assert_array_equal(graph.sq_dists, np.take_along_axis(sq, order[:, :k], axis=1), err_msg=f"k={k}")
+            assert graph.indices.dtype == order.dtype
     npt.assert_array_equal(graph.sq, pairwise_sq_dist(pts))
 
 

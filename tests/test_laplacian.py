@@ -1,5 +1,7 @@
 """Variable-bandwidth diffusion Laplacian assembly and its density pilot."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -21,6 +23,7 @@ from pointforms import (
     unit_circle,
     unit_sphere,
 )
+from pointforms import graph as graph_module
 
 
 def _circle_points(n: int, seed: int = 0) -> np.ndarray:
@@ -256,6 +259,85 @@ def test_isolated_point_rejected():
 def test_build_rejects_bad_shapes():
     with pytest.raises(ConfigurationError):
         build_laplacian(np.zeros(5))
+
+
+def _dense_assembly(pts, params):
+    """Reference: density and operator from whole (m, m) temporaries, one expression per step."""
+    m = pts.shape[0]
+    n_neighbors = None if params.knn == "full" else min(64, m - 1) if params.knn == "default" else int(params.knn)
+    k_max = max(params.k0 - 1, n_neighbors or 0, 16 if params.d == "estimate" else 0)
+    graph = knn(pts, min(k_max, m - 1))
+    d = estimate_dimension(pts, graph) if params.d == "estimate" else int(params.d)
+    sq = graph.sq
+
+    rho0 = np.sqrt(graph.sq_dists[:, : params.k0 - 1].mean(axis=1))
+    band = 2.0 * rho0[:, None] * rho0[None, :]
+    weights = np.exp(-sq / band)
+    q0 = (2.0 * np.pi) ** (-0.5 * d) * weights.sum(axis=1) / (rho0**d * m)
+
+    if params.bandwidth_scale == "raw":
+        rho = q0**params.beta
+    else:
+        eps_star = auto_bandwidth_scale(pts, float(rho0.mean()) ** 2, d)
+        log_q = np.log(np.exp(-0.25 * sq / eps_star).sum(axis=1))
+        rho = np.sqrt(eps_star) * np.exp(params.beta * (log_q - log_q.mean()))
+    K = np.exp(-0.25 * (sq / (params.epsilon * rho[:, None] * rho[None, :])))
+    if n_neighbors is not None:
+        mask = np.zeros((m, m), dtype=bool)
+        mask[np.arange(m)[:, None], graph.indices[:, :n_neighbors]] = True
+        mask |= mask.T
+        np.fill_diagonal(mask, True)
+        K = np.where(mask, K, 0.0)
+    q_eps = K.sum(axis=1) / rho**d
+    K_alpha = K / (q_eps[:, None] ** params.alpha * q_eps[None, :] ** params.alpha)
+    K_hat = K_alpha / K_alpha.sum(axis=1)[:, None]
+    L = (np.eye(m) - K_hat) / (params.epsilon * rho**2)[:, None]
+    flat = np.flatnonzero(L)
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(L, axis=1), out=indptr[1:])
+    csr = {"data": L.ravel()[flat], "indices": (flat % m).astype(np.int32), "indptr": indptr}
+    return csr, {"rho": rho, "q_eps": q_eps, "q0": q0, "rho0": rho0}
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        LaplacianParams(knn="full", d=1),
+        LaplacianParams(),
+        LaplacianParams(knn=10, alpha=0.5, epsilon=0.7),
+        LaplacianParams(knn="full", alpha=1.0, bandwidth_scale="raw", epsilon=0.3),
+    ],
+    ids=["full", "defaults", "knn10-alpha0.5", "raw-full-alpha1"],
+)
+@pytest.mark.parametrize("rows_per_block", [None, 50, 7, 1], ids=["one-block", "two-blocks", "many-blocks", "row-by-row"])
+def test_row_block_assembly_equals_dense_assembly_bitwise(params, rows_per_block, monkeypatch):
+    m = 90
+    pts = np.random.default_rng(15).standard_normal((m, 3))
+    pts[:, 2] *= 0.1
+    csr, vectors = _dense_assembly(pts, params)
+    if rows_per_block is not None:
+        monkeypatch.setattr(graph_module, "ROW_BLOCK", rows_per_block * m)
+    op = build_laplacian(pts, params)
+    for name, want in csr.items():
+        got = getattr(op.L, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), name
+    got = {"rho": op.rho, "q_eps": op.q_eps, "q0": op.density.q0, "rho0": op.density.rho0}
+    for name, want in vectors.items():
+        assert np.array_equal(got[name], want), name
+
+
+def test_full_build_allocates_about_the_distances_and_the_operator():
+    # sq (m^2 float64), overwritten as K and then L, plus L's CSR data and int32 indices
+    m = 1000
+    pts = _circle_points(m, seed=16)
+    tracemalloc.start()
+    try:
+        build_laplacian(pts, LaplacianParams(knn="full", d=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * m * m * 8, f"peak {peak / (m * m * 8):.1f}x the (m, m) float64 distances"
 
 
 # ---------------------------------------------------------------------------
