@@ -24,6 +24,7 @@ import numpy as np
 
 from . import tasks
 from .data import (
+    _HEADER,
     MEASURES,
     PRECISIONS,
     load_dataset,
@@ -105,9 +106,9 @@ def _write_config_echo(out_dir: Path, command: str, args_dict: dict, inputs: dic
 def _list_of(kind: type):
     """Argparse type for a comma-separated list of ``kind`` values."""
 
-    def parse(text: str) -> list:
+    def parse(text: str) -> tuple:
         try:
-            return [kind(tok) for tok in text.split(",") if tok.strip()]
+            return tuple(kind(tok) for tok in text.split(",") if tok.strip())
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected a comma-separated {kind.__name__} list, got {text!r}") from None
 
@@ -122,16 +123,22 @@ def _int_or_word(text: str) -> int | str:
         return text
 
 
-def _laplacian_params(args) -> LaplacianParams:
-    return LaplacianParams(
-        epsilon=args.epsilon,
-        alpha=args.alpha,
-        beta=args.beta,
-        k0=args.k0,
-        knn=args.knn,
-        d=args.d,
-        bandwidth_scale=args.bandwidth_scale,
-    )
+def _from_args(cls, args):
+    """The dataclass ``cls`` built from the parsed flags whose dests are its field names."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
+def _write_study(out: str | None, command: str, keys: list[str], rows: list[dict], echo: dict) -> None:
+    """Write a study's rows as ``<command>.csv`` (``-`` read as ``_``) and its config echo under ``out``."""
+    if not out:
+        return
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / f"{command.replace('-', '_')}.csv", "w") as fh:
+        fh.write(",".join(keys) + "\n")
+        for row in rows:
+            fh.write(",".join(str(row[k]) for k in keys) + "\n")
+    _write_config_echo(out, command, echo, {})
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +162,7 @@ def cmd_gen(args) -> int:
 def cmd_precompute(args) -> int:
     dataset_dir = Path(args.dataset)
     out = Path(args.out)
-    params = _laplacian_params(args)
+    params = _from_args(LaplacianParams, args)
     clouds, _ = load_dataset(dataset_dir)
     if not clouds:
         raise IngestionError(f"dataset {dataset_dir} holds no clouds")
@@ -168,7 +175,6 @@ def cmd_precompute(args) -> int:
     records = []
     total_bytes = 0
     total_points = 0
-    header_bytes = 0
     failures = []
     for cloud in clouds:
         try:
@@ -185,9 +191,7 @@ def cmd_precompute(args) -> int:
             failures.append(exc)
             continue
         records.append({"id": cloud.id, "label": cloud.label, "cache": cache_rel, "mu": mu_rel, "m": cloud.m})
-        size = (out / cache_rel).stat().st_size
-        total_bytes += size
-        header_bytes += size - estimate_gram_memory(cloud.m, dim, args.k, precision=args.precision)
+        total_bytes += (out / cache_rel).stat().st_size
         total_points += cloud.m
     if not records:
         raise failures[0]
@@ -220,7 +224,7 @@ def cmd_precompute(args) -> int:
     estimate = estimate_gram_memory(total_points, dim, args.k, precision=args.precision)
     print(
         f"cached {len(records)} gram fields (degree {args.k}, {args.precision}): "
-        f"payload {format_bytes(total_bytes - header_bytes)}, estimate {format_bytes(estimate)}, "
+        f"payload {format_bytes(total_bytes - len(records) * _HEADER.size)}, estimate {format_bytes(estimate)}, "
         f"{total_bytes} B on disk with headers"
     )
     if failures:
@@ -301,15 +305,7 @@ def cmd_train(args) -> int:
     samples, feat_manifest = _load_features(features_dir)
     if any(s.label is None for s in samples):
         raise ConfigurationError("training requires labeled clouds")
-    config = TrainConfig(
-        n_forms=args.n_forms,
-        hidden=tuple(args.hidden),
-        readout=args.readout,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        seed=args.seed,
-        split_seed=args.split_seed,
-    )
+    config = _from_args(TrainConfig, args)
     result = train(samples, config)
     out.mkdir(parents=True, exist_ok=True)
     feat_hash = hash_input(features_dir)
@@ -373,7 +369,7 @@ def cmd_eval(args) -> int:
 def cmd_consistency(args) -> int:
     manifold = MANIFOLDS[args.manifold]()
     # the study always runs the full kernel at the manifold's intrinsic dimension
-    params = replace(_laplacian_params(args), knn="full", d=manifold.intrinsic_dim)
+    params = replace(_from_args(LaplacianParams, args), knn="full", d=manifold.intrinsic_dim)
     rows = convergence_study(
         manifold,
         args.sizes,
@@ -392,28 +388,21 @@ def cmd_consistency(args) -> int:
     ratio = ordered[-1] / ordered[0] if ordered[0] > 0 else float("inf")
     print(f"monotone decrease: {'PASS' if decreasing else 'FAIL'}")
     print(f"final/initial ratio {ratio:.4f} <= 0.5: {'PASS' if ratio <= 0.5 else 'FAIL'}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        keys = ["manifold", "n", "epsilon", "alpha", "beta", "seed", "metric", "value"]
-        with open(out / "consistency.csv", "w") as fh:
-            fh.write(",".join(keys) + "\n")
-            for row in rows:
-                fh.write(",".join(str(row[k]) for k in keys) + "\n")
-        _write_config_echo(
-            out,
-            "consistency",
-            {
-                "manifold": args.manifold,
-                "sizes": args.sizes,
-                "seeds": args.seeds,
-                "degree": args.k,
-                "theta": args.theta,
-                "base_seed": args.base_seed,
-                "params": asdict(params),
-            },
-            {},
-        )
+    _write_study(
+        args.out,
+        "consistency",
+        ["manifold", "n", "epsilon", "alpha", "beta", "seed", "metric", "value"],
+        rows,
+        {
+            "manifold": args.manifold,
+            "sizes": args.sizes,
+            "seeds": args.seeds,
+            "degree": args.k,
+            "theta": args.theta,
+            "base_seed": args.base_seed,
+            "params": asdict(params),
+        },
+    )
     return 0
 
 
@@ -434,20 +423,13 @@ def cmd_density_check(args) -> int:
             ok = s["mae_corrected"] < s["mae_uncorrected"]
         verdict = "PASS" if ok else "FAIL"
         print(f"{s['kappa']:<8g} {s['mae_uncorrected']:<14.6f} {s['mae_corrected']:<12.6f} {verdict}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        keys = sorted(rows[0]) if rows else []
-        with open(out / "density_check.csv", "w") as fh:
-            fh.write(",".join(keys) + "\n")
-            for row in rows:
-                fh.write(",".join(str(row[k]) for k in keys) + "\n")
-        _write_config_echo(
-            out,
-            "density-check",
-            {"kappas": args.kappas, "n": args.n, "seeds": args.seeds, "base_seed": args.base_seed},
-            {},
-        )
+    _write_study(
+        args.out,
+        "density-check",
+        sorted(rows[0]) if rows else [],
+        rows,
+        {"kappas": args.kappas, "n": args.n, "seeds": args.seeds, "base_seed": args.base_seed},
+    )
     return 0
 
 
@@ -510,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=_list_of(int), default=defaults.hidden)
     p.add_argument("--readout", default=defaults.readout, choices=READOUTS)
     p.add_argument("--epochs", type=int, default=defaults.epochs)
-    p.add_argument("--lr", type=float, default=defaults.learning_rate)
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=defaults.learning_rate)
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--split-seed", type=int, default=defaults.split_seed)
     p.set_defaults(func=cmd_train)

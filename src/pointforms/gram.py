@@ -36,6 +36,7 @@ def gram_field_1(op: DiffusionOperator, points: np.ndarray) -> GramField:
     m, D = pts.shape
     if m != op.m:
         raise ConfigurationError(f"operator has {op.m} points, cloud has {m}")
+    pts = pts - pts.mean(axis=0)  # Gamma sees only differences; centred, the cancellation below keeps its digits
     lx = apply_laplacian(op, pts)  # (m, D)
     # L applied to all products x^i x^j in one pass over the upper triangle
     iu, ju = np.triu_indices(D)

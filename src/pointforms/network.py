@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -39,6 +39,8 @@ PARAM_BUDGET = 68_866
 _CKPT_MAGIC = b"NPFC"
 _CKPT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sIQQ")
+# the FormNetwork fields a checkpoint echoes, in FormNetwork.create's argument order
+_CKPT_ARCH = ("input_dim", "n_coeffs", "n_forms", "hidden", "readout")
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,15 +178,6 @@ class FormNetwork:
     @property
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
-
-    def astype(self, dtype) -> "FormNetwork":
-        return replace(
-            self,
-            weights=[w.astype(dtype) for w in self.weights],
-            biases=[b.astype(dtype) for b in self.biases],
-            head_w=self.head_w.astype(dtype),
-            head_b=self.head_b.astype(dtype),
-        )
 
     def forward_trace(self, points: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Output (m, n_forms, B) plus the per-layer activations for backprop."""
@@ -470,13 +463,7 @@ def evaluate(model: FormNetwork, samples: list[CloudSample]) -> float:
 
 def save_checkpoint(path: str | Path, model: FormNetwork, meta: dict | None = None) -> None:
     """Header, float32 little-endian parameter blob, then a JSON echo."""
-    arch = {
-        "input_dim": model.input_dim,
-        "n_coeffs": model.n_coeffs,
-        "n_forms": model.n_forms,
-        "hidden": model.hidden,
-        "readout": model.readout,
-    }
+    arch = {k: getattr(model, k) for k in _CKPT_ARCH}
     echo = json.dumps({"arch": arch, "meta": meta or {}}, sort_keys=True).encode()
     flat = np.concatenate([p.astype("<f4").reshape(-1) for p in model.parameters()])
     with open(path, "wb") as fh:
@@ -503,8 +490,8 @@ def load_checkpoint(path: str | Path) -> tuple[FormNetwork, dict]:
     try:
         info = json.loads(raw[blob_end:].decode())
         arch, meta = info["arch"], info["meta"]
-        input_dim, n_coeffs, n_forms, kind = (arch[k] for k in ("input_dim", "n_coeffs", "n_forms", "readout"))
-        hidden = tuple(arch["hidden"])
+        input_dim, n_coeffs, n_forms, hidden, kind = (arch[k] for k in _CKPT_ARCH)
+        hidden = tuple(hidden)
     except (ValueError, KeyError, TypeError) as exc:  # undecodable, unparsable, or missing keys
         raise CacheFormatError(f"{path}: unreadable checkpoint echo: {exc!r}") from exc
     if kind not in tuple(READOUTS) or not all(type(n) is int and n > 0 for n in (input_dim, n_coeffs, n_forms, *hidden)):

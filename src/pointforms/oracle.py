@@ -7,6 +7,7 @@ matrices of constant forms have closed-form or quadrature-grade values.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -205,20 +206,13 @@ def chart_quadrature(
     the integrand at the (n, d) nodes u against the (n,) weights w (a scalar or
     an array); panels double until no entry moves by more than _QUAD_REL_TOL
     of max(1, largest entry)."""
-    dims = len(domain)
-    if dims not in (1, 2):
-        raise ConfigurationError(f"quadrature supports 1-d or 2-d charts, got {dims}")
+    if len(domain) not in (1, 2):
+        raise ConfigurationError(f"quadrature supports 1-d or 2-d charts, got {len(domain)}")
 
     def evaluate(panels: int) -> float | np.ndarray:
-        axes = [_panel_nodes(lo, hi, panels, _QUAD_ORDER) for lo, hi in domain]
-        if dims == 1:
-            u = axes[0][0][:, None]
-            w = axes[0][1]
-        else:
-            g0, g1 = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
-            u = np.column_stack([g0.ravel(), g1.ravel()])
-            w = np.outer(axes[0][1], axes[1][1]).ravel()
-        return integral(u, w)
+        nodes, weights = zip(*(_panel_nodes(lo, hi, panels, _QUAD_ORDER) for lo, hi in domain))
+        u = np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")], axis=1)
+        return integral(u, functools.reduce(np.multiply.outer, weights).ravel())
 
     panels = 4
     prev = evaluate(panels)
@@ -352,7 +346,7 @@ def convergence_study(
             # no operator outlives its Gram field, so none is alive during the next build
             g1 = gram_field_1(build_laplacian(points, run_params), points)
             gk = g1 if k == 1 else compound_gram_field(g1, k)
-            oracle = oracle_gram_1(manifold, u) if k == 1 else oracle_gram_k(manifold, u, k)
+            oracle = oracle_gram_k(manifold, u, k)
             mask = _interior_mask(manifold, u)
             err = np.abs(gk.values - oracle).max(axis=(1, 2))[mask]
             eigs = np.linalg.eigvalsh(gk.values)

@@ -36,7 +36,7 @@ from pointforms import (
 )
 from pointforms import READOUTS, cli, data, tasks
 from pointforms.cli import hash_input, main
-from pointforms.laplacian import BANDWIDTH_SCALES
+from pointforms.laplacian import BANDWIDTH_SCALES, LaplacianParams
 from pointforms.oracle import MANIFOLDS
 
 # Exit codes as documented: 1 configuration, 2 data or format, 3 numeric.
@@ -123,19 +123,33 @@ def test_parser_choices_are_the_library_tables(command, dest, table):
 
 def test_train_parser_defaults_are_train_config():
     args = cli.build_parser().parse_args(["train", "--features", "f", "--out", "o"])
-    field_of = {
-        "n_forms": "n_forms",
-        "hidden": "hidden",
-        "readout": "readout",
-        "epochs": "epochs",
-        "lr": "learning_rate",
-        "seed": "seed",
-        "split_seed": "split_seed",
-    }
-    assert set(field_of.values()) == {f.name for f in dataclasses.fields(TrainConfig)}
     defaults = TrainConfig()
-    for dest, field in field_of.items():
-        assert getattr(args, dest) == getattr(defaults, field), dest
+    for field in dataclasses.fields(TrainConfig):
+        assert getattr(args, field.name) == getattr(defaults, field.name), field.name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["precompute", "--dataset", "d", "--out", "o"],
+        ["consistency", "--manifold", "circle"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_laplacian_flags_are_the_params_fields_with_their_defaults(argv):
+    args = cli.build_parser().parse_args(argv)
+    defaults = LaplacianParams()
+    for field in dataclasses.fields(LaplacianParams):
+        assert getattr(args, field.name) == getattr(defaults, field.name), field.name
+
+
+def test_train_flags_build_the_train_config():
+    args = cli.build_parser().parse_args(
+        ["train", "--features", "f", "--out", "o", "--hidden", "16,8", "--lr", "0.002", "--readout", "pool"]
+    )
+    config = cli._from_args(TrainConfig, args)
+    assert config == TrainConfig(hidden=(16, 8), learning_rate=0.002, readout="pool")
+    assert config.hidden == (16, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +213,20 @@ def test_precompute_reports_payload_accounting_identity(tmp_path, capsys):
     for rec in manifest["clouds"]:
         assert (feat / rec["cache"]).is_file()
         assert (feat / rec["mu"]).is_file()
+
+
+def test_precompute_payload_is_measured_not_estimated(tmp_path, capsys, monkeypatch):
+    # with the estimate off by one byte per call, the payload must still be what is on disk
+    real = cli.estimate_gram_memory
+    monkeypatch.setattr(cli, "estimate_gram_memory", lambda *a, **kw: real(*a, **kw) + 1)
+    data_dir = _small_dataset(tmp_path / "data")
+    feat = tmp_path / "feat"
+    assert main(["precompute", "--dataset", str(data_dir), "--out", str(feat), "--d", "1"]) == 0
+    line = capsys.readouterr().out.strip()
+    payload = int(re.search(r"payload (\d+) B", line).group(1))
+    caches = [feat / rec["cache"] for rec in json.loads((feat / "features.json").read_text())["clouds"]]
+    assert payload == sum(p.stat().st_size for p in caches) - len(caches) * data._HEADER.size
+    assert payload == sum(24 * 5 * 5 * 4 for _ in caches)
 
 
 def _small_dataset(root: Path, dim: int = 5) -> Path:

@@ -136,6 +136,29 @@ def test_gram_field_1_rejects_mismatched_operator():
         gram_field_1(op, pts[:-1])
 
 
+def _embedded_circle_operator(knn):
+    # a circle linearly embedded in R^6: every exact slice has rank <= 2, so four eigenvalues sit at 0
+    rng = np.random.default_rng(5)
+    pts = unit_circle().sample(128, rng)[0] @ rng.standard_normal((2, 6))
+    return build_laplacian(pts, LaplacianParams(knn=knn, d=1)), pts
+
+
+@pytest.mark.parametrize("knn", ["default", "full"])
+def test_gram_field_1_is_translation_invariant(knn):
+    op, pts = _embedded_circle_operator(knn)
+    g = gram_field_1(op, pts).values
+    shifted = gram_field_1(op, pts + 1e3).values
+    assert np.abs(shifted - g).max() <= 1e-10 * np.abs(g).max()
+
+
+@pytest.mark.parametrize("knn", ["default", "full"])
+def test_gram_field_1_far_from_the_origin_stays_psd(knn):
+    op, pts = _embedded_circle_operator(knn)
+    g = gram_field_1(op, pts + 1e6).values
+    trace = np.trace(g, axis1=1, axis2=2)
+    assert (np.linalg.eigvalsh(g).min(axis=1) >= -1e-12 * trace).all()
+
+
 # ---------------------------------------------------------------------------
 # compound fields
 
