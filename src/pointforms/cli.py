@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
-import warnings
 from collections.abc import Collection
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +27,17 @@ from .data import (
     PRECISIONS,
     load_dataset,
     measure_weights,
+    read_csv,
     read_gram_cache,
+    read_manifest,
     save_dataset,
     write_csv,
     write_gram_cache,
+    write_json,
 )
 from .errors import (
     CacheFormatError,
     ConfigurationError,
-    ConfigurationWarning,
     IngestionError,
     InvalidDegreeError,
     MissingCacheError,
@@ -93,14 +93,8 @@ def hash_input(path: str | Path) -> str:
     raise IngestionError(f"input path does not exist: {p}")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_config_echo(out_dir: Path, command: str, args_dict: dict, inputs: dict[str, str]) -> None:
-    _write_json(out_dir / "config.json", {"command": command, "args": args_dict, "inputs": inputs})
+    write_json(out_dir / "config.json", {"command": command, "args": args_dict, "inputs": inputs})
 
 
 def _list_of(kind: type):
@@ -123,9 +117,9 @@ def _int_or_word(text: str) -> int | str:
         return text
 
 
-def _from_args(cls, args):
-    """The dataclass ``cls`` built from the parsed flags whose dests are its field names."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+def _from_args(cls, args, **fixed):
+    """The dataclass ``cls`` built from ``fixed`` and, for every other field, the parsed flag whose dest is its name."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name not in fixed}, **fixed)
 
 
 def _write_study(out: str | None, command: str, keys: list[str], rows: list[dict], echo: dict) -> None:
@@ -208,7 +202,7 @@ def cmd_precompute(args) -> int:
         "params": asdict(params),
         "clouds": records,
     }
-    _write_json(out / FEATURES_MANIFEST, manifest)
+    write_json(out / FEATURES_MANIFEST, manifest)
     _write_config_echo(
         out,
         "precompute",
@@ -240,17 +234,8 @@ def _load_features(features_dir: Path, ids: Collection[str] | None = None) -> tu
         raise MissingCacheError(
             f"no feature manifest at {manifest_path}; run 'pointforms precompute' first"
         )
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CacheFormatError(f"{manifest_path}: invalid feature manifest: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != "pointforms-features":
-        raise CacheFormatError(f"{manifest_path}: not a feature manifest")
-    missing = {"dataset", "dataset_sha256", "degree", "measure", "clouds"} - manifest.keys()
-    missing |= {k for rec in manifest.get("clouds", []) for k in ("id", "cache", "mu", "label") if k not in rec}
-    if missing:
-        raise CacheFormatError(f"{manifest_path}: manifest or cloud record lacks {', '.join(sorted(missing))}")
+    keys, record_keys = ("dataset", "dataset_sha256", "degree", "measure"), ("id", "cache", "mu", "label")
+    manifest = read_manifest(manifest_path, "pointforms-features", keys, record_keys, CacheFormatError)
     dataset_dir = features_dir / manifest["dataset"]
     records = [rec for rec in manifest["clouds"] if ids is None or rec["id"] in ids]
     clouds, _ = load_dataset(dataset_dir, ids)
@@ -271,17 +256,14 @@ def _load_features(features_dir: Path, ids: Collection[str] | None = None) -> tu
             if not path.is_file():
                 raise MissingCacheError(f"cloud {rec['id']}: missing {what} {path}; rerun 'pointforms precompute'")
         gram = read_gram_cache(cache_path)
-        try:
-            weights = np.loadtxt(mu_path, delimiter=",", ndmin=1)
-        except ValueError as exc:
-            raise CacheFormatError(f"cloud {rec['id']}: unreadable measure weights: {exc}") from exc
+        weights = read_csv(mu_path, rec["id"])
         if gram.m != cloud.m:
             raise CacheFormatError(f"cloud {rec['id']}: gram field covers {gram.m} points, the cloud has {cloud.m}")
         if gram.k != manifest["degree"]:
             raise CacheFormatError(
                 f"cloud {rec['id']}: gram field has degree {gram.k}, the manifest says {manifest['degree']}"
             )
-        if weights.shape != (gram.m,) or not np.isfinite(weights).all() or (weights <= 0).any():
+        if weights.shape != (gram.m, 1) or (weights <= 0).any():
             raise CacheFormatError(
                 f"cloud {rec['id']}: measure must hold {gram.m} positive finite weights, got shape {weights.shape}"
             )
@@ -290,7 +272,7 @@ def _load_features(features_dir: Path, ids: Collection[str] | None = None) -> tu
                 cloud_id=rec["id"],
                 points=cloud.points,
                 gram=gram,
-                mu=weights,
+                mu=weights.reshape(-1),
                 label=rec["label"],
             )
         )
@@ -322,7 +304,7 @@ def cmd_train(args) -> int:
         fh.write("epoch,train_loss,val_loss\n")
         for row in result.history:
             fh.write(f"{row['epoch']},{row['train_loss']!r},{row.get('val_loss', float('nan'))!r}\n")
-    _write_json(
+    write_json(
         out / "result.json",
         {
             "test_auroc": result.test_auroc,
@@ -369,7 +351,7 @@ def cmd_eval(args) -> int:
 def cmd_consistency(args) -> int:
     manifold = MANIFOLDS[args.manifold]()
     # the study always runs the full kernel at the manifold's intrinsic dimension
-    params = replace(_from_args(LaplacianParams, args), knn="full", d=manifold.intrinsic_dim)
+    params = _from_args(LaplacianParams, args, knn="full", d=manifold.intrinsic_dim)
     rows = convergence_study(
         manifold,
         args.sizes,
@@ -407,12 +389,6 @@ def cmd_consistency(args) -> int:
 
 
 def cmd_density_check(args) -> int:
-    if args.seeds < 2:
-        warnings.warn(
-            "density-check with a single seed cannot separate bias from sampling noise",
-            ConfigurationWarning,
-            stacklevel=1,
-        )
     rows, summaries = density_check(args.kappas, n=args.n, n_seeds=args.seeds, base_seed=args.base_seed)
     print("kappa    uncorrected    corrected    verdict")
     for s in summaries:
@@ -455,7 +431,6 @@ def _add_laplacian_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--knn", type=_int_or_word, default=defaults.knn, help=f"kernel truncation: a count or one of {KNN_WORDS}"
     )
-    p.add_argument("--d", type=_int_or_word, default=defaults.d, help=f"intrinsic dimension: int or {defaults.d!r}")
     p.add_argument(
         "--bandwidth-scale",
         choices=BANDWIDTH_SCALES,
@@ -482,6 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", choices=PRECISIONS, default="fp32")
     p.add_argument("--measure", choices=MEASURES, default="uniform")
     _add_laplacian_args(p)
+    p.add_argument(
+        "--d", type=_int_or_word, default=LaplacianParams.d, help=f"intrinsic dimension: int or {LaplacianParams.d!r}"
+    )
     p.set_defaults(func=cmd_precompute)
 
     p = sub.add_parser("train", help="train the form classifier on cached features")
@@ -506,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "consistency",
         help="estimator error versus sample size on analytic manifolds; "
-        "the study fixes --knn full and --d to the manifold's intrinsic dimension",
+        "the study runs the full kernel whatever --knn says, at the manifold's intrinsic dimension",
     )
     p.add_argument("--manifold", required=True, choices=MANIFOLDS)
     p.add_argument("--sizes", type=_list_of(int), default="250,500,1000,2000")

@@ -3,7 +3,10 @@
 Point clouds, multi-index arrays for degree-k minors, measure weights,
 Gram fields, the binary Gram cache, and the CSV-plus-manifest dataset
 layout all live here so the compute modules stay free of I/O concerns.
-``PRECISIONS`` and ``MEASURES`` are the one list of each choice.
+Each artifact kind has one checked reader or writer: ``read_manifest``,
+``read_framed`` (Gram caches and checkpoints), ``read_csv``/``write_csv``
+and ``write_json``. ``PRECISIONS`` and ``MEASURES`` are the one list of
+each choice.
 """
 
 from __future__ import annotations
@@ -141,17 +144,22 @@ def write_gram_cache(path: str | Path, gram: GramField, precision: str = "fp32")
         fh.write(payload)
 
 
-def read_gram_cache(path: str | Path) -> GramField:
-    """Read a Gram cache, validating magic, version, and payload length."""
+def read_framed(path: str | Path, header: struct.Struct, magic: bytes, version: int) -> tuple[bytes, tuple]:
+    """The bytes of a file that opens with ``header`` (magic, version, more fields) and the fields after
+    magic and version; a short file or another magic or version raises ``CacheFormatError``."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise CacheFormatError(f"{path}: shorter than the fixed header")
-    magic, version, D, k, m, flag = _HEADER.unpack_from(raw, 0)
-    if magic != CACHE_MAGIC:
-        raise CacheFormatError(f"{path}: bad magic {magic!r}")
-    if version != CACHE_VERSION:
-        raise CacheFormatError(f"{path}: unsupported version {version}")
+    if len(raw) < header.size:
+        raise CacheFormatError(f"{path}: shorter than its {header.size}-byte header")
+    found = header.unpack_from(raw, 0)
+    if found[:2] != (magic, version):
+        raise CacheFormatError(f"{path}: magic {found[0]!r} version {found[1]}, expected {magic!r} version {version}")
+    return raw, found[2:]
+
+
+def read_gram_cache(path: str | Path) -> GramField:
+    """Read a Gram cache, validating magic, version, and payload length."""
+    raw, (D, k, m, flag) = read_framed(path, _HEADER, CACHE_MAGIC, CACHE_VERSION)
     if flag >= len(PRECISIONS):
         raise CacheFormatError(f"{path}: unknown precision flag {flag}")
     dtype = list(PRECISIONS.values())[flag]
@@ -168,6 +176,32 @@ def read_gram_cache(path: str | Path) -> GramField:
 
 # ---------------------------------------------------------------------------
 # dataset layout: one CSV per cloud plus a JSON manifest
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write ``payload`` as JSON with indent 1, sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def read_manifest(path: Path, fmt: str, keys: Collection[str], record_keys: Collection[str], error: type) -> dict:
+    """The JSON object at ``path`` tagged ``"format": fmt``, holding ``keys`` and a ``clouds`` list of
+    objects that each hold ``record_keys``; a file that is not raises ``error``."""
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid manifest: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("format") != fmt:
+        raise error(f"{path}: not a {fmt} manifest")
+    records = manifest.get("clouds")
+    if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
+        raise error(f"{path}: clouds must be a list of cloud records")
+    missing = (set(keys) - manifest.keys()) | {k for rec in records for k in record_keys if k not in rec}
+    if missing:
+        raise error(f"{path}: manifest or cloud record lacks {', '.join(sorted(missing))}")
+    return manifest
 
 
 def write_csv(path: str | Path, array: np.ndarray) -> None:
@@ -217,13 +251,12 @@ def save_dataset(
         "clouds": records,
     }
     manifest_path = out / MANIFEST_NAME
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 
-def _load_matrix(path: Path, cloud_id: str) -> np.ndarray:
+def read_csv(path: Path, cloud_id: str) -> np.ndarray:
+    """The finite (rows, columns) float64 array of a file ``write_csv`` wrote."""
     try:
         arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except (ValueError, OSError) as exc:
@@ -235,28 +268,17 @@ def _load_matrix(path: Path, cloud_id: str) -> np.ndarray:
 
 def load_dataset(dataset_dir: str | Path, ids: Collection[str] | None = None) -> tuple[list[PointCloud], dict]:
     """Load a dataset directory, or only the clouds named in ``ids``; clouds come back sorted by id."""
-    root = Path(dataset_dir)
-    manifest_path = root / MANIFEST_NAME if root.is_dir() else root
+    base = Path(dataset_dir)
+    manifest_path = base / MANIFEST_NAME
     if not manifest_path.is_file():
         raise IngestionError(f"no manifest at {manifest_path}")
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise IngestionError(f"{manifest_path}: invalid manifest: {exc}") from exc
-    if manifest.get("format") != "pointforms-dataset":
-        raise IngestionError(f"{manifest_path}: not a pointforms dataset manifest")
-    records = manifest.get("clouds", [])
-    missing = {key for rec in records for key in ("id", "path") if key not in rec}
-    if missing:
-        raise IngestionError(f"{manifest_path}: cloud record lacks {', '.join(sorted(missing))}")
-    base = manifest_path.parent
+    manifest = read_manifest(manifest_path, "pointforms-dataset", (), ("id", "path"), IngestionError)
     clouds: list[PointCloud] = []
     dim: int | None = None
-    for rec in sorted(records, key=lambda r: r["id"]):
+    for rec in sorted(manifest["clouds"], key=lambda r: r["id"]):
         if ids is not None and rec["id"] not in ids:
             continue
-        pts = _load_matrix(base / rec["path"], rec["id"])
+        pts = read_csv(base / rec["path"], rec["id"])
         if dim is None:
             dim = pts.shape[1]
         elif pts.shape[1] != dim:
@@ -270,12 +292,10 @@ def load_dataset(dataset_dir: str | Path, ids: Collection[str] | None = None) ->
 def load_cloud_q(dataset_dir: str | Path, manifest: dict, cloud_id: str) -> np.ndarray:
     """Load the sidecar true-density column recorded for one cloud."""
     base = Path(dataset_dir)
-    if base.is_file():
-        base = base.parent
     for rec in manifest.get("clouds", []):
         if rec["id"] == cloud_id:
             if "q_path" not in rec:
                 raise IngestionError(f"cloud {cloud_id}: manifest records no density sidecar")
-            q = _load_matrix(base / rec["q_path"], cloud_id)
+            q = read_csv(base / rec["q_path"], cloud_id)
             return q.reshape(-1)
     raise IngestionError(f"cloud {cloud_id}: not in manifest")

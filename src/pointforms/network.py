@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import GramField
+from .data import GramField, read_framed
 from .errors import (
     CacheFormatError,
     ConfigurationError,
@@ -350,8 +350,10 @@ class TrainConfig:
     split_seed: int = 0
 
     def validate(self) -> None:
-        if self.epochs < 1 or self.learning_rate <= 0 or self.n_forms < 1:
-            raise ConfigurationError("epochs, learning rate, and n_forms must be positive")
+        if self.epochs < 1 or not 0 < self.learning_rate < np.inf or self.n_forms < 1:
+            raise ConfigurationError("epochs, learning rate, and n_forms must be positive and finite")
+        if any(width < 1 for width in self.hidden):
+            raise ConfigurationError(f"every hidden width must be >= 1, got {self.hidden}")
         _readout_kind(self.readout)
 
 
@@ -474,15 +476,9 @@ def save_checkpoint(path: str | Path, model: FormNetwork, meta: dict | None = No
 
 def load_checkpoint(path: str | Path) -> tuple[FormNetwork, dict]:
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        raw, (n_params, echo_len) = read_framed(path, _CKPT_HEADER, _CKPT_MAGIC, _CKPT_VERSION)
     except FileNotFoundError as exc:
         raise MissingCacheError(f"no checkpoint at {path}; run 'pointforms train' first") from exc
-    if len(raw) < _CKPT_HEADER.size:
-        raise CacheFormatError(f"{path}: shorter than the checkpoint header")
-    magic, version, n_params, echo_len = _CKPT_HEADER.unpack_from(raw, 0)
-    if magic != _CKPT_MAGIC or version != _CKPT_VERSION:
-        raise CacheFormatError(f"{path}: bad checkpoint magic or version")
     blob_end = _CKPT_HEADER.size + 4 * n_params
     if len(raw) != blob_end + echo_len:
         raise CacheFormatError(f"{path}: checkpoint length mismatch")

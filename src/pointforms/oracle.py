@@ -8,14 +8,13 @@ matrices of constant forms have closed-form or quadrature-grade values.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import i0 as bessel_i0
+from scipy.special import i0e
 
 from .errors import ConfigurationError, ConfigurationWarning, OraclePrecisionError
 from .data import GramField
@@ -267,15 +266,20 @@ def von_mises_sampler(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample n unit-circle points with angle density
     q(t) = exp(kappa cos(t - mode)) / (2 pi I0(kappa)) by rejection from the
-    uniform proposal. Returns (points (n, 2), q at the samples)."""
-    if kappa < 0:
+    uniform proposal. Returns (points (n, 2), q at the samples).
+
+    I0 enters only through i0e(kappa) = I0(kappa) exp(-kappa), which stays
+    finite where I0 and exp overflow (kappa above about 710)."""
+    if not kappa >= 0:
         raise ConfigurationError(f"kappa must be >= 0, got {kappa}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     angles = np.empty(n)
     filled = 0
+    scaled_i0 = float(i0e(kappa))
     while filled < n:
-        batch = max(64, int(1.5 * (n - filled) * math.exp(kappa) / max(1.0, float(bessel_i0(kappa)))))
+        # 1 / i0e(kappa) proposals per accepted sample, on average
+        batch = max(64, int(1.5 * (n - filled) / scaled_i0))
         batch = min(batch, 4 * n + 64)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=batch)
         u = rng.uniform(0.0, 1.0, size=batch)
@@ -283,7 +287,7 @@ def von_mises_sampler(
         kept = theta[accept][: n - filled]
         angles[filled : filled + kept.shape[0]] = kept
         filled += kept.shape[0]
-    q = np.exp(kappa * np.cos(angles - mode)) / (2.0 * np.pi * float(bessel_i0(kappa)))
+    q = np.exp(kappa * (np.cos(angles - mode) - 1.0)) / (2.0 * np.pi * scaled_i0)
     points = np.column_stack([np.cos(angles), np.sin(angles)])
     return points, q
 
@@ -323,6 +327,8 @@ def convergence_study(
     diagnostic. The graph is kept fully connected so truncation never
     interacts with the kernel window.
     """
+    if not sizes or min(sizes) < 1 or n_seeds < 1:
+        raise ConfigurationError(f"a convergence study needs sizes >= 1 and n_seeds >= 1, got {sizes} and {n_seeds}")
     params = params or LaplacianParams()
     d = manifold.intrinsic_dim
     if theta is not None and not 0.0 < theta < _THETA_CAP / (d + 8):
@@ -395,6 +401,14 @@ def density_check(
     scaled by the circle volume; at kappa=0 the true density is exactly
     1/(2 pi) and the two weight vectors coincide. Returns (rows, summary).
     """
+    if not kappas or n_seeds < 1:
+        raise ConfigurationError(f"a density check needs kappas and n_seeds >= 1, got {kappas} and {n_seeds}")
+    if n_seeds < 2:
+        warnings.warn(
+            "a density check with a single seed cannot separate bias from sampling noise",
+            ConfigurationWarning,
+            stacklevel=2,
+        )
     dxdy = np.eye(2)  # the coordinate forms dx, dy as rows
     target = oracle_global_inner_product(unit_circle(), dxdy, 1, "volume")
 

@@ -139,8 +139,11 @@ def test_train_parser_defaults_are_train_config():
 def test_laplacian_flags_are_the_params_fields_with_their_defaults(argv):
     args = cli.build_parser().parse_args(argv)
     defaults = LaplacianParams()
+    # the study runs at the manifold's intrinsic dimension, so it has no --d
+    fixed = {"d"} if argv[0] == "consistency" else set()
     for field in dataclasses.fields(LaplacianParams):
-        assert getattr(args, field.name) == getattr(defaults, field.name), field.name
+        if field.name not in fixed:
+            assert getattr(args, field.name) == getattr(defaults, field.name), field.name
 
 
 def test_train_flags_build_the_train_config():
@@ -280,6 +283,23 @@ def test_dataset_record_without_a_key_exit_2(key, tmp_path, capsys):
     assert f"lacks {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda manifest: manifest["clouds"],
+        lambda manifest: {**manifest, "clouds": len(manifest["clouds"])},
+        lambda manifest: {**manifest, "clouds": [1, *manifest["clouds"]]},
+    ],
+    ids=["json-list", "clouds-not-a-list", "record-not-an-object"],
+)
+def test_malformed_dataset_manifest_exit_2(edit, tmp_path, capsys):
+    manifest_path = _small_dataset(tmp_path / "data") / data.MANIFEST_NAME
+    manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
+    code = main(["precompute", "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "feat")])
+    assert code == 2
+    assert data.MANIFEST_NAME in capsys.readouterr().err
+
+
 def test_precompute_missing_dataset_exits_2(tmp_path, capsys):
     code = main(["precompute", "--dataset", str(tmp_path / "nope"), "--out", str(tmp_path / "f")])
     assert code == 2
@@ -388,6 +408,19 @@ def test_truncated_measure_files_exit_2(damage, small_pipeline, tmp_path, capsys
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["x,y\n", "nan\n"], ids=["garbled", "nan"])
+def test_unparsable_measure_file_exit_2(text, small_pipeline, tmp_path, capsys):
+    import shutil
+
+    feat_copy = tmp_path / "feat"
+    shutil.copytree(small_pipeline["feat"], feat_copy)
+    mu = sorted(feat_copy.glob("*.mu.csv"))[0]
+    mu.write_text(text + "".join(mu.read_text().splitlines(keepends=True)[1:]))
+    code = main(["train", "--features", str(feat_copy), "--out", str(tmp_path / "run"), "--epochs", "1"])
+    assert code == 2
+    assert mu.name in capsys.readouterr().err
+
+
 def test_eval_checkpoint_of_another_degree_exit_2(small_pipeline, tmp_path, capsys):
     feat2 = tmp_path / "feat2"
     assert main(["precompute", "--dataset", str(small_pipeline["data"]), "--out", str(feat2), "--k", "2"]) == 0
@@ -407,6 +440,19 @@ def test_eval_checkpoint_on_other_features_exit_2(small_pipeline, tmp_path, caps
     assert code == 2
     err = capsys.readouterr().err
     assert hash_input(feat2) in err and hash_input(small_pipeline["feat"]) in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--hidden", "0"], ["--hidden", "4,-3"], ["--lr", "nan"], ["--lr", "inf"]],
+    ids=["hidden-0", "hidden-negative", "lr-nan", "lr-inf"],
+)
+def test_train_bad_config_exit_1(flags, small_pipeline, tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["train", "--features", str(small_pipeline["feat"]), "--out", str(out), "--epochs", "1", *flags])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_into_its_own_features_exit_1(small_pipeline, tmp_path, capsys):
@@ -453,7 +499,7 @@ def test_eval_checkpoint_arch_unlike_its_blob_exit_2(edit, small_pipeline, tmp_p
     assert "checkpoint" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["{not json", "[]"])
+@pytest.mark.parametrize("text", ["{not json", "[]", '{"format": "pointforms-features", "clouds": [1]}'])
 def test_unparsable_features_manifest_exit_2(text, small_pipeline, tmp_path, capsys):
     import shutil
 
@@ -547,12 +593,39 @@ def test_consistency_echo_records_the_operator_it_ran(tmp_path):
     # the study always runs the full kernel at the manifold's intrinsic dimension
     base = ["consistency", "--manifold", "circle", "--sizes", "60", "--seeds", "1"]
     assert main([*base, "--out", str(tmp_path / "plain")]) == 0
-    assert main([*base, "--knn", "5", "--d", "3", "--out", str(tmp_path / "flags")]) == 0
+    assert main([*base, "--knn", "5", "--out", str(tmp_path / "flags")]) == 0
     csv = [(tmp_path / run / "consistency.csv").read_bytes() for run in ("plain", "flags")]
     assert csv[0] == csv[1]
     for run in ("plain", "flags"):
         params = json.loads((tmp_path / run / "config.json").read_text())["args"]["params"]
         assert (params["knn"], params["d"]) == ("full", 1)
+    # --d has one legal value here, so the study does not take it
+    with pytest.raises(SystemExit) as err:
+        main([*base, "--d", "3", "--out", str(tmp_path / "d")])
+    assert err.value.code == 1
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["consistency", "--manifold", "circle", "--sizes", ","],
+        ["consistency", "--manifold", "circle", "--sizes", "-5"],
+        ["consistency", "--manifold", "circle", "--seeds", "0"],
+        ["density-check", "--kappas", ","],
+        ["density-check", "--seeds", "0"],
+    ],
+    ids=[
+        "consistency-no-sizes",
+        "consistency-negative-size",
+        "consistency-no-seeds",
+        "density-check-no-kappas",
+        "density-check-no-seeds",
+    ],
+)
+def test_empty_study_exit_1(argv, capsys):
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_consistency_unknown_manifold_exit_1(capsys):

@@ -3,11 +3,13 @@
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import pointforms
 from pointforms import (
     CacheFormatError,
     ConfigurationError,
@@ -284,3 +286,12 @@ def test_write_csv_matches_savetxt_bytes(tmp_path, array):
     np.savetxt(tmp_path / "ref.csv", array, fmt="%.17g", delimiter=",")
     write_csv(tmp_path / "out.csv", array)
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_only_data_parses_json_and_csv_files():
+    # one checked reader per artifact kind, so no other module may parse a file itself
+    package = Path(pointforms.__file__).parent
+    for module in sorted(package.glob("*.py")):
+        if module.name != "data.py":
+            text = module.read_text()
+            assert "json.load(" not in text and "np.loadtxt(" not in text, module.name

@@ -241,6 +241,21 @@ def test_von_mises_rejects_negative_kappa():
         von_mises_sampler(10, -1.0)
 
 
+def test_von_mises_rejects_nan_kappa():
+    with pytest.raises(ConfigurationError):
+        von_mises_sampler(10, float("nan"))
+
+
+def test_von_mises_large_kappa_stays_finite():
+    # I0(1000) and exp(1000) overflow a float64; the sampler must not need either
+    kappa, mode = 1000.0, 0.5
+    pts, q = von_mises_sampler(200, kappa, mode=mode, rng=4)
+    angles = np.arctan2(pts[:, 1], pts[:, 0])
+    assert abs(np.arctan2(pts[:, 1].mean(), pts[:, 0].mean()) - mode) <= 0.01
+    # large-kappa limit: a normal density of variance 1 / kappa around the mode
+    npt.assert_allclose(q, np.sqrt(kappa / (2.0 * np.pi)) * np.exp(-0.5 * kappa * (angles - mode) ** 2), rtol=1e-2)
+
+
 # ---------------------------------------------------------------------------
 # consistency and bias studies
 
