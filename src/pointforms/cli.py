@@ -259,6 +259,10 @@ def _load_features(features_dir: Path, ids: Collection[str] | None = None) -> tu
         weights = read_csv(mu_path, rec["id"])
         if gram.m != cloud.m:
             raise CacheFormatError(f"cloud {rec['id']}: gram field covers {gram.m} points, the cloud has {cloud.m}")
+        if gram.D != cloud.dim:
+            raise CacheFormatError(
+                f"cloud {rec['id']}: gram field is for ambient dimension {gram.D}, the cloud has {cloud.dim}"
+            )
         if gram.k != manifest["degree"]:
             raise CacheFormatError(
                 f"cloud {rec['id']}: gram field has degree {gram.k}, the manifest says {manifest['degree']}"

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InsufficientPointsError
 
@@ -33,6 +32,8 @@ class NeighborGraph:
 
 def pairwise_sq_dist(points: np.ndarray) -> np.ndarray:
     """Symmetric (m, m) matrix of squared Euclidean distances, zero diagonal."""
+    from scipy.spatial.distance import cdist  # here, not at module level, so `import pointforms` loads no scipy
+
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError(f"points must be (m, D), got shape {pts.shape}")

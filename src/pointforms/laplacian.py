@@ -38,9 +38,9 @@ same, and peak memory is about the distance matrix plus the CSR arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     ConfigurationError,
@@ -51,6 +51,9 @@ from .errors import (
     NumericFailureError,
 )
 from .graph import NeighborGraph, knn, row_blocks
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _AUTO_SCALE = 0.5  # prefactor of the auto bandwidth rule
 _PCA_NEIGHBORS = 16  # neighbors per local PCA in the dimension estimate
@@ -263,6 +266,8 @@ def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -
         at = slice(indptr[rows.start], indptr[rows.stop])
         data[at] = sq[rows].ravel()[flat]
         indices[at] = flat % m
+    import scipy.sparse as sp  # here, not at module level, so `import pointforms` loads no scipy
+
     return DiffusionOperator(
         L=sp.csr_matrix((data, indices, indptr), shape=(m, m)),
         rho=rho,

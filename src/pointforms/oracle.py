@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import i0e
 
 from .errors import ConfigurationError, ConfigurationWarning, OraclePrecisionError
 from .data import GramField
@@ -270,6 +269,8 @@ def von_mises_sampler(
 
     I0 enters only through i0e(kappa) = I0(kappa) exp(-kappa), which stays
     finite where I0 and exp overflow (kappa above about 710)."""
+    from scipy.special import i0e  # here, not at module level, so `import pointforms` loads no scipy
+
     if not kappa >= 0:
         raise ConfigurationError(f"kappa must be >= 0, got {kappa}")
     if not isinstance(rng, np.random.Generator):
@@ -327,9 +328,11 @@ def convergence_study(
     diagnostic. The graph is kept fully connected so truncation never
     interacts with the kernel window.
     """
-    if not sizes or min(sizes) < 1 or n_seeds < 1:
-        raise ConfigurationError(f"a convergence study needs sizes >= 1 and n_seeds >= 1, got {sizes} and {n_seeds}")
     params = params or LaplacianParams()
+    if not sizes or min(sizes) < params.k0 or n_seeds < 1:
+        raise ConfigurationError(
+            f"a convergence study needs sizes >= k0={params.k0} and n_seeds >= 1, got {sizes} and {n_seeds}"
+        )
     d = manifold.intrinsic_dim
     if theta is not None and not 0.0 < theta < _THETA_CAP / (d + 8):
         warnings.warn(
@@ -401,8 +404,12 @@ def density_check(
     scaled by the circle volume; at kappa=0 the true density is exactly
     1/(2 pi) and the two weight vectors coincide. Returns (rows, summary).
     """
-    if not kappas or n_seeds < 1:
-        raise ConfigurationError(f"a density check needs kappas and n_seeds >= 1, got {kappas} and {n_seeds}")
+    run_params = LaplacianParams(knn="full", d=1)
+    if not kappas or n < run_params.k0 or n_seeds < 1:
+        raise ConfigurationError(
+            f"a density check needs kappas, n >= k0={run_params.k0} and n_seeds >= 1, "
+            f"got {kappas}, {n} and {n_seeds}"
+        )
     if n_seeds < 2:
         warnings.warn(
             "a density check with a single seed cannot separate bias from sampling noise",
@@ -412,7 +419,6 @@ def density_check(
     dxdy = np.eye(2)  # the coordinate forms dx, dy as rows
     target = oracle_global_inner_product(unit_circle(), dxdy, 1, "volume")
 
-    run_params = LaplacianParams(knn="full", d=1)
     rows: list[dict] = []
     summary: list[dict] = []
     iu, ju = np.triu_indices(2)

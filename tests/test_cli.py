@@ -6,7 +6,10 @@ import hashlib
 import json
 import struct
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -554,6 +557,23 @@ def test_eval_corrupt_cache_exit_2(small_pipeline, tmp_path, capsys):
     assert code == 2
 
 
+def test_cache_of_another_ambient_dimension_exit_2(small_pipeline, tmp_path, capsys):
+    # every cache rewritten as a D=3 degree-1 field over the same points: m and degree still match
+    import shutil
+
+    feat_copy = tmp_path / "feat"
+    shutil.copytree(small_pipeline["feat"], feat_copy)
+    for victim in feat_copy.glob("*.gram.bin"):
+        m = data.read_gram_cache(victim).m
+        data.write_gram_cache(victim, data.GramField(D=3, k=1, values=np.tile(np.eye(3), (m, 1, 1))))
+    code = main(["train", "--features", str(feat_copy), "--out", str(tmp_path / "run"), "--epochs", "1"])
+    assert code == 2
+    assert "ambient dimension 3, the cloud has 2" in capsys.readouterr().err
+    code = main(["eval", "--model", str(small_pipeline["run"] / "model.ckpt"), "--features", str(feat_copy)])
+    assert code == 2
+    assert "ambient dimension 3, the cloud has 2" in capsys.readouterr().err
+
+
 def test_features_of_a_changed_dataset_exit_2(small_pipeline, tmp_path, capsys):
     import shutil
 
@@ -626,6 +646,34 @@ def test_consistency_echo_records_the_operator_it_ran(tmp_path):
 def test_empty_study_exit_1(argv, capsys):
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["consistency", "--manifold", "circle", "--sizes", "7", "--seeds", "1"],
+        ["consistency", "--manifold", "circle", "--sizes", "7,60", "--seeds", "1"],
+        ["density-check", "--kappas", "2", "--n", "7", "--seeds", "2"],
+        ["density-check", "--kappas", "0", "--n", "0", "--seeds", "2"],
+    ],
+    ids=["consistency-size-7", "consistency-one-size-7", "density-check-n-7", "density-check-n-0"],
+)
+def test_study_size_below_k0_exit_1(argv, capsys):
+    # the operator needs k0 - 1 neighbors per point, so a study of fewer than k0 = 8 points is a flag error
+    assert main(argv) == 1
+    assert "k0=8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["consistency", "--manifold", "circle", "--sizes", "8", "--seeds", "1"],
+        ["density-check", "--kappas", "2", "--n", "8", "--seeds", "2"],
+    ],
+    ids=["consistency", "density-check"],
+)
+def test_study_at_k0_points_runs(argv, tmp_path):
+    assert main([*argv, "--out", str(tmp_path / "study")]) == 0
 
 
 def test_consistency_unknown_manifold_exit_1(capsys):
@@ -717,3 +765,46 @@ def test_hash_input_tracks_content(tmp_path):
     h_dir = hash_input(d)
     (d / "b.txt").write_text("c")
     assert hash_input(d) != h_dir
+
+
+# ---------------------------------------------------------------------------
+# start-up imports
+
+
+def _fresh_python(code: str) -> None:
+    # a fresh interpreter, since this one has imported scipy through other tests
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
+
+
+def test_commands_without_an_operator_load_no_scipy(small_pipeline, tmp_path):
+    argvs = [
+        ["mem", "256", "12", "2"],
+        ["gen", "circles-lines", "--out", str(tmp_path / "gen")],
+        ["train", "--features", str(small_pipeline["feat"]), "--out", str(tmp_path / "run"), "--epochs", "1"],
+        ["eval", "--model", str(tmp_path / "run" / "model.ckpt"), "--features", str(small_pipeline["feat"])],
+    ]
+    code = f"""
+import sys
+from pointforms.cli import main
+for argv in {argvs!r}:
+    assert main(argv) == 0, argv
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    _fresh_python(code)
+
+
+def test_scipy_loads_at_the_call_that_uses_it():
+    code = """
+import sys
+import numpy as np
+from pointforms import build_laplacian, von_mises_sampler
+assert "scipy.special" not in sys.modules
+von_mises_sampler(16, 2.0, rng=0)
+assert "scipy.special" in sys.modules and "scipy.sparse" not in sys.modules
+op = build_laplacian(np.random.default_rng(0).standard_normal((40, 2)))
+assert "scipy.sparse" in sys.modules and op.L.format == "csr"
+"""
+    _fresh_python(code)
