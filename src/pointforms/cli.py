@@ -370,10 +370,13 @@ def cmd_consistency(args) -> int:
     print(f"{args.manifold}: median gram error by size (degree {args.k})")
     for n in sorted(med):
         print(f"  n={n:>6d}  err={med[n]:.6f}")
-    decreasing = all(b < a for a, b in zip(ordered, ordered[1:]))
-    ratio = ordered[-1] / ordered[0] if ordered[0] > 0 else float("inf")
-    print(f"monotone decrease: {'PASS' if decreasing else 'FAIL'}")
-    print(f"final/initial ratio {ratio:.4f} <= 0.5: {'PASS' if ratio <= 0.5 else 'FAIL'}")
+    if len(ordered) < 2:
+        print("no verdict: monotone decrease and the final/initial ratio need two or more distinct sizes")
+    else:
+        decreasing = all(b < a for a, b in zip(ordered, ordered[1:]))
+        ratio = ordered[-1] / ordered[0] if ordered[0] > 0 else float("inf")
+        print(f"monotone decrease: {'PASS' if decreasing else 'FAIL'}")
+        print(f"final/initial ratio {ratio:.4f} <= 0.5: {'PASS' if ratio <= 0.5 else 'FAIL'}")
     _write_study(
         args.out,
         "consistency",
@@ -406,7 +409,7 @@ def cmd_density_check(args) -> int:
     _write_study(
         args.out,
         "density-check",
-        sorted(rows[0]) if rows else [],
+        sorted(rows[0]),
         rows,
         {"kappas": args.kappas, "n": args.n, "seeds": args.seeds, "base_seed": args.base_seed},
     )

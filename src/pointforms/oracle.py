@@ -15,9 +15,9 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigurationError, ConfigurationWarning, OraclePrecisionError
+from .errors import ConfigurationError, ConfigurationWarning, InvalidDegreeError, OraclePrecisionError
 from .data import GramField
-from .gram import comparison_matrix, compound_gram_field, coordinate_form, gram_field_1, minors
+from .gram import MAX_DEGREE, comparison_matrix, compound_gram_field, coordinate_form, gram_field_1, minors
 from .laplacian import LaplacianParams, build_laplacian
 
 
@@ -25,7 +25,6 @@ from .laplacian import LaplacianParams, build_laplacian
 class AnalyticManifold:
     name: str
     ambient_dim: int
-    intrinsic_dim: int
     domain: tuple[tuple[float, float], ...]  # chart ranges, one per intrinsic coord
     has_boundary: bool
     embed: Callable[[np.ndarray], np.ndarray]  # (n, d) -> (n, D)
@@ -33,6 +32,33 @@ class AnalyticManifold:
     volume_element: Callable[[np.ndarray], np.ndarray]  # (n, d) -> (n,)
     density: Callable[[np.ndarray], np.ndarray]  # (n, d) -> (n,), w.r.t. volume
     sample: Callable[[int, np.random.Generator], tuple[np.ndarray, np.ndarray]]
+
+    @property
+    def intrinsic_dim(self) -> int:
+        return len(self.domain)
+
+
+def _flat_chart(name, ambient_dim, domain, embed, tangent_frame, has_boundary=False) -> AnalyticManifold:
+    """A manifold whose chart is an isometry onto the box ``domain``: unit
+    volume element, uniform density 1 / box volume, chart-uniform samples."""
+    lo, hi = np.array(domain).T
+    q = 1.0 / float(np.prod(hi - lo))
+
+    def sample(n, rng):
+        u = rng.uniform(lo, hi, size=(n, len(domain)))
+        return embed(u), u
+
+    return AnalyticManifold(
+        name=name,
+        ambient_dim=ambient_dim,
+        domain=domain,
+        has_boundary=has_boundary,
+        embed=embed,
+        tangent_frame=tangent_frame,
+        volume_element=lambda u: np.ones(u.shape[0]),
+        density=lambda u: np.full(u.shape[0], q),
+        sample=sample,
+    )
 
 
 def unit_circle() -> AnalyticManifold:
@@ -44,29 +70,12 @@ def unit_circle() -> AnalyticManifold:
         t = u[:, 0]
         return np.stack([np.column_stack([-np.sin(t), np.cos(t)])], axis=1)
 
-    def sample(n, rng):
-        u = rng.uniform(0.0, 2.0 * np.pi, size=(n, 1))
-        return embed(u), u
-
-    return AnalyticManifold(
-        name="circle",
-        ambient_dim=2,
-        intrinsic_dim=1,
-        domain=((0.0, 2.0 * np.pi),),
-        has_boundary=False,
-        embed=embed,
-        tangent_frame=frame,
-        volume_element=lambda u: np.ones(u.shape[0]),
-        density=lambda u: np.full(u.shape[0], 1.0 / (2.0 * np.pi)),
-        sample=sample,
-    )
+    return _flat_chart("circle", 2, ((0.0, 2.0 * np.pi),), embed, frame)
 
 
 def line_segment() -> AnalyticManifold:
     """The segment t (1, 1) / sqrt(2), t in [-1, 1], in the plane."""
     v = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    t0, t1 = -1.0, 1.0
-    length = t1 - t0
     D = v.shape[0]
 
     def embed(u):
@@ -75,22 +84,7 @@ def line_segment() -> AnalyticManifold:
     def frame(u):
         return np.broadcast_to(v, (u.shape[0], 1, D)).copy()
 
-    def sample(n, rng):
-        u = rng.uniform(t0, t1, size=(n, 1))
-        return embed(u), u
-
-    return AnalyticManifold(
-        name="line",
-        ambient_dim=D,
-        intrinsic_dim=1,
-        domain=((t0, t1),),
-        has_boundary=True,
-        embed=embed,
-        tangent_frame=frame,
-        volume_element=lambda u: np.ones(u.shape[0]),
-        density=lambda u: np.full(u.shape[0], 1.0 / length),
-        sample=sample,
-    )
+    return _flat_chart("line", D, ((-1.0, 1.0),), embed, frame, has_boundary=True)
 
 
 def unit_sphere() -> AnalyticManifold:
@@ -115,7 +109,6 @@ def unit_sphere() -> AnalyticManifold:
     return AnalyticManifold(
         name="sphere",
         ambient_dim=3,
-        intrinsic_dim=2,
         domain=((0.0, np.pi), (0.0, 2.0 * np.pi)),
         has_boundary=False,
         embed=embed,
@@ -138,22 +131,7 @@ def flat_torus() -> AnalyticManifold:
         e_b = np.column_stack([z, z, -np.sin(b), np.cos(b)])
         return np.stack([e_a, e_b], axis=1)
 
-    def sample(n, rng):
-        u = rng.uniform(0.0, 2.0 * np.pi, size=(n, 2))
-        return embed(u), u
-
-    return AnalyticManifold(
-        name="torus",
-        ambient_dim=4,
-        intrinsic_dim=2,
-        domain=((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi)),
-        has_boundary=False,
-        embed=embed,
-        tangent_frame=frame,
-        volume_element=lambda u: np.ones(u.shape[0]),
-        density=lambda u: np.full(u.shape[0], 1.0 / (4.0 * np.pi**2)),
-        sample=sample,
-    )
+    return _flat_chart("torus", 4, ((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi)), embed, frame)
 
 
 MANIFOLDS: dict[str, Callable[[], AnalyticManifold]] = {
@@ -264,33 +242,21 @@ def von_mises_sampler(
     rng: np.random.Generator | int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample n unit-circle points with angle density
-    q(t) = exp(kappa cos(t - mode)) / (2 pi I0(kappa)) by rejection from the
-    uniform proposal. Returns (points (n, 2), q at the samples).
+    q(t) = exp(kappa cos(t - mode)) / (2 pi I0(kappa)), the angles drawn by
+    ``Generator.vonmises`` (Best & Fisher, 1979). Returns (points (n, 2), q at
+    the samples).
 
     I0 enters only through i0e(kappa) = I0(kappa) exp(-kappa), which stays
     finite where I0 and exp overflow (kappa above about 710)."""
     from scipy.special import i0e  # here, not at module level, so `import pointforms` loads no scipy
 
-    if not kappa >= 0:
-        raise ConfigurationError(f"kappa must be >= 0, got {kappa}")
+    if not 0 <= kappa < np.inf:
+        raise ConfigurationError(f"kappa must be finite and >= 0, got {kappa}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    angles = np.empty(n)
-    filled = 0
-    scaled_i0 = float(i0e(kappa))
-    while filled < n:
-        # 1 / i0e(kappa) proposals per accepted sample, on average
-        batch = max(64, int(1.5 * (n - filled) / scaled_i0))
-        batch = min(batch, 4 * n + 64)
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=batch)
-        u = rng.uniform(0.0, 1.0, size=batch)
-        accept = np.log(u) < kappa * (np.cos(theta - mode) - 1.0)
-        kept = theta[accept][: n - filled]
-        angles[filled : filled + kept.shape[0]] = kept
-        filled += kept.shape[0]
-    q = np.exp(kappa * (np.cos(angles - mode) - 1.0)) / (2.0 * np.pi * scaled_i0)
-    points = np.column_stack([np.cos(angles), np.sin(angles)])
-    return points, q
+    angles = rng.vonmises(mode, kappa, size=n)
+    q = np.exp(kappa * (np.cos(angles - mode) - 1.0)) / (2.0 * np.pi * float(i0e(kappa)))
+    return np.column_stack([np.cos(angles), np.sin(angles)]), q
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +299,8 @@ def convergence_study(
         raise ConfigurationError(
             f"a convergence study needs sizes >= k0={params.k0} and n_seeds >= 1, got {sizes} and {n_seeds}"
         )
+    if not 1 <= k <= min(manifold.ambient_dim, MAX_DEGREE):
+        raise InvalidDegreeError(f"degree k must satisfy 1 <= k <= min(D={manifold.ambient_dim}, {MAX_DEGREE}), got k={k}")
     d = manifold.intrinsic_dim
     if theta is not None and not 0.0 < theta < _THETA_CAP / (d + 8):
         warnings.warn(

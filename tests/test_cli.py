@@ -676,6 +676,21 @@ def test_study_at_k0_points_runs(argv, tmp_path):
     assert main([*argv, "--out", str(tmp_path / "study")]) == 0
 
 
+@pytest.mark.parametrize("sizes", ["8", "20,20"], ids=["one-size", "repeated-size"])
+def test_consistency_of_one_distinct_size_gives_no_verdict(sizes, tmp_path, capsys):
+    # a decrease and a final/initial ratio need two or more distinct sizes
+    argv = ["consistency", "--manifold", "circle", "--sizes", sizes, "--seeds", "1", "--out", str(tmp_path / "s")]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert "two or more distinct sizes" in text
+    assert "PASS" not in text and "FAIL" not in text
+
+
+def test_density_check_infinite_kappa_exit_1(tmp_path, capsys):
+    assert main(["density-check", "--kappas", "inf", "--n", "8", "--seeds", "2", "--out", str(tmp_path / "dc")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_consistency_unknown_manifold_exit_1(capsys):
     # a parser choice, so a usage error like any other unknown word
     with pytest.raises(SystemExit) as err:

@@ -1,5 +1,7 @@
 """Closed-form manifold oracles, quadrature, samplers, and the studies."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ from scipy.stats import chisquare
 from pointforms import (
     ConfigurationError,
     ConfigurationWarning,
+    InvalidDegreeError,
     LaplacianParams,
     MANIFOLDS,
     OraclePrecisionError,
@@ -32,6 +35,7 @@ from pointforms import (
     unit_sphere,
     von_mises_sampler,
 )
+from pointforms import oracle
 from pointforms.data import GramField
 
 
@@ -76,6 +80,41 @@ def test_sampling_density_integrates_to_one(name):
         lambda u, w: w @ (manifold.density(u) * manifold.volume_element(u)), manifold.domain
     )
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(MANIFOLDS))
+def test_samples_follow_the_sampling_density(name):
+    # chart bins, each expected to hold n times its integral of density x volume element
+    manifold = MANIFOLDS[name]()
+    n, bins = 4000, 6
+    _, u = manifold.sample(n, np.random.default_rng(11))
+    edges = [np.linspace(lo, hi, bins + 1) for lo, hi in manifold.domain]
+    counts, _ = np.histogramdd(u, bins=edges)
+
+    def mass(u, w):
+        return w @ (manifold.density(u) * manifold.volume_element(u))
+
+    # one (lo, hi) pair per chart axis, in the ravel order of the counts
+    boxes = itertools.product(*(zip(e[:-1], e[1:]) for e in edges))
+    expected = np.array([chart_quadrature(mass, box) for box in boxes])
+    assert counts.sum() == n and expected.sum() == pytest.approx(1.0, abs=1e-6)
+    assert chisquare(counts.ravel(), n * expected / expected.sum()).pvalue > 1e-3
+
+
+def test_replaced_sampler_is_the_one_called():
+    # a tracer swaps a manifold's sampler in with dataclasses.replace
+    calls = []
+
+    def sample(n, rng):
+        calls.append(n)
+        return np.zeros((n, 2)), np.zeros((n, 1))
+
+    traced = dataclasses.replace(unit_circle(), sample=sample)
+    traced.sample(3, np.random.default_rng(0))
+    assert calls == [3]
+    for name in sorted(MANIFOLDS):
+        manifold = dataclasses.replace(MANIFOLDS[name](), sample=sample)
+        assert manifold.intrinsic_dim == len(manifold.domain)
 
 
 def test_oracle_circle_north_point():
@@ -246,6 +285,32 @@ def test_von_mises_rejects_nan_kappa():
         von_mises_sampler(10, float("nan"))
 
 
+def test_von_mises_rejects_infinite_kappa():
+    with pytest.raises(ConfigurationError):
+        von_mises_sampler(10, float("inf"))
+
+
+@pytest.mark.parametrize("kappa", [0.5, 4.0, 16.0])
+def test_von_mises_angles_follow_q(kappa):
+    mode, n = 1.0, 4000
+    pts, _ = von_mises_sampler(n, kappa, mode=mode, rng=5)
+    # angles measured from mode - pi, so the bins tile one full turn
+    angles = np.mod(np.arctan2(pts[:, 1], pts[:, 0]) - mode + np.pi, 2.0 * np.pi) + mode - np.pi
+    edges = np.linspace(mode - np.pi, mode + np.pi, 41)
+    counts, _ = np.histogram(angles, bins=edges)
+
+    def q(t):
+        return np.exp(kappa * np.cos(t - mode)) / (2.0 * np.pi * i0(kappa))
+
+    expected = n * np.array([quad(q, a, b)[0] for a, b in zip(edges[:-1], edges[1:])])
+    # bins expected to hold fewer than 5 samples are pooled into one
+    sparse = expected < 5.0
+    obs = np.append(counts[~sparse], counts[sparse].sum())
+    exp = np.append(expected[~sparse], expected[sparse].sum())
+    assert expected.sum() == pytest.approx(n, rel=1e-8)
+    assert chisquare(obs[exp > 0], exp[exp > 0] * n / exp.sum()).pvalue > 1e-3
+
+
 def test_von_mises_large_kappa_stays_finite():
     # I0(1000) and exp(1000) overflow a float64; the sampler must not need either
     kappa, mode = 1000.0, 0.5
@@ -273,6 +338,16 @@ def test_convergence_rows_and_aggregate():
 def test_convergence_theta_out_of_range_warns():
     with pytest.warns(ConfigurationWarning):
         convergence_study(unit_circle(), [60], n_seeds=1, theta=0.5)
+
+
+@pytest.mark.parametrize("name, k", [("circle", 0), ("circle", 3), ("torus", 4)])
+def test_convergence_rejects_degree_before_any_operator(name, k, monkeypatch):
+    def no_operator(*args, **kwargs):
+        raise AssertionError("an operator was built for a degree the study cannot run")
+
+    monkeypatch.setattr(oracle, "build_laplacian", no_operator)
+    with pytest.raises(InvalidDegreeError):
+        convergence_study(MANIFOLDS[name](), [2000], n_seeds=1, k=k)
 
 
 def test_line_boundary_bias_exceeds_interior_error():
