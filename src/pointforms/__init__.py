@@ -11,7 +11,6 @@ end.
 from .data import (
     GramField,
     PointCloud,
-    load_cloud_q,
     load_dataset,
     measure_weights,
     multi_index_table,

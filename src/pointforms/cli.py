@@ -145,9 +145,8 @@ def cmd_gen(args) -> int:
     if args.control and "control" not in {f.name for f in fields(config_cls)}:
         raise ConfigurationError(f"task {args.task} has no control variant")
     options = {"control": True} if args.control else {}
-    clouds, meta, *extras = generate(config_cls(seed=args.seed, **options))
-    out.mkdir(parents=True, exist_ok=True)
-    save_dataset(out, args.task, clouds, meta, *extras)
+    clouds, meta = generate(config_cls(seed=args.seed, **options))
+    save_dataset(out, args.task, clouds, meta)
     _write_config_echo(out, "gen", {"task": args.task, "seed": args.seed, "control": args.control}, {})
     print(f"wrote {len(clouds)} clouds to {out}")
     return 0
@@ -174,7 +173,7 @@ def cmd_precompute(args) -> int:
         try:
             op = build_laplacian(cloud.points, params)
             g1 = gram_field_1(op, cloud.points)
-            gram = g1 if args.k == 1 else compound_gram_field(g1, args.k)
+            gram = compound_gram_field(g1, args.k)
             cache_rel = f"{cloud.id}.gram.bin"
             write_gram_cache(out / cache_rel, gram, precision=args.precision)
             mu = measure_weights(cloud, args.measure, density=op.density.q0)

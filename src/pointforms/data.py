@@ -215,34 +215,16 @@ def write_csv(path: str | Path, array: np.ndarray) -> None:
         fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
-def save_dataset(
-    out_dir: str | Path,
-    name: str,
-    clouds: list[PointCloud],
-    config: dict,
-    extras: dict[str, dict] | None = None,
-) -> Path:
-    """Write cloud CSVs and a manifest; returns the manifest path.
-
-    ``extras`` maps cloud id to additional manifest fields. An extra entry
-    ``q`` holding a per-point array is written as a sidecar CSV and recorded
-    under ``q_path``.
-    """
+def save_dataset(out_dir: str | Path, name: str, clouds: list[PointCloud], config: dict) -> Path:
+    """Write one CSV per cloud and a manifest recording each cloud's id, path and label;
+    returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
     for cloud in sorted(clouds, key=lambda c: c.id):
         rel = f"{cloud.id}.csv"
         write_csv(out / rel, cloud.points)
-        rec: dict = {"id": cloud.id, "path": rel, "label": cloud.label}
-        extra = dict((extras or {}).get(cloud.id, {}))
-        q = extra.pop("q", None)
-        if q is not None:
-            q_rel = f"{cloud.id}.q.csv"
-            write_csv(out / q_rel, q)
-            rec["q_path"] = q_rel
-        rec.update(extra)
-        records.append(rec)
+        records.append({"id": cloud.id, "path": rel, "label": cloud.label})
     manifest = {
         "format": "pointforms-dataset",
         "version": 1,
@@ -287,15 +269,3 @@ def load_dataset(dataset_dir: str | Path, ids: Collection[str] | None = None) ->
             )
         clouds.append(PointCloud(id=rec["id"], points=pts, label=rec.get("label")))
     return clouds, manifest
-
-
-def load_cloud_q(dataset_dir: str | Path, manifest: dict, cloud_id: str) -> np.ndarray:
-    """Load the sidecar true-density column recorded for one cloud."""
-    base = Path(dataset_dir)
-    for rec in manifest.get("clouds", []):
-        if rec["id"] == cloud_id:
-            if "q_path" not in rec:
-                raise IngestionError(f"cloud {cloud_id}: manifest records no density sidecar")
-            q = read_csv(base / rec["q_path"], cloud_id)
-            return q.reshape(-1)
-    raise IngestionError(f"cloud {cloud_id}: not in manifest")

@@ -76,11 +76,12 @@ def minors(values: np.ndarray, k: int) -> np.ndarray:
 
 def compound_gram_field(g1: GramField, k: int) -> GramField:
     """Degree-k Gram field: entry (I, J) is the k x k minor of the degree-1
-    slice with rows I and columns J, multi-indices in lexicographic order."""
+    slice with rows I and columns J, multi-indices in lexicographic order.
+    At k = 1 that is ``g1`` itself, returned as is."""
     if g1.k != 1:
         raise ConfigurationError(f"expected a degree-1 field, got k={g1.k}")
     if k == 1:
-        return GramField(D=g1.D, k=1, values=g1.values.copy())
+        return g1
     return GramField(D=g1.D, k=k, values=minors(g1.values, k))
 
 

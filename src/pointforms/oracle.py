@@ -235,6 +235,12 @@ def oracle_global_inner_product(
 # nonuniform sampling on the circle
 
 
+def _check_kappa(kappa: float) -> None:
+    """A von Mises concentration must be finite and >= 0 (NaN is neither)."""
+    if not 0 <= kappa < np.inf:
+        raise ConfigurationError(f"kappa must be finite and >= 0, got {kappa}")
+
+
 def von_mises_sampler(
     n: int,
     kappa: float,
@@ -250,8 +256,7 @@ def von_mises_sampler(
     finite where I0 and exp overflow (kappa above about 710)."""
     from scipy.special import i0e  # here, not at module level, so `import pointforms` loads no scipy
 
-    if not 0 <= kappa < np.inf:
-        raise ConfigurationError(f"kappa must be finite and >= 0, got {kappa}")
+    _check_kappa(kappa)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     angles = rng.vonmises(mode, kappa, size=n)
@@ -309,10 +314,9 @@ def convergence_study(
             stacklevel=2,
         )
     rows: list[dict] = []
-    if manifold.ambient_dim >= 2:
-        dx = coordinate_form(manifold.ambient_dim, 1)[None, :]  # one constant form, (1, B)
-        oracle_density_weighted = float(oracle_global_inner_product(manifold, dx, 1, "density")[0, 0])
-        oracle_volume = float(oracle_global_inner_product(manifold, dx, 1, "volume")[0, 0])
+    dx = coordinate_form(manifold.ambient_dim, 1)[None, :]  # one constant form, (1, B)
+    oracle_density_weighted = float(oracle_global_inner_product(manifold, dx, 1, "density")[0, 0])
+    oracle_volume = float(oracle_global_inner_product(manifold, dx, 1, "volume")[0, 0])
 
     for n in sizes:
         eps_n = params.epsilon if theta is None else params.epsilon * n ** (-theta)
@@ -322,7 +326,7 @@ def convergence_study(
             points, u = manifold.sample(n, rng)
             # no operator outlives its Gram field, so none is alive during the next build
             g1 = gram_field_1(build_laplacian(points, run_params), points)
-            gk = g1 if k == 1 else compound_gram_field(g1, k)
+            gk = compound_gram_field(g1, k)
             oracle = oracle_gram_k(manifold, u, k)
             mask = _interior_mask(manifold, u)
             err = np.abs(gk.values - oracle).max(axis=(1, 2))[mask]
@@ -338,7 +342,7 @@ def convergence_study(
             rows.append(base | {"metric": f"g{k}_err_median", "value": float(np.median(err))})
             rows.append(base | {"metric": f"g{k}_err_max", "value": float(err.max())})
             rows.append(base | {"metric": f"g{k}_min_eigenvalue", "value": float(eigs.min())})
-            if k == 1 and manifold.ambient_dim >= 2:
+            if k == 1:
                 est_uniform = float(comparison_matrix(g1, dx, np.full(n, 1.0 / n))[0, 0])
                 q_true = manifold.density(u)
                 est_corrected = float(comparison_matrix(g1, dx, 1.0 / (n * q_true))[0, 0])
@@ -378,6 +382,8 @@ def density_check(
             f"a density check needs kappas, n >= k0={run_params.k0} and n_seeds >= 1, "
             f"got {kappas}, {n} and {n_seeds}"
         )
+    for kappa in kappas:
+        _check_kappa(kappa)
     if n_seeds < 2:
         warnings.warn(
             "a density check with a single seed cannot separate bias from sampling noise",

@@ -1,10 +1,11 @@
 """Synthetic benchmark generators.
 
-Three families of labeled point-cloud datasets, all built from fixed-step
-integration of planar or gene-kinetics vector fields plus observation
-noise, and one unlabeled family of non-uniformly sampled circles with
-known density sidecars. Every cloud draws from its own seed sequence, so
-datasets are reproducible element by element. The trajectories of one
+Three labeled binary tasks that return the same ``(clouds, meta)`` shape:
+circle arcs against radial rays and two gene-kinetics regimes, both built
+from fixed-step integration of a vector field plus observation noise, and
+unit circles sampled at two von Mises concentrations, whose labels depend
+on sampling density alone. Every cloud draws from its own seed sequence,
+so datasets are reproducible element by element. The trajectories of one
 class are integrated together, one row per cloud, in one ``integrate_ode``
 call; each cloud's generator draws its start before that call and its
 subsample and noise after it. ``TASKS`` lists the generators by the task
@@ -231,27 +232,30 @@ def gen_rna_kinetics(config: RnaKineticsConfig | None = None) -> tuple[list[Poin
 
 @dataclass(frozen=True)
 class DensityShiftConfig:
-    kappas: tuple[float, ...] = (2.0, 4.0, 8.0)
-    n_per_kappa: int = 10
-    n_points: int = 512
-    mode: float = 0.0
+    kappas: tuple[float, float] = (0.0, 2.0)  # concentration of label 0, then label 1
+    n_per_class: int = 100
+    n_points: int = 128
     seed: int = 0
 
 
-def gen_density_shift(config: DensityShiftConfig | None = None) -> tuple[list[PointCloud], dict, dict]:
-    """Unit-circle clouds drawn from von Mises angle laws of varying
-    concentration; each cloud carries its true per-point density."""
+def gen_density_shift(config: DensityShiftConfig | None = None) -> tuple[list[PointCloud], dict]:
+    """Unit-circle clouds with von Mises angles: concentration ``kappas[0]``
+    (label 0) versus ``kappas[1]`` (label 1).
+
+    Each cloud draws its mode uniformly on the circle, so only the
+    concentration of the sampling density separates the classes.
+    """
     cfg = config or DensityShiftConfig()
+    if len(cfg.kappas) != 2:
+        raise ConfigurationError(f"kappas must hold two values, one per label, got {cfg.kappas}")
     clouds: list[PointCloud] = []
-    extras: dict[str, dict] = {}
-    for ki, kappa in enumerate(cfg.kappas):
-        for i in range(cfg.n_per_kappa):
-            rng = np.random.default_rng([cfg.seed, ki, i])
-            pts, q = von_mises_sampler(cfg.n_points, kappa, cfg.mode, rng)
-            cid = f"vm-k{kappa:g}-{i:03d}"
-            clouds.append(PointCloud(id=cid, points=pts))
-            extras[cid] = {"q": q, "kappa": float(kappa)}
-    return clouds, {"task": "density-shift", **asdict(cfg)}, extras
+    for label, kappa in enumerate(cfg.kappas):
+        for i in range(cfg.n_per_class):
+            rng = np.random.default_rng([cfg.seed, label, i])
+            mode = rng.uniform(0.0, 2.0 * np.pi)
+            pts, _ = von_mises_sampler(cfg.n_points, kappa, mode, rng)
+            clouds.append(PointCloud(id=f"vm{label}-{i:03d}", points=pts, label=label))
+    return clouds, {"task": "density-shift", **asdict(cfg)}
 
 
 # task name -> (config class, generator). Each generator is looked up in this

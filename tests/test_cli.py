@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import struct
@@ -34,10 +35,9 @@ from pointforms import (
     PointFormsError,
     TrainConfig,
     UndefinedMetricError,
-    gen_density_shift,
     save_dataset,
 )
-from pointforms import READOUTS, cli, data, tasks
+from pointforms import READOUTS, cli, data, oracle, tasks
 from pointforms.cli import hash_input, main
 from pointforms.laplacian import BANDWIDTH_SCALES, LaplacianParams
 from pointforms.oracle import MANIFOLDS
@@ -170,7 +170,41 @@ def test_gen_density_shift_reruns_byte_identical(tmp_path):
     assert da and da == db
     manifest = json.loads((a / "manifest.json").read_text())
     assert manifest["format"] == "pointforms-dataset"
-    assert len(manifest["clouds"]) == len(DensityShiftConfig().kappas) * DensityShiftConfig().n_per_kappa
+    assert len(manifest["clouds"]) == len(DensityShiftConfig().kappas) * DensityShiftConfig().n_per_class
+
+
+# per task, a config small enough that gen runs in milliseconds
+_TINY = {
+    "circles-lines": {"n_per_class": 2, "n_points": 16, "n_steps": 32},
+    "rna-kinetics": {"n_genes": 3, "n_per_class": 2, "n_perturbed": 1},
+    "density-shift": {"n_per_class": 2, "n_points": 16},
+}
+
+
+@pytest.mark.parametrize("task", tasks.TASKS)
+def test_every_task_writes_the_one_labelled_dataset_shape(task, tmp_path, monkeypatch):
+    config_cls, generate = tasks.TASKS[task]
+    tiny = functools.partial(config_cls, **_TINY[task])
+    clouds, meta = generate(tiny(seed=0))
+    assert meta["task"] == task
+    assert {c.label for c in clouds} == {0, 1}
+    monkeypatch.setitem(tasks.TASKS, task, (tiny, generate))
+    out = tmp_path / task
+    assert main(["gen", task, "--out", str(out)]) == 0
+    expected = {"manifest.json", "config.json", *(f"{c.id}.csv" for c in clouds)}
+    assert {p.name for p in out.iterdir()} == expected
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["clouds"]) == len(clouds)
+    assert all(set(rec) == {"id", "path", "label"} for rec in manifest["clouds"])
+
+
+def test_density_shift_runs_gen_to_eval(tmp_path, capsys):
+    data, feat, run = tmp_path / "data", tmp_path / "feat", tmp_path / "run"
+    assert main(["gen", "density-shift", "--out", str(data)]) == 0
+    assert main(["precompute", "--dataset", str(data), "--out", str(feat)]) == 0
+    assert main(["train", "--features", str(feat), "--out", str(run), "--epochs", "3"]) == 0
+    assert main(["eval", "--model", str(run / "model.ckpt"), "--features", str(feat)]) == 0
+    assert "match: True" in capsys.readouterr().out
 
 
 def test_gen_unknown_task_exits_with_usage(capsys):
@@ -689,6 +723,18 @@ def test_consistency_of_one_distinct_size_gives_no_verdict(sizes, tmp_path, caps
 def test_density_check_infinite_kappa_exit_1(tmp_path, capsys):
     assert main(["density-check", "--kappas", "inf", "--n", "8", "--seeds", "2", "--out", str(tmp_path / "dc")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_density_check_checks_every_kappa_before_any_operator(monkeypatch, capsys):
+    builds = []
+    build = oracle.build_laplacian
+    monkeypatch.setattr(oracle, "build_laplacian", lambda *args: builds.append(1) or build(*args))
+    assert main(["density-check", "--kappas", "2,4,inf"]) == 1
+    assert "inf" in capsys.readouterr().err
+    assert builds == []
+    # the counter sees the study's builds: one per kappa and seed
+    assert main(["density-check", "--kappas", "2", "--n", "16", "--seeds", "2"]) == 0
+    assert len(builds) == 2
 
 
 def test_consistency_unknown_manifold_exit_1(capsys):

@@ -18,7 +18,6 @@ from pointforms import (
     IngestionError,
     InvalidDegreeError,
     PointCloud,
-    load_cloud_q,
     load_dataset,
     measure_weights,
     multi_index_table,
@@ -247,23 +246,6 @@ def test_dataset_mixed_dimensions_rejected(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(IngestionError):
         load_dataset(tmp_path)
-
-
-def test_dataset_density_sidecar_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    cloud = PointCloud(id="vm", points=rng.standard_normal((5, 2)))
-    q = rng.uniform(0.1, 1.0, size=5)
-    save_dataset(tmp_path, "toy", [cloud], {}, extras={"vm": {"q": q, "kappa": 4.0}})
-    _, manifest = load_dataset(tmp_path)
-    npt.assert_array_equal(load_cloud_q(tmp_path, manifest, "vm"), q)
-    assert manifest["clouds"][0]["kappa"] == 4.0
-
-
-def test_dataset_sidecar_missing_is_reported(tmp_path):
-    save_dataset(tmp_path, "toy", [PointCloud(id="a", points=np.ones((3, 2)))], {})
-    _, manifest = load_dataset(tmp_path)
-    with pytest.raises(IngestionError):
-        load_cloud_q(tmp_path, manifest, "a")
 
 
 _EDGES = np.array([np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e-324, -1.7976931348623157e308, 0.1, 1.0 / 3.0])

@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy.special import i0
 
 from pointforms import (
     CirclesLinesConfig,
@@ -21,6 +20,7 @@ from pointforms import (
     lines_field,
     rna_field,
     rna_steady_state,
+    von_mises_sampler,
 )
 
 
@@ -314,28 +314,47 @@ def test_rna_deterministic():
 
 
 def test_density_shift_q_matches_closed_form():
-    cfg = DensityShiftConfig(kappas=(0.0, 4.0), n_per_kappa=2, n_points=64, mode=0.5)
-    clouds, meta, extras = gen_density_shift(cfg)
+    cfg = DensityShiftConfig(kappas=(0.0, 4.0), n_per_class=2, n_points=64)
+    clouds, meta = gen_density_shift(cfg)
     assert len(clouds) == 4
     for cloud in clouds:
-        extra = extras[cloud.id]
-        kappa = extra["kappa"]
-        angles = np.arctan2(cloud.points[:, 1], cloud.points[:, 0])
-        expected = np.exp(kappa * np.cos(angles - cfg.mode)) / (2.0 * np.pi * i0(kappa))
-        npt.assert_allclose(extra["q"], expected, atol=1e-12)
         npt.assert_allclose(np.linalg.norm(cloud.points, axis=1), 1.0, atol=1e-12)
     assert meta["task"] == "density-shift"
-    assert {extras[c.id]["kappa"] for c in clouds} == {0.0, 4.0}
+    assert meta["kappas"] == (0.0, 4.0)
+    assert [c.label for c in clouds] == [0, 0, 1, 1]
 
 
 def test_density_shift_ids_and_determinism():
-    cfg = DensityShiftConfig(kappas=(2.0,), n_per_kappa=3, n_points=32)
-    clouds, _, extras = gen_density_shift(cfg)
-    assert [c.id for c in clouds] == ["vm-k2-000", "vm-k2-001", "vm-k2-002"]
-    again, _, extras2 = gen_density_shift(cfg)
+    cfg = DensityShiftConfig(n_per_class=3, n_points=32)
+    clouds, _ = gen_density_shift(cfg)
+    assert [c.id for c in clouds] == ["vm0-000", "vm0-001", "vm0-002", "vm1-000", "vm1-001", "vm1-002"]
+    again, _ = gen_density_shift(cfg)
     for a, b in zip(clouds, again):
         npt.assert_array_equal(a.points, b.points)
-        npt.assert_array_equal(extras[a.id]["q"], extras2[b.id]["q"])
+
+
+def test_density_shift_clouds_are_von_mises_draws_about_their_own_mode():
+    cfg = DensityShiftConfig(kappas=(0.0, 50.0), n_per_class=3, n_points=256, seed=2)
+    clouds, _ = gen_density_shift(cfg)
+    modes = []
+    for cloud in clouds:
+        label, i = cloud.label, int(cloud.id[-3:])
+        rng = np.random.default_rng([cfg.seed, label, i])
+        mode = rng.uniform(0.0, 2.0 * np.pi)
+        pts, _ = von_mises_sampler(cfg.n_points, cfg.kappas[label], mode, rng)
+        npt.assert_array_equal(cloud.points, pts)
+        modes.append(mode)
+    # the mode is drawn per cloud, so concentration alone tells the classes apart
+    assert len(set(modes)) == len(clouds)
+    # a concentrated cloud gathers about its mode: mean resultant length near 1
+    resultant = [np.linalg.norm(c.points.mean(axis=0)) for c in clouds]
+    assert max(resultant[:3]) < 0.3 < 0.9 < min(resultant[3:])
+
+
+@pytest.mark.parametrize("kappas", [(2.0,), (0.0, 2.0, 4.0)], ids=["one", "three"])
+def test_density_shift_needs_two_kappas(kappas):
+    with pytest.raises(ConfigurationError):
+        gen_density_shift(DensityShiftConfig(kappas=kappas, n_per_class=1, n_points=8))
 
 
 def test_rna_config_is_immutable():
