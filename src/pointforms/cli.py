@@ -27,11 +27,9 @@ from .data import (
     PRECISIONS,
     load_dataset,
     measure_weights,
-    read_csv,
     read_gram_cache,
     read_manifest,
     save_dataset,
-    write_csv,
     write_gram_cache,
     write_json,
 )
@@ -58,6 +56,7 @@ from .network import (
 from .oracle import MANIFOLDS, aggregate_metric, convergence_study, density_check
 
 FEATURES_MANIFEST = "features.json"
+FEATURES_VERSION = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,13 +176,12 @@ def cmd_precompute(args) -> int:
             cache_rel = f"{cloud.id}.gram.bin"
             write_gram_cache(out / cache_rel, gram, precision=args.precision)
             mu = measure_weights(cloud, args.measure, density=op.density.q0)
-            mu_rel = f"{cloud.id}.mu.csv"
-            write_csv(out / mu_rel, mu)
         except PointFormsError as exc:
             print(f"cloud {cloud.id}: {exc}", file=sys.stderr)
             failures.append(exc)
             continue
-        records.append({"id": cloud.id, "label": cloud.label, "cache": cache_rel, "mu": mu_rel, "m": cloud.m})
+        # JSON floats round-trip exactly, so the record holds the measure itself
+        records.append({"id": cloud.id, "cache": cache_rel, "mu": mu.tolist(), "m": cloud.m})
         total_bytes += (out / cache_rel).stat().st_size
         total_points += cloud.m
     if not records:
@@ -191,7 +189,7 @@ def cmd_precompute(args) -> int:
     dataset_hash = hash_input(dataset_dir)
     manifest = {
         "format": "pointforms-features",
-        "version": 1,
+        "version": FEATURES_VERSION,
         # a relative path is stored relative to the features, so they load from any working directory
         "dataset": str(dataset_dir) if dataset_dir.is_absolute() else os.path.relpath(dataset_dir, out),
         "dataset_sha256": dataset_hash,
@@ -227,14 +225,17 @@ def cmd_precompute(args) -> int:
 
 
 def _load_features(features_dir: Path, ids: Collection[str] | None = None) -> tuple[list[CloudSample], dict]:
-    """Samples for the clouds named in ``ids`` (all when None), checked against the manifest and dataset."""
+    """Samples for the clouds named in ``ids`` (all when None), checked against the manifest and dataset.
+    The one place the measure is applied: each field is weighted in place, slice p by mu_p, as it loads."""
     manifest_path = features_dir / FEATURES_MANIFEST
     if not manifest_path.is_file():
         raise MissingCacheError(
             f"no feature manifest at {manifest_path}; run 'pointforms precompute' first"
         )
-    keys, record_keys = ("dataset", "dataset_sha256", "degree", "measure"), ("id", "cache", "mu", "label")
-    manifest = read_manifest(manifest_path, "pointforms-features", keys, record_keys, CacheFormatError)
+    keys = ("version", "dataset", "dataset_sha256", "degree", "measure")
+    manifest = read_manifest(manifest_path, "pointforms-features", keys, ("id", "cache"), CacheFormatError)
+    if manifest["version"] != FEATURES_VERSION:
+        raise CacheFormatError(f"{manifest_path}: version {manifest['version']}; rerun 'pointforms precompute'")
     dataset_dir = features_dir / manifest["dataset"]
     records = [rec for rec in manifest["clouds"] if ids is None or rec["id"] in ids]
     clouds, _ = load_dataset(dataset_dir, ids)
@@ -250,12 +251,10 @@ def _load_features(features_dir: Path, ids: Collection[str] | None = None) -> tu
         cloud = by_id.get(rec["id"])
         if cloud is None:
             raise MissingCacheError(f"cloud {rec['id']} missing from dataset {dataset_dir}")
-        cache_path, mu_path = features_dir / rec["cache"], features_dir / rec["mu"]
-        for path, what in ((cache_path, "gram cache"), (mu_path, "measure file")):
-            if not path.is_file():
-                raise MissingCacheError(f"cloud {rec['id']}: missing {what} {path}; rerun 'pointforms precompute'")
+        cache_path = features_dir / rec["cache"]
+        if not cache_path.is_file():
+            raise MissingCacheError(f"cloud {rec['id']}: missing {cache_path}; rerun 'pointforms precompute'")
         gram = read_gram_cache(cache_path)
-        weights = read_csv(mu_path, rec["id"])
         if gram.m != cloud.m:
             raise CacheFormatError(f"cloud {rec['id']}: gram field covers {gram.m} points, the cloud has {cloud.m}")
         if gram.D != cloud.dim:
@@ -266,19 +265,12 @@ def _load_features(features_dir: Path, ids: Collection[str] | None = None) -> tu
             raise CacheFormatError(
                 f"cloud {rec['id']}: gram field has degree {gram.k}, the manifest says {manifest['degree']}"
             )
-        if weights.shape != (gram.m, 1) or (weights <= 0).any():
-            raise CacheFormatError(
-                f"cloud {rec['id']}: measure must hold {gram.m} positive finite weights, got shape {weights.shape}"
-            )
-        samples.append(
-            CloudSample(
-                cloud_id=rec["id"],
-                points=cloud.points,
-                gram=gram,
-                mu=weights.reshape(-1),
-                label=rec["label"],
-            )
-        )
+        mu = rec.get("mu")
+        positive = isinstance(mu, list) and all(type(w) is float and 0.0 < w < np.inf for w in mu)
+        if not positive or len(mu) != gram.m:
+            raise CacheFormatError(f"cloud {rec['id']}: measure must be a list of {gram.m} positive finite weights")
+        gram.values *= np.array(mu, dtype=gram.values.dtype)[:, None, None]
+        samples.append(CloudSample(cloud_id=rec["id"], points=cloud.points, gram=gram, label=cloud.label))
     return samples, manifest
 
 

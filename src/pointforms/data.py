@@ -205,11 +205,9 @@ def read_manifest(path: Path, fmt: str, keys: Collection[str], record_keys: Coll
 
 
 def write_csv(path: str | Path, array: np.ndarray) -> None:
-    """Write a 2-D array one row per line, or a 1-D array one value per line,
-    each value as "%.17g" and comma separated: the bytes of
-    ``np.savetxt(path, array, fmt="%.17g", delimiter=",")`` from one format call."""
-    arr = np.asarray(array, dtype=np.float64)
-    rows = arr.reshape(-1, 1) if arr.ndim == 1 else arr
+    """Write a 2-D array one row per line, each value as "%.17g" and comma separated:
+    the bytes of ``np.savetxt(path, array, fmt="%.17g", delimiter=",")`` from one format call."""
+    rows = np.asarray(array, dtype=np.float64)
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
@@ -260,6 +258,9 @@ def load_dataset(dataset_dir: str | Path, ids: Collection[str] | None = None) ->
     for rec in sorted(manifest["clouds"], key=lambda r: r["id"]):
         if ids is not None and rec["id"] not in ids:
             continue
+        label = rec.get("label")
+        if label is not None and (type(label) is not int or label not in (0, 1)):
+            raise IngestionError(f"cloud {rec['id']}: label must be null, 0 or 1, got {label!r}")
         pts = read_csv(base / rec["path"], rec["id"])
         if dim is None:
             dim = pts.shape[1]
@@ -267,5 +268,5 @@ def load_dataset(dataset_dir: str | Path, ids: Collection[str] | None = None) ->
             raise IngestionError(
                 f"cloud {rec['id']}: ambient dimension {pts.shape[1]} differs from {dim}"
             )
-        clouds.append(PointCloud(id=rec["id"], points=pts, label=rec.get("label")))
+        clouds.append(PointCloud(id=rec["id"], points=pts, label=label))
     return clouds, manifest

@@ -4,8 +4,9 @@ The degree-1 field applies the carre du champ of the diffusion Laplacian
 to pairs of coordinate functions; degree-k fields are compound matrices
 (k x k minors) of the degree-1 slices. ``contract`` is the one routine
 that contracts form coefficients against a Gram field: it gives the
-comparison matrix C = sum_p mu_p F_p G_p F_p^T that training, evaluation,
-the consistency studies and the quadrature oracle all use.
+comparison matrix C = sum_p F_p W_p F_p^T of a field already weighted by
+the measure, W_p = mu_p G_p, that training, evaluation, the consistency
+studies and the quadrature oracle all use.
 """
 
 from __future__ import annotations
@@ -85,24 +86,23 @@ def compound_gram_field(g1: GramField, k: int) -> GramField:
     return GramField(D=g1.D, k=k, values=minors(g1.values, k))
 
 
-def contract(values: np.ndarray, coeffs: np.ndarray, mu: np.ndarray, cols: list[slice]) -> tuple[list, np.ndarray]:
-    """Comparison matrices C_c = sum_p mu_p F_p G_p F_p^T of clouds packed along the point axis.
+def contract(values: np.ndarray, coeffs: np.ndarray, cols: list[slice]) -> tuple[list, np.ndarray]:
+    """Comparison matrices C_c = sum_p F_p W_p F_p^T of clouds packed along the point axis.
 
-    ``values`` (P, B, B), ``coeffs`` (P, l, B) and ``mu`` (P B,), each point's measure repeated over
-    its B columns, share a dtype. A = mu F G is laid out forms-major, (l, P B), and returned for the
+    ``values`` (P, B, B) holds each point's measure-weighted field W_p = mu_p G_p and shares a
+    dtype with ``coeffs`` (P, l, B). A = F W is laid out forms-major, (l, P B), and returned for the
     backward pass; cloud c owns columns ``cols[c]``: C_c = A_c F_c^T and dL/dF_c = (dC_c + dC_c^T) A_c.
     """
     P, n_forms, B = coeffs.shape
     a = np.empty((n_forms, P, B), dtype=coeffs.dtype)
     np.matmul(coeffs, values, out=a.transpose(1, 0, 2))
     a = a.reshape(n_forms, P * B)
-    a *= mu
     f = coeffs.transpose(1, 0, 2).reshape(n_forms, P * B)
     return [a[:, c] @ f[:, c].T for c in cols], a
 
 
 def comparison_matrix(gram: GramField, coeffs: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """The (l, l) matrix C = sum_p mu_p F_p G_p F_p^T of one cloud: ``contract`` of a one-cloud pack.
+    """The (l, l) matrix C = sum_p mu_p F_p G_p F_p^T of one cloud: ``contract`` of the field weighted by ``mu``.
 
     Coefficients are (m, l, B), one block per point, or (l, B) for constant
     forms, which are broadcast to every point as a view.
@@ -116,8 +116,8 @@ def comparison_matrix(gram: GramField, coeffs: np.ndarray, mu: np.ndarray) -> np
         )
     if mu.shape != (gram.m,):
         raise ConfigurationError(f"measure has shape {mu.shape}, expected ({gram.m},) for {gram.m} points")
-    w = np.repeat(mu.astype(coeffs.dtype), gram.B)
-    return contract(gram.values.astype(coeffs.dtype, copy=False), coeffs, w, [slice(None)])[0][0]
+    weighted = (gram.values * mu[:, None, None]).astype(coeffs.dtype, copy=False)
+    return contract(weighted, coeffs, [slice(None)])[0][0]
 
 
 def estimate_gram_memory(m: int, D: int, k: int, precision: str = "fp32") -> int:

@@ -2,9 +2,9 @@
 
 A small dense network maps each ambient point to an (n_forms x B) block of
 degree-k form coefficients. Per cloud those blocks are contracted against
-the Gram field into a symmetric comparison matrix, reduced by a fixed
-readout, and scored by a logistic head, in cache-sized packs of clouds:
-one network pass per pack, one GEMM per cloud for its comparison matrix.
+the measure-weighted Gram field into a symmetric comparison matrix, reduced
+by a fixed readout, and scored by a logistic head, in cache-sized packs of
+clouds: one network pass per pack, one GEMM per cloud for its comparison matrix.
 Gradients are computed in closed form end to end; training uses
 full-batch adaptive moment updates.
 
@@ -211,12 +211,11 @@ class FormNetwork:
 
 @dataclass(eq=False)
 class CloudSample:
-    """One training example: points, Gram field, (m,) measure weights, binary label."""
+    """One training example: points, the Gram field weighted by its measure (slice p is mu_p G_p), binary label."""
 
     cloud_id: str
     points: np.ndarray
     gram: GramField
-    mu: np.ndarray
     label: int | None = None
 
 
@@ -231,7 +230,6 @@ class _Pack(NamedTuple):
     samples: list[CloudSample]
     points: np.ndarray  # (P, D)
     values: np.ndarray  # (P, B, B); a lone cloud's field itself, as a copy of wide fields costs a split's worth
-    mu: np.ndarray  # (P B,): each point's measure over its B columns of A
     cols: list[slice]  # each cloud's columns of A
 
 
@@ -244,8 +242,8 @@ def _pack(model: FormNetwork, samples: list[CloudSample], labelled: bool = True)
     size = 0
     for s in samples:
         m = s.gram.m
-        if np.shape(s.points) != (m, model.input_dim) or s.gram.B != model.n_coeffs or np.shape(s.mu) != (m,):
-            got = f"points {np.shape(s.points)}, measure {np.shape(s.mu)} and a B={s.gram.B} field over {m} points"
+        if np.shape(s.points) != (m, model.input_dim) or s.gram.B != model.n_coeffs:
+            got = f"points {np.shape(s.points)} and a B={s.gram.B} field over {m} points"
             raise ConfigurationError(f"cloud {s.cloud_id}: {got} do not fit D={model.input_dim}, B={model.n_coeffs}")
         if labelled and s.label not in (0, 1):
             raise ConfigurationError(f"cloud {s.cloud_id}: label must be 0 or 1, got {s.label}")
@@ -260,17 +258,16 @@ def _pack(model: FormNetwork, samples: list[CloudSample], labelled: bool = True)
     for g in groups:
         fields = [s.gram.values for s in g]
         values = fields[0].astype(model.dtype, copy=False) if len(g) == 1 else np.concatenate(fields, dtype=model.dtype)
-        mu = np.repeat(np.concatenate([s.mu for s in g], dtype=model.dtype), model.n_coeffs)
         ends = (np.cumsum([s.gram.m for s in g]) * model.n_coeffs).tolist()
         cols = [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
-        packs.append(_Pack(g, np.concatenate([s.points for s in g], dtype=model.dtype), values, mu, cols))
+        packs.append(_Pack(g, np.concatenate([s.points for s in g], dtype=model.dtype), values, cols))
     return packs
 
 
 def _forward(model: FormNetwork, pack: _Pack) -> tuple[list[float], tuple]:
-    """Logits of a pack's clouds, and what backward reuses: activations, A = mu F G, each C and its features."""
+    """Logits of a pack's clouds, and what backward reuses: activations, A = F W, each C and its features."""
     coeffs, trace = model.forward_trace(pack.points)
-    cs, a = contract(pack.values, coeffs, pack.mu, pack.cols)
+    cs, a = contract(pack.values, coeffs, pack.cols)
     phis = [readout(c, model.readout) for c in cs]
     return [float(phi @ model.head_w + model.head_b) for phi in phis], (trace, a, cs, phis)
 
@@ -303,7 +300,7 @@ def loss_and_grad(model: FormNetwork, samples: list[CloudSample]) -> tuple[float
             total += _bce(s, sample)
             ds = np.asarray(1.0 / (1.0 + np.exp(-s)) - float(sample.label), dtype=model.dtype)
             dc = readout_grad(c, model.readout, ds * model.head_w)
-            # d/dF of mu_p F G F^T contracted with dc; G symmetric
+            # d/dF of F W F^T contracted with dc; W symmetric
             np.matmul(dc + dc.T, a[:, cols], out=d_a[:, cols])
             grads[-2] += ds * phi
             grads[-1] += ds
@@ -317,6 +314,8 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Probability a random positive outscores a random negative, ties 1/2."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
+    if not np.isin(labels, (0, 1)).all():
+        raise UndefinedMetricError(f"AUROC labels must be 0 or 1, got {sorted(set(labels.tolist()) - {0, 1})}")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:

@@ -180,8 +180,8 @@ def chart_quadrature(
 ) -> float | np.ndarray:
     """Composite Gauss-Legendre over a 1-d or 2-d chart. ``integral(u, w)`` sums
     the integrand at the (n, d) nodes u against the (n,) weights w (a scalar or
-    an array); panels double until no entry moves by more than _QUAD_REL_TOL
-    of max(1, largest entry)."""
+    an array); panels double from 4, never past ``max_panels``, until no entry
+    moves by more than _QUAD_REL_TOL of max(1, largest entry)."""
     if len(domain) not in (1, 2):
         raise ConfigurationError(f"quadrature supports 1-d or 2-d charts, got {len(domain)}")
 
@@ -192,13 +192,13 @@ def chart_quadrature(
 
     panels = 4
     prev = evaluate(panels)
-    while panels <= max_panels:
+    while 2 * panels <= max_panels:
         panels *= 2
         cur = evaluate(panels)
         if np.max(np.abs(cur - prev)) <= _QUAD_REL_TOL * max(1.0, np.max(np.abs(cur))):
             return cur
         prev = cur
-    raise OraclePrecisionError(f"quadrature did not reach rel_tol={_QUAD_REL_TOL} at {max_panels} panels")
+    raise OraclePrecisionError(f"quadrature did not reach rel_tol={_QUAD_REL_TOL} at {panels} panels")
 
 
 def oracle_global_inner_product(

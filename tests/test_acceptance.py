@@ -54,10 +54,8 @@ def _featurize(clouds, params: LaplacianParams) -> list[CloudSample]:
     for cloud in clouds:
         op = build_laplacian(cloud.points, params)
         g1 = gram_field_1(op, cloud.points)
-        mu = measure_weights(cloud, "uniform")
-        samples.append(
-            CloudSample(cloud_id=cloud.id, points=cloud.points, gram=g1, mu=mu, label=cloud.label)
-        )
+        g1.values *= measure_weights(cloud, "uniform")[:, None, None]
+        samples.append(CloudSample(cloud_id=cloud.id, points=cloud.points, gram=g1, label=cloud.label))
     return samples
 
 
@@ -192,8 +190,8 @@ def _gradcheck_sample(rng: np.random.Generator, D: int, k: int, label: int) -> C
     g1 = GramField(D=D, k=1, values=np.einsum("pik,pjk->pij", raw, raw))
     gram = g1 if k == 1 else compound_gram_field(g1, k)
     w = rng.uniform(0.5, 1.5, size=m)
-    mu = w / w.sum()
-    return CloudSample(cloud_id=f"g{label}", points=pts, gram=gram, mu=mu, label=label)
+    gram.values *= (w / w.sum())[:, None, None]
+    return CloudSample(cloud_id=f"g{label}", points=pts, gram=gram, label=label)
 
 
 def test_criterion_07_gradients_match_finite_differences():

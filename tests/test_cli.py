@@ -35,6 +35,7 @@ from pointforms import (
     PointFormsError,
     TrainConfig,
     UndefinedMetricError,
+    load_checkpoint,
     save_dataset,
 )
 from pointforms import READOUTS, cli, data, oracle, tasks
@@ -247,12 +248,11 @@ def test_precompute_reports_payload_accounting_identity(tmp_path, capsys):
     payload = int(re.search(r"payload (\d+) B", line).group(1))
     B = math.comb(3, 2)
     assert payload == sum(4 * c.m * B * B for c in clouds)
-    # one cache per cloud plus manifest and weights
+    # one cache per cloud plus the manifest, which holds each measure, and the config echo
+    assert {p.name for p in feat.iterdir()} == {"features.json", "config.json", *(f"{c.id}.gram.bin" for c in clouds)}
     manifest = json.loads((feat / "features.json").read_text())
-    assert len(manifest["clouds"]) == 3
-    for rec in manifest["clouds"]:
-        assert (feat / rec["cache"]).is_file()
-        assert (feat / rec["mu"]).is_file()
+    assert [rec["cache"] for rec in manifest["clouds"]] == [f"{c.id}.gram.bin" for c in clouds]
+    assert [rec["mu"] for rec in manifest["clouds"]] == [[1.0 / c.m] * c.m for c in clouds]
 
 
 def test_precompute_payload_is_measured_not_estimated(tmp_path, capsys, monkeypatch):
@@ -318,6 +318,24 @@ def test_dataset_record_without_a_key_exit_2(key, tmp_path, capsys):
     code = main(["precompute", "--dataset", str(data_dir), "--out", str(tmp_path / "feat")])
     assert code == 2
     assert f"lacks {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["a", "1", 2, -1, 0.0, 1.5, True, [1]], ids=repr)
+def test_dataset_label_other_than_null_0_or_1_exit_2(label, tmp_path, capsys):
+    data_dir, feat = _small_dataset(tmp_path / "data"), tmp_path / "feat"
+    assert main(["precompute", "--dataset", str(data_dir), "--out", str(feat), "--d", "1"]) == 0
+    manifest_path = data_dir / data.MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["clouds"][1]["label"] = label
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    for argv in (
+        ["train", "--features", str(feat), "--out", str(tmp_path / "run")],
+        ["precompute", "--dataset", str(data_dir), "--out", str(tmp_path / "feat2")],
+    ):
+        assert main(argv) == IngestionError.exit_code == 2
+        assert "cloud c1: label must be null, 0 or 1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "feat2").exists()
 
 
 @pytest.mark.parametrize(
@@ -427,35 +445,51 @@ def test_eval_missing_features_exit_2(small_pipeline, tmp_path, capsys):
     assert "precompute" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["truncate", "delete"])
-def test_truncated_measure_files_exit_2(damage, small_pipeline, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda rec: rec.pop("mu"),
+        lambda rec: rec.update(mu=rec["mu"][:10]),
+        lambda rec: rec.update(mu=["x", *rec["mu"][1:]]),
+        lambda rec: rec.update(mu=[math.nan, *rec["mu"][1:]]),
+        lambda rec: rec.update(mu=[0.0, *rec["mu"][1:]]),
+        lambda rec: rec.update(mu=[-rec["mu"][0], *rec["mu"][1:]]),
+    ],
+    ids=["missing", "short", "non-numeric", "nan", "zero", "negative"],
+)
+def test_damaged_measure_record_exit_2(damage, small_pipeline, tmp_path, capsys):
     import shutil
 
     feat_copy = tmp_path / "feat"
     shutil.copytree(small_pipeline["feat"], feat_copy)
-    for mu in feat_copy.glob("*.mu.csv"):
-        if damage == "delete":
-            mu.unlink()
-        else:
-            mu.write_text("".join(mu.read_text().splitlines(keepends=True)[:10]))
-    code = main(["train", "--features", str(feat_copy), "--out", str(tmp_path / "run"), "--epochs", "2"])
-    assert code == 2
-    assert "measure" in capsys.readouterr().err
-    code = main(["eval", "--model", str(small_pipeline["run"] / "model.ckpt"), "--features", str(feat_copy)])
-    assert code == 2
-
-
-@pytest.mark.parametrize("text", ["x,y\n", "nan\n"], ids=["garbled", "nan"])
-def test_unparsable_measure_file_exit_2(text, small_pipeline, tmp_path, capsys):
-    import shutil
-
-    feat_copy = tmp_path / "feat"
-    shutil.copytree(small_pipeline["feat"], feat_copy)
-    mu = sorted(feat_copy.glob("*.mu.csv"))[0]
-    mu.write_text(text + "".join(mu.read_text().splitlines(keepends=True)[1:]))
+    ckpt = small_pipeline["run"] / "model.ckpt"
+    victim = load_checkpoint(ckpt)[1]["splits"]["test"][0]  # a cloud that eval reads too
+    manifest = json.loads((feat_copy / cli.FEATURES_MANIFEST).read_text())
+    damage(next(rec for rec in manifest["clouds"] if rec["id"] == victim))
+    (feat_copy / cli.FEATURES_MANIFEST).write_text(json.dumps(manifest))
     code = main(["train", "--features", str(feat_copy), "--out", str(tmp_path / "run"), "--epochs", "1"])
     assert code == 2
-    assert mu.name in capsys.readouterr().err
+    assert f"cloud {victim}: measure" in capsys.readouterr().err
+    code = main(["eval", "--model", str(ckpt), "--features", str(feat_copy)])
+    assert code == 2
+    assert f"cloud {victim}: measure" in capsys.readouterr().err
+
+
+def test_version_1_features_exit_2(small_pipeline, tmp_path, capsys):
+    import shutil
+
+    feat_copy = tmp_path / "feat"
+    shutil.copytree(small_pipeline["feat"], feat_copy)
+    manifest = json.loads((feat_copy / cli.FEATURES_MANIFEST).read_text())
+    for rec in manifest["clouds"]:
+        rec["mu"] = f"{rec['id']}.mu.csv"
+    (feat_copy / cli.FEATURES_MANIFEST).write_text(json.dumps({**manifest, "version": 1}))
+    code = main(["train", "--features", str(feat_copy), "--out", str(tmp_path / "run"), "--epochs", "1"])
+    assert code == 2
+    assert "precompute" in capsys.readouterr().err
+    code = main(["eval", "--model", str(small_pipeline["run"] / "model.ckpt"), "--features", str(feat_copy)])
+    assert code == 2
+    assert "precompute" in capsys.readouterr().err
 
 
 def test_eval_checkpoint_of_another_degree_exit_2(small_pipeline, tmp_path, capsys):

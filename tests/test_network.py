@@ -56,14 +56,18 @@ def _identity_coeff_net(D: int) -> FormNetwork:
     )
 
 
-def _random_sample(m=6, D=3, n_forms=2, seed=0, label=0, psd=True):
+def _random_field(m=6, D=3, seed=0) -> tuple[np.ndarray, GramField]:
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((m, D))
     raw = rng.standard_normal((m, D, D))
-    vals = np.einsum("pik,pjk->pij", raw, raw) if psd else 0.5 * (raw + raw.transpose(0, 2, 1))
-    gram = GramField(D=D, k=1, values=vals)
-    mu = np.full(m, 1.0 / m)
-    return CloudSample(cloud_id=f"s{seed}", points=pts, gram=gram, mu=mu, label=label)
+    return pts, GramField(D=D, k=1, values=np.einsum("pik,pjk->pij", raw, raw))
+
+
+def _random_sample(m=6, D=3, seed=0, label=0):
+    """A cloud whose field is weighted by the uniform measure 1/m, as features load."""
+    pts, gram = _random_field(m, D, seed)
+    gram.values *= np.full(m, 1.0 / m)[:, None, None]
+    return CloudSample(cloud_id=f"s{seed}", points=pts, gram=gram, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +140,8 @@ def test_comparison_identity_example():
 def test_comparison_matches_triple_loop_oracle():
     rng = np.random.default_rng(4)
     m, D, forms = 4, 3, 2
-    sample = _random_sample(m=m, D=D, seed=5)
+    _, gram = _random_field(m=m, D=D, seed=5)
+    mu = np.full(m, 1.0 / m)
     coeffs = rng.standard_normal((m, forms, D))
     expected = np.zeros((forms, forms))
     for a in range(forms):
@@ -145,36 +150,38 @@ def test_comparison_matches_triple_loop_oracle():
                 for i in range(D):
                     for j in range(D):
                         expected[a, b] += (
-                            sample.mu[p]
+                            mu[p]
                             * coeffs[p, a, i]
-                            * sample.gram.values[p, i, j]
+                            * gram.values[p, i, j]
                             * coeffs[p, b, j]
                         )
-    got = comparison_matrix(sample.gram, coeffs, sample.mu)
+    got = comparison_matrix(gram, coeffs, mu)
     npt.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_comparison_permutation_invariance():
     rng = np.random.default_rng(6)
-    sample = _random_sample(m=8, D=3, seed=7)
+    _, gram = _random_field(m=8, D=3, seed=7)
+    mu = np.full(8, 1.0 / 8)
     coeffs = rng.standard_normal((8, 2, 3))
-    base = comparison_matrix(sample.gram, coeffs, sample.mu)
+    base = comparison_matrix(gram, coeffs, mu)
     perm = rng.permutation(8)
     permuted = comparison_matrix(
-        GramField(D=3, k=1, values=sample.gram.values[perm]),
+        GramField(D=3, k=1, values=gram.values[perm]),
         coeffs[perm],
-        sample.mu[perm],
+        mu[perm],
     )
     npt.assert_allclose(permuted, base, atol=1e-12)
 
 
 def test_comparison_scales_linearly_in_measure():
     rng = np.random.default_rng(8)
-    sample = _random_sample(m=5, D=2, seed=9)
+    _, gram = _random_field(m=5, D=2, seed=9)
+    mu = np.full(5, 1.0 / 5)
     coeffs = rng.standard_normal((5, 2, 2))
-    base = comparison_matrix(sample.gram, coeffs, sample.mu)
+    base = comparison_matrix(gram, coeffs, mu)
     doubled = comparison_matrix(
-        sample.gram, coeffs, 2.0 * sample.mu
+        gram, coeffs, 2.0 * mu
     )
     npt.assert_array_equal(doubled, 2.0 * base)
 
@@ -233,6 +240,8 @@ def test_auroc_reference_cases():
     assert auroc(np.array([0.5, 0.5, 0.5, 0.5]), np.array([0, 1, 0, 1])) == 0.5
     with pytest.raises(UndefinedMetricError):
         auroc(np.array([0.1, 0.2]), np.array([1, 1]))
+    with pytest.raises(UndefinedMetricError):
+        auroc(np.array([0.1, 0.3, 0.2]), np.array([0, 1, 2]))
 
 
 def _auroc_by_pairs(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -281,11 +290,11 @@ def test_import_leaves_scipy_stats_unloaded():
 def _separable_pair():
     D = 2
     pts = np.random.default_rng(11).standard_normal((6, D))
-    mu = np.full(6, 1.0 / 6)
+    # fields weighted by the uniform measure 1/6
     zero = GramField(D=D, k=1, values=np.zeros((6, D, D)))
-    eye = GramField(D=D, k=1, values=np.tile(np.eye(D), (6, 1, 1)))
-    s0 = CloudSample(cloud_id="a", points=pts, gram=zero, mu=mu, label=0)
-    s1 = CloudSample(cloud_id="b", points=pts, gram=eye, mu=mu, label=1)
+    eye = GramField(D=D, k=1, values=np.tile(np.eye(D) / 6, (6, 1, 1)))
+    s0 = CloudSample(cloud_id="a", points=pts, gram=zero, label=0)
+    s1 = CloudSample(cloud_id="b", points=pts, gram=eye, label=1)
     return s0, s1
 
 
@@ -351,7 +360,8 @@ def test_logit_loss_and_validation_paths_agree(kind):
         assert loss == _loss_only(model, samples)
         by_hand = []
         for s in samples:
-            c = comparison_matrix(s.gram, model.forward(s.points), s.mu)
+            # the sample's field already carries its measure, so it is weighted by ones here
+            c = comparison_matrix(s.gram, model.forward(s.points), np.ones(s.gram.m))
             by_hand.append(readout(c, kind) @ model.head_w + model.head_b)
         npt.assert_array_equal(predict_logits(model, samples), by_hand)
 
@@ -393,12 +403,13 @@ def test_one_cloud_pack_views_the_gram_field(dtype):
 
 
 def test_single_form_diag_readout_equals_global_inner_product():
-    sample = _random_sample(m=7, D=3, seed=18, label=1)
+    pts, gram = _random_field(m=7, D=3, seed=18)
+    mu = np.full(7, 1.0 / 7)
     model = FormNetwork.create(3, 3, n_forms=1, hidden=(32, 32), readout="diag", rng=19, dtype=np.float64)
-    coeffs = model.forward(sample.points)
-    c = comparison_matrix(sample.gram, coeffs, sample.mu)
+    coeffs = model.forward(pts)
+    c = comparison_matrix(gram, coeffs, mu)
     f = coeffs[:, 0, :]
-    gip = sum(sample.mu[p] * f[p] @ sample.gram.values[p] @ f[p] for p in range(7))
+    gip = sum(mu[p] * f[p] @ gram.values[p] @ f[p] for p in range(7))
     assert c[0, 0] == pytest.approx(gip, abs=1e-10)
     npt.assert_allclose(readout(c, "diag"), [gip], atol=1e-10)
 

@@ -181,8 +181,15 @@ def test_chart_quadrature_2d_separable():
 
 
 def test_chart_quadrature_flags_nonsmooth_integrand():
-    with pytest.raises(OraclePrecisionError):
-        chart_quadrature(lambda u, w: w @ np.abs(u[:, 0]) ** -0.9, ((0.0, 1.0),), max_panels=64)
+    panels = []
+
+    def integral(u, w):
+        panels.append(len(w) // oracle._QUAD_ORDER)
+        return w @ np.abs(u[:, 0]) ** -0.9
+
+    with pytest.raises(OraclePrecisionError, match="at 64 panels"):
+        chart_quadrature(integral, ((0.0, 1.0),), max_panels=64)
+    assert max(panels) == 64
 
 
 def test_global_oracle_circle_values():
