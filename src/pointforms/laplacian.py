@@ -30,9 +30,13 @@ noisy than the k0-neighbor pilot density.
 All arithmetic is float64.
 
 Steps 2-8 walk the rows of the graph's distance matrix in blocks, in place:
-it is overwritten as K, then as L, whose nonzeros fill the CSR arrays. Each
-step is the elementwise one of whole-matrix assembly, so L is bitwise the
-same, and peak memory is about the distance matrix plus the CSR arrays.
+it is overwritten as K, then as L, and L's nonzeros are then gathered, in row
+order, into the leading entries of that same buffer, which become the CSR
+values. Each step is the elementwise one of whole-matrix assembly, so L is
+bitwise the same, and peak memory is about the distance matrix plus the int32
+column indices: 12 bytes per entry of a full kernel. The CSR values are a view
+of the (m, m) buffer, so an operator keeps all of it alive, however sparse L
+is: let it go once its Gram field is built.
 """
 
 from __future__ import annotations
@@ -170,7 +174,9 @@ def auto_bandwidth_scale(points: np.ndarray, eps0: float, d: int) -> float:
 
 
 def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -> DiffusionOperator:
-    """Assemble the variable-bandwidth diffusion Laplacian."""
+    """Assemble the variable-bandwidth diffusion Laplacian.
+
+    ``L.data`` is a view of the (m, m) distance buffer, which the operator keeps alive."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ConfigurationError(f"points must be (m, D), got {pts.shape}")
@@ -257,10 +263,12 @@ def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -
         if not np.isfinite(L).all():
             raise NumericFailureError("Laplacian contains non-finite entries")
         counts[rows] = np.count_nonzero(L, axis=1)
-    # the CSR arrays sp.csr_matrix(L) would build, explicit zeros dropped
+    # the CSR arrays sp.csr_matrix(L) would build, explicit zeros dropped; the values are
+    # gathered into the leading entries of sq itself: a block's nonzeros are copied out by
+    # the fancy index, then written at indptr[rows.start] <= rows.start * m, before any unread row
     indptr = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+    data, indices = sq.reshape(-1), np.empty(indptr[-1], dtype=np.int32)
     for rows, _ in row_blocks(m):
         flat = np.flatnonzero(sq[rows])
         at = slice(indptr[rows.start], indptr[rows.stop])
@@ -269,7 +277,7 @@ def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -
     import scipy.sparse as sp  # here, not at module level, so `import pointforms` loads no scipy
 
     return DiffusionOperator(
-        L=sp.csr_matrix((data, indices, indptr), shape=(m, m)),
+        L=sp.csr_matrix((data[: indptr[-1]], indices, indptr), shape=(m, m)),
         rho=rho,
         q_eps=q_eps,
         density=density,

@@ -336,6 +336,8 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
 # shares of each label's clouds held out for validation and test
 VAL_FRACTION = 0.2
 TEST_FRACTION = 0.2
+# val_loss is computed at epoch 0, every VAL_EVERY-th epoch and the last epoch
+VAL_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -437,7 +439,7 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
         loss, grads = loss_and_grad(model, train_packs)
         opt.update(params, grads)
         row = {"epoch": epoch, "train_loss": loss / max(1, len(train_set))}
-        if val_set:
+        if val_set and (epoch % VAL_EVERY == 0 or epoch == config.epochs - 1):
             row["val_loss"] = _loss_only(model, val_packs) / len(val_set)
         history.append(row)
     return TrainResult(

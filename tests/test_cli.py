@@ -395,6 +395,8 @@ def test_train_outputs_and_eval_reproduces_auroc(small_pipeline, capsys):
     history = (run / "history.csv").read_text().splitlines()
     assert history[0] == "epoch,train_loss,val_loss"
     assert len(history) == 21
+    # validation runs at epoch 0, every 10th epoch and the last; other rows write nan
+    assert [int(row.split(",")[0]) for row in history[1:] if not row.endswith(",nan")] == [0, 10, 19]
     result = json.loads((run / "result.json").read_text())
     assert 0.0 <= result["test_auroc"] <= 1.0
 

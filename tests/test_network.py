@@ -460,6 +460,14 @@ def test_train_is_deterministic_and_learns():
     assert evaluate(result.model, test_set) == result.test_auroc
 
 
+def test_validation_runs_at_epoch_0_every_tenth_epoch_and_the_last():
+    samples = _training_set()
+    result = train(samples, TrainConfig(n_forms=2, hidden=(8,), epochs=25, seed=0, split_seed=0))
+    assert [row["epoch"] for row in result.history if "val_loss" in row] == [0, 10, 20, 24]
+    val_set = [s for s in samples if s.cloud_id in set(result.splits["val"])]
+    assert result.history[-1]["val_loss"] == _loss_only(result.model, val_set) / len(val_set)
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigurationError):
         TrainConfig(readout="mean").validate()

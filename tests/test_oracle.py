@@ -180,16 +180,30 @@ def test_chart_quadrature_2d_separable():
     assert val == pytest.approx(np.pi**2, rel=1e-10)
 
 
-def test_chart_quadrature_flags_nonsmooth_integrand():
-    panels = []
+def test_chart_quadrature_flags_nonsmooth_integrand(monkeypatch):
+    nodes = []
 
     def integral(u, w):
-        panels.append(len(w) // oracle._QUAD_ORDER)
+        nodes.append(len(w))
         return w @ np.abs(u[:, 0]) ** -0.9
 
-    with pytest.raises(OraclePrecisionError, match="at 64 panels"):
-        chart_quadrature(integral, ((0.0, 1.0),), max_panels=64)
-    assert max(panels) == 64
+    monkeypatch.setattr(oracle, "_QUAD_MAX_NODES", 64 * oracle._QUAD_ORDER)
+    with pytest.raises(OraclePrecisionError, match=r"at 64 panels per axis \(768 nodes\)"):
+        chart_quadrature(integral, ((0.0, 1.0),))
+    assert max(nodes) == 768
+
+
+@pytest.mark.parametrize("dim, panels", [(1, 16384), (2, 32)], ids=["1d", "2d"])
+def test_chart_quadrature_caps_nodes_in_every_dimension(dim, panels):
+    nodes = []
+
+    def integral(u, w):
+        nodes.append(len(w))
+        return w @ np.abs(u[:, 0] - 1.0 / 3.0) ** -0.9
+
+    with pytest.raises(OraclePrecisionError, match=f"at {panels} panels per axis"):
+        chart_quadrature(integral, ((0.0, 1.0),) * dim)
+    assert max(nodes) == (panels * oracle._QUAD_ORDER) ** dim <= oracle._QUAD_MAX_NODES
 
 
 def test_global_oracle_circle_values():
