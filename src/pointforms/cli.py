@@ -154,6 +154,8 @@ def cmd_gen(args) -> int:
 def cmd_precompute(args) -> int:
     dataset_dir = Path(args.dataset)
     out = Path(args.out)
+    if out.resolve().is_relative_to(dataset_dir.resolve()):
+        raise ConfigurationError(f"--out {out} lies inside --dataset {dataset_dir}, whose digest the features record")
     params = _from_args(LaplacianParams, args)
     clouds, _ = load_dataset(dataset_dir)
     if not clouds:

@@ -39,14 +39,11 @@ def gram_field_1(op: DiffusionOperator, points: np.ndarray) -> GramField:
         raise ConfigurationError(f"operator has {op.m} points, cloud has {m}")
     pts = pts - pts.mean(axis=0)  # Gamma sees only differences; centred, the cancellation below keeps its digits
     lx = apply_laplacian(op, pts)  # (m, D)
-    # L applied to all products x^i x^j in one pass over the upper triangle
+    # Gamma(x^i, x^j) once per pair i <= j, as (m, D(D+1)/2) columns; L applied to all products in one pass
     iu, ju = np.triu_indices(D)
-    products = pts[:, iu] * pts[:, ju]
-    lprod_flat = apply_laplacian(op, products)
-    lprod = np.empty((m, D, D))
-    lprod[:, iu, ju] = lprod_flat
-    lprod[:, ju, iu] = lprod_flat
-    values = 0.5 * (pts[:, :, None] * lx[:, None, :] + pts[:, None, :] * lx[:, :, None] - lprod)
+    lxx = apply_laplacian(op, pts[:, iu] * pts[:, ju])
+    values = np.empty((m, D, D))
+    values[:, iu, ju] = values[:, ju, iu] = 0.5 * (pts[:, iu] * lx[:, ju] + pts[:, ju] * lx[:, iu] - lxx)
     return GramField(D=D, k=1, values=values)
 
 

@@ -2,12 +2,13 @@
 
 Distances are dense (O(m^2 D)) and come from one ``cdist`` call at every
 size; clouds here are desk scale. One graph per cloud serves the dimension
-estimate, the pilot density, the kernel (through its full distance matrix
-``sq``) and the kNN truncation. ``knn`` selects the k nearest per row with a
-partition and stable-sorts only those k, ties to lower index; the order is
-that of a full stable sort, so each smaller neighbor list is a column prefix
-of the largest. Passes over ``sq`` walk its rows in blocks (``row_blocks``),
-so their temporaries are block-sized.
+estimate, the pilot density, the kernel and the kNN truncation: it holds the
+neighbor lists ``indices`` and the full distance matrix ``sq``, and a
+neighbor's distance is read from ``sq`` at its index. ``knn`` selects the k
+nearest per row with a partition and stable-sorts only those k, ties to lower
+index; the order is that of a full stable sort, so each smaller neighbor list
+is a column prefix of the largest. Passes over ``sq`` walk its rows in blocks
+(``row_blocks``), so their temporaries are block-sized.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ ROW_BLOCK = 1 << 16  # entries per row block of an (m, m) pass; clouds up to m =
 class NeighborGraph:
     """k nearest neighbors per point, self excluded, ties to lower index."""
 
-    indices: np.ndarray  # (m, k) int
-    sq_dists: np.ndarray  # (m, k) float64, nondecreasing along rows
+    indices: np.ndarray  # (m, k) int, nearest first
     sq: np.ndarray  # (m, m) float64 squared distances, zero diagonal
 
 
@@ -65,7 +65,7 @@ def knn(points: np.ndarray, k: int) -> NeighborGraph:
         raise InsufficientPointsError(f"k must satisfy 1 <= k <= m-1, got k={k}, m={m}")
     sq = pairwise_sq_dist(pts)
     np.fill_diagonal(sq, np.inf)
-    indices, sq_dists = np.empty((m, k), dtype=np.intp), np.empty((m, k))
+    indices = np.empty((m, k), dtype=np.intp)
     for rows, _ in row_blocks(m):
         block = sq[rows]
         # The k smallest per row are those below the k-th value plus the
@@ -82,6 +82,5 @@ def knn(points: np.ndarray, k: int) -> NeighborGraph:
         cand_sq = np.take_along_axis(block, cand, axis=1)
         order = np.argsort(cand_sq, axis=1, kind="stable")
         indices[rows] = np.take_along_axis(cand, order, axis=1)
-        sq_dists[rows] = np.take_along_axis(cand_sq, order, axis=1)
     np.fill_diagonal(sq, 0.0)
-    return NeighborGraph(indices=indices, sq_dists=sq_dists, sq=sq)
+    return NeighborGraph(indices=indices, sq=sq)

@@ -7,7 +7,8 @@ bandwidths driven by an empirical density estimate:
   2. estimate the sampling density q0 with a rho0-bandwidth kernel,
   3. form the bandwidth function rho from q0**beta,
   4. evaluate K(x, y) = h(|x - y|^2 / (eps * rho(x) rho(y))), h(u) = exp(-u/4),
-  5. optionally truncate K to a union-symmetrized kNN graph,
+  5. optionally truncate K to a union-symmetrized kNN graph, by setting the
+     distance outside it to inf, where K = exp(-inf) = 0,
   6. remove a density factor of order alpha (divide by q_eps**alpha twice),
   7. row-normalize to a Markov matrix K_hat,
   8. L = (I - K_hat) / (eps * rho^2).
@@ -29,14 +30,16 @@ noisy than the k0-neighbor pilot density.
 ``bandwidth_scale="raw"`` uses rho = q0**beta and the caller's eps verbatim.
 All arithmetic is float64.
 
-Steps 2-8 walk the rows of the graph's distance matrix in blocks, in place:
-it is overwritten as K, then as L, and L's nonzeros are then gathered, in row
-order, into the leading entries of that same buffer, which become the CSR
-values. Each step is the elementwise one of whole-matrix assembly, so L is
-bitwise the same, and peak memory is about the distance matrix plus the int32
-column indices: 12 bytes per entry of a full kernel. The CSR values are a view
-of the (m, m) buffer, so an operator keeps all of it alive, however sparse L
-is: let it go once its Gram field is built.
+Steps 2-8 walk the rows of the graph's distance matrix in blocks, in place.
+The two bandwidth passes read it, the truncation sets it to inf outside the
+graph, one pass overwrites it as K with K's row sums, and one more divides by
+q_eps**alpha on both sides (when alpha != 0), row-normalizes and forms L. L's
+nonzeros are then gathered, in row order, into the leading entries of that
+same buffer, which become the CSR values. Each step is the elementwise one of
+whole-matrix assembly, so L is bitwise the same, and peak memory is about the
+distance matrix plus the int32 column indices: 12 bytes per entry of a full
+kernel. The CSR values are a view of the (m, m) buffer, so an operator keeps
+all of it alive, however sparse L is: let it go once its Gram field is built.
 """
 
 from __future__ import annotations
@@ -78,8 +81,8 @@ class LaplacianParams:
     bandwidth_scale: str = "auto"  # one of BANDWIDTH_SCALES
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
+        if not (0 < self.epsilon < np.inf and np.isfinite([self.alpha, self.beta]).all()):
+            raise ConfigurationError(f"epsilon must be positive and finite, alpha and beta finite; got {self}")
         if self.k0 < 2:
             raise ConfigurationError(f"k0 must be >= 2, got {self.k0}")
         if self.bandwidth_scale not in BANDWIDTH_SCALES:
@@ -145,7 +148,7 @@ def estimate_density(graph: NeighborGraph, k0: int = 8, d: int = 1) -> DensityEs
     if d < 1:
         raise ConfigurationError(f"intrinsic dimension must be >= 1, got {d}")
     # mean squared distance to the k0-1 nearest others, then square root
-    rho0 = np.sqrt(graph.sq_dists[:, : k0 - 1].mean(axis=1))
+    rho0 = np.sqrt(np.take_along_axis(graph.sq, graph.indices[:, : k0 - 1], axis=1).mean(axis=1))
     if (rho0 <= 0).any():
         raise DegenerateDensityError("coincident points give a zero local scale")
     eps0 = float(rho0.mean()) ** 2
@@ -216,47 +219,41 @@ def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -
         raise DegenerateDensityError("bandwidth function is not positive and finite")
 
     if n_neighbors is not None:
-        mask = np.zeros((m, m), dtype=bool)
-        mask[np.arange(m)[:, None], graph.indices[:, :n_neighbors]] = True
-        mask |= mask.T  # union symmetrization
-        np.fill_diagonal(mask, True)
+        far = np.ones((m, m), dtype=bool)
+        far[np.arange(m)[:, None], graph.indices[:, :n_neighbors]] = False
+        far &= far.T  # neither point lists the other: outside the union-symmetrized graph
+        np.fill_diagonal(far, False)
+        np.copyto(sq, np.inf, where=far)
 
-    # K = exp(-0.25 * (sq / (eps rho_i rho_j))), truncated, with its row sums and diagonal
+    # K = exp(-0.25 * (sq / (eps rho_i rho_j))) and its row sums; for a positive finite eps rho_i rho_j,
+    # K is +0.0 where sq is inf, and its diagonal is exp(-0.0) = 1 exactly
     eps_rho = params.epsilon * rho
-    k_sums, k_diag = np.empty(m), np.empty(m)
+    k_sums = np.empty(m)
     for rows, w in row_blocks(m):
         K = sq[rows]
         np.multiply(eps_rho[rows, None], rho, out=w)
         np.divide(K, w, out=K)
         np.multiply(K, -0.25, out=K)
-        np.exp(K, out=K)
-        if n_neighbors is not None:
-            np.copyto(K, 0.0, where=~mask[rows])
-        k_sums[rows] = K.sum(axis=1)
-        k_diag[rows] = K.ravel()[rows.start :: m + 1]
-    off_diag = k_sums - k_diag
+        k_sums[rows] = np.exp(K, out=K).sum(axis=1)
+    off_diag = k_sums - 1.0
     if (off_diag <= 0).any():
         bad = int(np.argmax(off_diag <= 0))
         raise IsolatedPointError(f"point {bad} has no usable neighbors at this bandwidth")
 
     q_eps = k_sums / rho**d
-    # divide K by q_eps**alpha on both sides; at alpha = 0 that divides by 1, exactly
-    row_sums = k_sums
-    if params.alpha != 0:
-        q_alpha = q_eps**params.alpha
-        row_sums = np.empty(m)
-        for rows, w in row_blocks(m):
-            K = sq[rows]
-            np.multiply(q_alpha[rows, None], q_alpha, out=w)
-            row_sums[rows] = np.divide(K, w, out=K).sum(axis=1)
-
+    # K_hat = K / (q_alpha_i q_alpha_j), row-normalized; at alpha = 0 that divides by 1, so K's row sums serve
+    q_alpha = q_eps**params.alpha
     # L = (I - K_hat) / scale; off the diagonal (0 - k) / s is k / -s bit for bit, zeros aside
     scale = params.epsilon * rho**2
     counts = np.empty(m, dtype=np.int32)
-    for rows, _ in row_blocks(m):
+    for rows, w in row_blocks(m):
         L = sq[rows]
+        row_sums = k_sums[rows]
+        if params.alpha != 0:
+            np.multiply(q_alpha[rows, None], q_alpha, out=w)
+            row_sums = np.divide(L, w, out=L).sum(axis=1)
         diag = L.ravel()[rows.start :: m + 1]
-        np.divide(L, row_sums[rows, None], out=L)
+        np.divide(L, row_sums[:, None], out=L)
         one_minus = 1.0 - diag
         np.divide(L, -scale[rows, None], out=L)
         diag[:] = one_minus / scale[rows]

@@ -313,6 +313,8 @@ def convergence_study(
     if not 1 <= k <= min(manifold.ambient_dim, MAX_DEGREE):
         raise InvalidDegreeError(f"degree k must satisfy 1 <= k <= min(D={manifold.ambient_dim}, {MAX_DEGREE}), got k={k}")
     d = manifold.intrinsic_dim
+    if theta is not None and not np.isfinite(theta):
+        raise ConfigurationError(f"coupling exponent must be finite, got {theta}")
     if theta is not None and not 0.0 < theta < _THETA_CAP / (d + 8):
         warnings.warn(
             f"coupling exponent {theta} outside (0, {_THETA_CAP / (d + 8):.4f}) for d={d}",

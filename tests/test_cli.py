@@ -278,8 +278,36 @@ def _small_dataset(root: Path, dim: int = 5) -> Path:
 
 @pytest.mark.parametrize(
     "flags",
-    [["--k", "4"], ["--k", "6"], ["--k", "0"], ["--knn", "foo"], ["--d", "auto"], ["--d", "0"], ["--knn", "0"]],
-    ids=["k-above-3", "k-above-D", "k-zero", "knn-word", "d-word", "d-zero", "knn-zero"],
+    [
+        ["--k", "4"],
+        ["--k", "6"],
+        ["--k", "0"],
+        ["--knn", "foo"],
+        ["--d", "auto"],
+        ["--d", "0"],
+        ["--knn", "0"],
+        ["--epsilon", "inf"],
+        ["--epsilon", "nan"],
+        ["--alpha", "nan"],
+        ["--alpha", "inf"],
+        ["--beta", "nan"],
+        ["--beta", "inf"],
+    ],
+    ids=[
+        "k-above-3",
+        "k-above-D",
+        "k-zero",
+        "knn-word",
+        "d-word",
+        "d-zero",
+        "knn-zero",
+        "epsilon-inf",
+        "epsilon-nan",
+        "alpha-nan",
+        "alpha-inf",
+        "beta-nan",
+        "beta-inf",
+    ],
 )
 def test_precompute_bad_setting_exits_1_once_before_any_cloud(flags, tmp_path, capsys):
     data_dir = _small_dataset(tmp_path / "data")
@@ -288,6 +316,18 @@ def test_precompute_bad_setting_exits_1_once_before_any_cloud(flags, tmp_path, c
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["feat", "."], ids=["subdirectory", "dataset-itself"])
+def test_precompute_into_its_own_dataset_exit_1(sub, tmp_path, capsys):
+    data_dir = _small_dataset(tmp_path / "data")
+    before = {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()}
+    code = main(["precompute", "--dataset", str(data_dir), "--out", str(data_dir / sub)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "inside --dataset" in err[0]
+    assert {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()} == before
+    assert not (data_dir / "feat").exists()
 
 
 def test_precompute_every_cloud_failing_reports_the_first_failure(tmp_path, capsys):
@@ -785,6 +825,19 @@ def test_consistency_unknown_manifold_exit_1(capsys):
 def test_consistency_bad_theta_warns():
     with pytest.warns(ConfigurationWarning):
         main(["consistency", "--manifold", "circle", "--sizes", "60", "--seeds", "1", "--theta", "0.9"])
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_consistency_non_finite_theta_exit_1_before_any_size(theta, tmp_path, capsys):
+    out = tmp_path / "study"
+    flags = ["--sizes", "60", "--seeds", "1", "--theta", theta, "--out", str(out)]
+    code = main(["consistency", "--manifold", "circle", *flags])
+    assert code == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+    assert "n=" not in captured.out
+    assert not out.exists()
 
 
 def test_density_check_single_seed_warns(capsys):

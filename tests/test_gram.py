@@ -130,6 +130,20 @@ def test_gram_field_trace_matches_smooth_kernel_limit():
     assert float(np.median(trace)) == pytest.approx(predicted, rel=0.05)
 
 
+@pytest.mark.parametrize("D", [2, 12, 48])
+def test_gram_field_1_equals_the_broadcast_formula_bitwise(D):
+    # reference: every (i, j) slice computed from (m, D, D) products, both triangles
+    rng = np.random.default_rng(D)
+    pts = rng.standard_normal((70, D))
+    op = build_laplacian(pts, LaplacianParams(d=1))
+    m = len(pts)
+    x = pts - pts.mean(axis=0)
+    lx = op.L @ x
+    lprod = (op.L @ (x[:, :, None] * x[:, None, :]).reshape(m, D * D)).reshape(m, D, D)
+    want = 0.5 * (x[:, :, None] * lx[:, None, :] + x[:, None, :] * lx[:, :, None] - lprod)
+    assert np.array_equal(gram_field_1(op, pts).values, want)
+
+
 def test_gram_field_1_rejects_mismatched_operator():
     op, pts = _toy_operator(m=10)
     with pytest.raises(ConfigurationError):

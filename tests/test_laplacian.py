@@ -50,8 +50,36 @@ def test_params_validation_rejects_bad_values():
 
 @pytest.mark.parametrize(
     "bad",
-    [{"knn": "foo"}, {"d": "auto"}, {"bandwidth_scale": "fixed"}, {"epsilon": 0.0}, {"k0": 1}, {"d": 0}, {"knn": 0}],
-    ids=["knn-word", "d-word", "bandwidth-scale", "epsilon", "k0", "d-zero", "knn-zero"],
+    [
+        {"knn": "foo"},
+        {"d": "auto"},
+        {"bandwidth_scale": "fixed"},
+        {"epsilon": 0.0},
+        {"k0": 1},
+        {"d": 0},
+        {"knn": 0},
+        {"epsilon": np.inf},
+        {"epsilon": np.nan},
+        {"alpha": np.nan},
+        {"alpha": np.inf},
+        {"beta": np.nan},
+        {"beta": -np.inf},
+    ],
+    ids=[
+        "knn-word",
+        "d-word",
+        "bandwidth-scale",
+        "epsilon",
+        "k0",
+        "d-zero",
+        "knn-zero",
+        "epsilon-inf",
+        "epsilon-nan",
+        "alpha-nan",
+        "alpha-inf",
+        "beta-nan",
+        "beta-minus-inf",
+    ],
 )
 def test_params_reject_size_free_values_at_construction(bad):
     with pytest.raises(ConfigurationError):
@@ -270,7 +298,7 @@ def _dense_assembly(pts, params):
     d = estimate_dimension(pts, graph) if params.d == "estimate" else int(params.d)
     sq = graph.sq
 
-    rho0 = np.sqrt(graph.sq_dists[:, : params.k0 - 1].mean(axis=1))
+    rho0 = np.sqrt(sq[np.arange(m)[:, None], graph.indices[:, : params.k0 - 1]].mean(axis=1))
     band = 2.0 * rho0[:, None] * rho0[None, :]
     weights = np.exp(-sq / band)
     q0 = (2.0 * np.pi) ** (-0.5 * d) * weights.sum(axis=1) / (rho0**d * m)
@@ -308,8 +336,10 @@ def _dense_assembly(pts, params):
         (LaplacianParams(knn="full", alpha=1.0, bandwidth_scale="raw", epsilon=0.3), "blob"),
         # K underflows to 0 in 88 of the 90 rows, so the CSR values compact across gaps
         (LaplacianParams(knn="full", d=1, epsilon=0.005), "circle"),
+        # truncated, and K underflows to 0 inside the graph in 24 rows, with the alpha division
+        (LaplacianParams(knn=20, alpha=1.0, d=1, epsilon=0.001), "circle"),
     ],
-    ids=["full", "defaults", "knn10-alpha0.5", "raw-full-alpha1", "full-underflow"],
+    ids=["full", "defaults", "knn10-alpha0.5", "raw-full-alpha1", "full-underflow", "knn20-alpha1-underflow"],
 )
 @pytest.mark.parametrize("rows_per_block", [None, 50, 7, 1], ids=["one-block", "two-blocks", "many-blocks", "row-by-row"])
 def test_row_block_assembly_equals_dense_assembly_bitwise(params, cloud, rows_per_block, monkeypatch):
