@@ -37,12 +37,11 @@ from .errors import (
     CacheFormatError,
     ConfigurationError,
     IngestionError,
-    InvalidDegreeError,
     MissingCacheError,
     PointFormsError,
     UndefinedMetricError,
 )
-from .gram import MAX_DEGREE, compound_gram_field, estimate_gram_memory, format_bytes, gram_field_1
+from .gram import check_computable_degree, compound_gram_field, estimate_gram_memory, format_bytes, gram_field_1
 from .laplacian import BANDWIDTH_SCALES, KNN_WORDS, LaplacianParams, build_laplacian
 from .network import (
     READOUTS,
@@ -134,6 +133,12 @@ def _write_study(out: str | None, command: str, keys: list[str], rows: list[dict
     _write_config_echo(out, command, echo, {})
 
 
+def _refuse_out_inside(out: Path, source: Path, name: str, recorder: str) -> None:
+    """An output may not lie inside an input whose digest it records: writing it would change that digest."""
+    if out.resolve().is_relative_to(source.resolve()):
+        raise ConfigurationError(f"--out {out} lies inside {name} {source}, whose digest {recorder}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -154,17 +159,13 @@ def cmd_gen(args) -> int:
 def cmd_precompute(args) -> int:
     dataset_dir = Path(args.dataset)
     out = Path(args.out)
-    if out.resolve().is_relative_to(dataset_dir.resolve()):
-        raise ConfigurationError(f"--out {out} lies inside --dataset {dataset_dir}, whose digest the features record")
+    _refuse_out_inside(out, dataset_dir, "--dataset", "the features record")
     params = _from_args(LaplacianParams, args)
     clouds, _ = load_dataset(dataset_dir)
     if not clouds:
         raise IngestionError(f"dataset {dataset_dir} holds no clouds")
     dim = clouds[0].dim
-    if not 1 <= args.k <= min(dim, MAX_DEGREE):
-        raise InvalidDegreeError(
-            f"degree k must satisfy 1 <= k <= min(D, {MAX_DEGREE}) with D={dim}, got k={args.k}"
-        )
+    check_computable_degree(dim, args.k)
     out.mkdir(parents=True, exist_ok=True)
     records = []
     total_bytes = 0
@@ -279,9 +280,10 @@ def _load_features(features_dir: Path, ids: Collection[str] | None = None) -> tu
 def cmd_train(args) -> int:
     features_dir = Path(args.features)
     out = Path(args.out)
-    if out.resolve().is_relative_to(features_dir.resolve()):
-        raise ConfigurationError(f"--out {out} lies inside --features {features_dir}, whose digest the checkpoint records")
+    _refuse_out_inside(out, features_dir, "--features", "the checkpoint records")
     samples, feat_manifest = _load_features(features_dir)
+    # the features record the digest of their dataset, which eval checks again
+    _refuse_out_inside(out, features_dir / feat_manifest["dataset"], "the features' dataset", "the features record")
     if any(s.label is None for s in samples):
         raise ConfigurationError("training requires labeled clouds")
     config = _from_args(TrainConfig, args)

@@ -158,7 +158,7 @@ def read_framed(path: str | Path, header: struct.Struct, magic: bytes, version: 
 
 
 def read_gram_cache(path: str | Path) -> GramField:
-    """Read a Gram cache, validating magic, version, and payload length."""
+    """Read a Gram cache, validating magic, version, payload length and values."""
     raw, (D, k, m, flag) = read_framed(path, _HEADER, CACHE_MAGIC, CACHE_VERSION)
     if flag >= len(PRECISIONS):
         raise CacheFormatError(f"{path}: unknown precision flag {flag}")
@@ -171,7 +171,10 @@ def read_gram_cache(path: str | Path) -> GramField:
         raise CacheFormatError(f"{path}: payload is {len(raw) - _HEADER.size} bytes, expected {expected}")
     # a read-only view of the file bytes; GramField stores a fresh symmetrized array
     values = np.frombuffer(raw, dtype=dtype, offset=_HEADER.size).reshape(m, B, B)
-    return GramField(D=D, k=k, values=values)
+    try:
+        return GramField(D=D, k=k, values=values)
+    except ConfigurationError as exc:
+        raise CacheFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,17 @@ import math
 
 import numpy as np
 
-from .data import PRECISIONS, GramField, multi_index_table
+from .data import PRECISIONS, GramField, _check_degree, multi_index_table
 from .errors import ConfigurationError, InvalidDegreeError
 from .laplacian import DiffusionOperator, apply_laplacian
 
 MAX_DEGREE = 3  # largest k with closed-form minors
+
+
+def check_computable_degree(D: int, k: int) -> None:
+    """Refuse a degree whose Gram field cannot be computed in ambient dimension D."""
+    if not 1 <= k <= min(D, MAX_DEGREE):
+        raise InvalidDegreeError(f"degree k must satisfy 1 <= k <= min(D, {MAX_DEGREE}) with D={D}, got k={k}")
 
 
 def carre_du_champ(op: DiffusionOperator, f: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -121,8 +127,7 @@ def estimate_gram_memory(m: int, D: int, k: int, precision: str = "fp32") -> int
     """Bytes needed for one cloud's degree-k Gram field at the given precision."""
     if precision not in PRECISIONS:
         raise ConfigurationError(f"precision must be one of {tuple(PRECISIONS)}, got {precision!r}")
-    if not 1 <= k <= D:
-        raise InvalidDegreeError(f"degree k must satisfy 1 <= k <= D, got k={k}, D={D}")
+    _check_degree(D, k)
     if m < 1:
         raise ConfigurationError(f"m must be >= 1, got {m}")
     B = math.comb(D, k)

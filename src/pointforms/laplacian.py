@@ -1,12 +1,12 @@
 """Variable-bandwidth diffusion Laplacian on a point cloud.
 
-The operator is assembled from a Gaussian-type kernel with per-point
-bandwidths driven by an empirical density estimate:
+One kernel h(u) = exp(-u/4), taken at three bandwidths, builds the
+operator, as in Coifman & Lafon and Berry & Harlim:
 
   1. estimate a local scale rho0 from the k0 nearest neighbors,
-  2. estimate the sampling density q0 with a rho0-bandwidth kernel,
-  3. form the bandwidth function rho from q0**beta,
-  4. evaluate K(x, y) = h(|x - y|^2 / (eps * rho(x) rho(y))), h(u) = exp(-u/4),
+  2. the pilot density q0: row sums of h(|x - y|^2 / (rho0(x) rho0(y) / 2)),
+  3. the bandwidth rho from a density at the working scale (or from q0**beta),
+  4. K(x, y) = h(|x - y|^2 / (eps * rho(x) rho(y))),
   5. optionally truncate K to a union-symmetrized kNN graph, by setting the
      distance outside it to inf, where K = exp(-inf) = 0,
   6. remove a density factor of order alpha (divide by q_eps**alpha twice),
@@ -24,15 +24,15 @@ global cloud scale R^2 at the classical smoothing rate n**(-2/(d+4)),
 
   eps_star = 0.5 * R^2 * (eps0 / R^2) ** (d / (d + 4)),
 
-and q is a kernel density at scale eps_star itself, which is far less
-noisy than the k0-neighbor pilot density.
+and q is the row sums of h(|x - y|^2 / eps_star), a kernel density at
+scale eps_star itself, which is far less noisy than the k0-neighbor pilot.
 
 ``bandwidth_scale="raw"`` uses rho = q0**beta and the caller's eps verbatim.
 All arithmetic is float64.
 
 Steps 2-8 walk the rows of the graph's distance matrix in blocks, in place.
-The two bandwidth passes read it, the truncation sets it to inf outside the
-graph, one pass overwrites it as K with K's row sums, and one more divides by
+``_kernel_sums``, the one loop that evaluates h, reads it for both densities
+and, after the truncation, overwrites it as K. One more pass divides by
 q_eps**alpha on both sides (when alpha != 0), row-normalizes and forms L. L's
 nonzeros are then gathered, in row order, into the leading entries of that
 same buffer, which become the CSR values. Each step is the elementwise one of
@@ -138,6 +138,24 @@ def estimate_dimension(points: np.ndarray, graph: NeighborGraph) -> int:
     return int(round(float(np.median(dims))))
 
 
+def _kernel_sums(sq: np.ndarray, eps: float, s: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Row sums of h(sq_ij / (eps s_i s_j)), h(u) = exp(-u/4), or of h(sq_ij / eps) with no ``s``, each row
+    block formed in the scratch block or in ``out`` (which may be ``sq``). Scaling by a power of two is exact
+    away from the ends of the float range: (a / b) * -0.25 is the float -(a / 4b), and (a * -0.25) / b."""
+    m = sq.shape[0]
+    sums = np.empty(m)
+    for rows, w in row_blocks(m):
+        u = w if out is None else out[rows]
+        if s is None:
+            np.divide(sq[rows], eps, out=u)
+        else:
+            np.multiply(eps * s[rows, None], s, out=w)
+            np.divide(sq[rows], w, out=u)
+        np.multiply(u, -0.25, out=u)
+        sums[rows] = np.exp(u, out=u).sum(axis=1)
+    return sums
+
+
 def estimate_density(graph: NeighborGraph, k0: int = 8, d: int = 1) -> DensityEstimate:
     """kNN local scales and the kernel density built from them."""
     if k0 < 2:
@@ -152,15 +170,8 @@ def estimate_density(graph: NeighborGraph, k0: int = 8, d: int = 1) -> DensityEs
     if (rho0 <= 0).any():
         raise DegenerateDensityError("coincident points give a zero local scale")
     eps0 = float(rho0.mean()) ** 2
-    # Gaussian kernel density with per-pair bandwidth 2 rho0_i rho0_j,
-    # self term included; -(sq / band) is -sq / band bit for bit
-    weight_sums = np.empty(m)
-    for rows, w in row_blocks(m):
-        np.multiply(2.0 * rho0[rows, None], rho0, out=w)
-        np.divide(graph.sq[rows], w, out=w)
-        np.negative(w, out=w)
-        weight_sums[rows] = np.exp(w, out=w).sum(axis=1)
-    q0 = (2.0 * np.pi) ** (-0.5 * d) * weight_sums / (rho0**d * m)
+    # Gaussian kernel density exp(-sq / (2 rho0_i rho0_j)), self term included
+    q0 = (2.0 * np.pi) ** (-0.5 * d) * _kernel_sums(graph.sq, 0.5, rho0) / (rho0**d * m)
     if not np.isfinite(q0).all() or (q0 <= 0).any():
         raise DegenerateDensityError("density estimate is not positive and finite")
     return DensityEstimate(rho0=rho0, eps0=eps0, q0=q0)
@@ -207,12 +218,7 @@ def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -
         # scale: its effective sample size grows with n, unlike the
         # k0-neighbor pilot whose relative noise is constant and would leak
         # into the operator through rho**beta.
-        q_sums = np.empty(m)
-        for rows, w in row_blocks(m):
-            np.multiply(sq[rows], -0.25, out=w)
-            np.divide(w, eps_star, out=w)
-            q_sums[rows] = np.exp(w, out=w).sum(axis=1)
-        log_q = np.log(q_sums)
+        log_q = np.log(_kernel_sums(sq, eps_star))
         rho_hat = np.exp(params.beta * (log_q - log_q.mean()))
         rho = np.sqrt(eps_star) * rho_hat
     if not np.isfinite(rho).all() or (rho <= 0).any():
@@ -225,16 +231,9 @@ def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -
         np.fill_diagonal(far, False)
         np.copyto(sq, np.inf, where=far)
 
-    # K = exp(-0.25 * (sq / (eps rho_i rho_j))) and its row sums; for a positive finite eps rho_i rho_j,
+    # K, written over sq, and its row sums; for a positive finite eps rho_i rho_j,
     # K is +0.0 where sq is inf, and its diagonal is exp(-0.0) = 1 exactly
-    eps_rho = params.epsilon * rho
-    k_sums = np.empty(m)
-    for rows, w in row_blocks(m):
-        K = sq[rows]
-        np.multiply(eps_rho[rows, None], rho, out=w)
-        np.divide(K, w, out=K)
-        np.multiply(K, -0.25, out=K)
-        k_sums[rows] = np.exp(K, out=K).sum(axis=1)
+    k_sums = _kernel_sums(sq, params.epsilon, rho, out=sq)
     off_diag = k_sums - 1.0
     if (off_diag <= 0).any():
         bad = int(np.argmax(off_diag <= 0))

@@ -15,9 +15,9 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigurationError, ConfigurationWarning, InvalidDegreeError, OraclePrecisionError
+from .errors import ConfigurationError, ConfigurationWarning, OraclePrecisionError
 from .data import GramField
-from .gram import MAX_DEGREE, comparison_matrix, compound_gram_field, coordinate_form, gram_field_1, minors
+from .gram import check_computable_degree, comparison_matrix, compound_gram_field, coordinate_form, gram_field_1, minors
 from .laplacian import LaplacianParams, build_laplacian
 
 
@@ -310,8 +310,7 @@ def convergence_study(
         raise ConfigurationError(
             f"a convergence study needs sizes >= k0={params.k0} and n_seeds >= 1, got {sizes} and {n_seeds}"
         )
-    if not 1 <= k <= min(manifold.ambient_dim, MAX_DEGREE):
-        raise InvalidDegreeError(f"degree k must satisfy 1 <= k <= min(D={manifold.ambient_dim}, {MAX_DEGREE}), got k={k}")
+    check_computable_degree(manifold.ambient_dim, k)
     d = manifold.intrinsic_dim
     if theta is not None and not np.isfinite(theta):
         raise ConfigurationError(f"coupling exponent must be finite, got {theta}")

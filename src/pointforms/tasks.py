@@ -25,68 +25,54 @@ from .oracle import von_mises_sampler
 _BLOWUP_LIMIT = 1e8
 
 
-def integrate_ode(
-    field, y0: np.ndarray, t_max: float, n_steps: int | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classic fourth-order Runge-Kutta with a fixed step.
+def integrate_ode(field, y0: np.ndarray, t_max: float, n_steps: int | np.ndarray) -> np.ndarray:
+    """Classic fourth-order Runge-Kutta with a fixed step for an autonomous field.
 
-    ``field(t, y)`` must broadcast over leading axes of ``y``. With an int
-    ``n_steps`` it returns the time grid (n_steps+1,) and the states
-    (n_steps+1, *y0.shape), both endpoints included.
+    ``field(y)`` must broadcast over leading axes of ``y``. With an int
+    ``n_steps`` it returns the states (n_steps+1, *y0.shape) at times
+    0, h, ..., t_max, both endpoints included.
 
     ``n_steps`` may also be an (N,) int array for an (N, S) ``y0``: row i
-    then steps with its own h = t_max / n_steps[i] (``field`` sees t as an
-    (N, 1) column), every row runs to max(n_steps), and a row past its own
-    last step holds its final state, so only rows still inside their own
-    step count can blow up. The times are then (max+1, N) and the states
-    (max+1, N, S); row i matches a scalar call with n_steps[i] bitwise.
+    then steps with its own h = t_max / n_steps[i], every row runs to
+    max(n_steps), and a row past its own last step holds its final state,
+    so only rows still inside their own step count can blow up. The states
+    are then (max+1, N, S); row i matches a scalar call with n_steps[i]
+    bitwise.
     """
     steps = np.asarray(n_steps)
     if (steps < 1).any():
         raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
     y0 = np.asarray(y0, dtype=np.float64)
+    if steps.ndim and (y0.ndim != 2 or steps.shape != y0.shape[:1]):
+        raise ConfigurationError(f"n_steps of shape {steps.shape} needs y0 of shape (N, S), got {y0.shape}")
     n_max = int(steps.max())
-    if steps.ndim == 0:
-        times = np.linspace(0.0, t_max, n_max + 1)
-        t_col, h = times, t_max / n_max
-    else:
-        if y0.ndim != 2 or steps.shape != y0.shape[:1]:
-            raise ConfigurationError(f"n_steps of shape {steps.shape} needs y0 of shape (N, S), got {y0.shape}")
-        times = np.full((n_max + 1, steps.size), float(t_max))
-        for j, n in enumerate(steps):
-            times[: n + 1, j] = np.linspace(0.0, t_max, n + 1)
-        t_col, h = times[..., None], (t_max / steps)[:, None]
+    h = t_max / n_max if steps.ndim == 0 else (t_max / steps)[:, None]
     states = np.empty((n_max + 1, *y0.shape))
     states[0] = y0
     y = y0
     for i in range(n_max):
-        t = t_col[i]
-        k1 = field(t, y)
-        k2 = field(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = field(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = field(t + h, y + h * k3)
+        k1 = field(y)
+        k2 = field(y + 0.5 * h * k1)
+        k3 = field(y + 0.5 * h * k2)
+        k4 = field(y + h * k3)
         y_next = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if steps.ndim:
             y_next = np.where((i < steps)[:, None], y_next, y)
         # NaN fails the comparison too
         ok = np.abs(y_next) <= _BLOWUP_LIMIT
         if not ok.all():
-            if steps.ndim:
-                row = int(np.flatnonzero(~ok.all(axis=1))[0])
-                raise IntegrationBlowupError(
-                    f"trajectory {row} blew up at step {i + 1} (t={times[i + 1, row]:.6g})"
-                )
-            raise IntegrationBlowupError(f"trajectory blew up at step {i + 1} (t={times[i + 1]:.6g})")
+            row = f" {int(np.flatnonzero(~ok.all(axis=1))[0])}" if steps.ndim else ""
+            raise IntegrationBlowupError(f"trajectory{row} blew up at step {i + 1}")
         y = states[i + 1] = y_next
-    return times, states
+    return states
 
 
-def circles_field(t: float, y: np.ndarray) -> np.ndarray:
+def circles_field(y: np.ndarray) -> np.ndarray:
     """Unit-speed rotation about the origin; trajectories are circles."""
     return np.stack([y[..., 1], -y[..., 0]], axis=-1)
 
 
-def lines_field(t: float, y: np.ndarray) -> np.ndarray:
+def lines_field(y: np.ndarray) -> np.ndarray:
     """Radial outflow (x, y) -> (x, y); trajectories are rays from the origin."""
     return np.asarray(y, dtype=np.float64)
 
@@ -123,7 +109,7 @@ def gen_circles_lines(config: CirclesLinesConfig | None = None) -> tuple[list[Po
             radius = rng.uniform(*cfg.radius_range)
             angle = rng.uniform(0.0, 2.0 * np.pi)
             y0[i] = radius * np.cos(angle), radius * np.sin(angle)
-        _, states = integrate_ode(field, y0, cfg.t_max, cfg.n_steps)
+        states = integrate_ode(field, y0, cfg.t_max, cfg.n_steps)
         for i, rng in enumerate(rngs):
             pick = rng.choice(states.shape[0], size=cfg.n_points, replace=False)
             pts = states[pick, i] + cfg.noise * rng.standard_normal((cfg.n_points, 2))
@@ -143,7 +129,7 @@ def rna_field(alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray):
     """
     n = alpha.shape[-1]
 
-    def field(t, y):
+    def field(y):
         u = y[..., :n]
         s = y[..., n:]
         return np.concatenate([alpha - beta * u, beta * u - gamma * s], axis=-1)
@@ -217,7 +203,7 @@ def gen_rna_kinetics(config: RnaKineticsConfig | None = None) -> tuple[list[Poin
                 rates[:, i] *= shift
             n_pts[i] = rng.integers(cfg.points_range[0], cfg.points_range[1] + 1)
             x0[i] = base_x0 * np.exp(cfg.x0_jitter * rng.standard_normal(base_x0.shape))
-        _, states = integrate_ode(rna_field(*rates), x0, cfg.t_max, n_pts - 1)
+        states = integrate_ode(rna_field(*rates), x0, cfg.t_max, n_pts - 1)
         for i, rng in enumerate(rngs):
             traj = states[: n_pts[i], i]
             pts = traj + cfg.noise * rng.standard_normal(traj.shape)

@@ -517,6 +517,26 @@ def test_damaged_measure_record_exit_2(damage, small_pipeline, tmp_path, capsys)
     assert f"cloud {victim}: measure" in capsys.readouterr().err
 
 
+def test_nan_in_a_cache_exit_2_naming_the_file(small_pipeline, tmp_path, capsys):
+    import shutil
+
+    feat_copy = tmp_path / "feat"
+    shutil.copytree(small_pipeline["feat"], feat_copy)
+    ckpt = small_pipeline["run"] / "model.ckpt"
+    victim_id = load_checkpoint(ckpt)[1]["splits"]["test"][0]  # a cloud that eval reads too
+    manifest = json.loads((feat_copy / cli.FEATURES_MANIFEST).read_text())
+    victim = feat_copy / next(rec["cache"] for rec in manifest["clouds"] if rec["id"] == victim_id)
+    raw = victim.read_bytes()
+    victim.write_bytes(raw[:-4] + np.float32(np.nan).tobytes())  # the last entry of an fp32 payload
+    code = main(["train", "--features", str(feat_copy), "--out", str(tmp_path / "run"), "--epochs", "1"])
+    assert code == 2
+    assert str(victim) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    code = main(["eval", "--model", str(ckpt), "--features", str(feat_copy)])
+    assert code == 2
+    assert str(victim) in capsys.readouterr().err
+
+
 def test_version_1_features_exit_2(small_pipeline, tmp_path, capsys):
     import shutil
 
@@ -568,7 +588,7 @@ def test_train_bad_config_exit_1(flags, small_pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_into_its_own_features_exit_1(small_pipeline, tmp_path, capsys):
+def test_train_into_its_own_features_exit_1(small_pipeline, tmp_path, monkeypatch, capsys):
     import shutil
 
     feat = tmp_path / "feat"
@@ -577,6 +597,17 @@ def test_train_into_its_own_features_exit_1(small_pipeline, tmp_path, capsys):
     assert code == 1
     assert "inside --features" in capsys.readouterr().err
     assert not (feat / "run").exists()
+    # nor inside the dataset the features were computed from, whose digest they record
+    data_dir = tmp_path / "data"
+    shutil.copytree(small_pipeline["data"], data_dir)
+    assert main(["precompute", "--dataset", str(data_dir), "--out", str(feat), "--k", "1"]) == 0
+    before = {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("trained before refusing --out"))
+    code = main(["train", "--features", str(feat), "--out", str(data_dir / "run"), "--epochs", "1"])
+    assert code == 1
+    assert "inside the features' dataset" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()} == before
 
 
 @pytest.mark.parametrize("damage", ["missing", "unparsable-echo", "echo-without-arch"])

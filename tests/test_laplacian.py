@@ -338,8 +338,20 @@ def _dense_assembly(pts, params):
         (LaplacianParams(knn="full", d=1, epsilon=0.005), "circle"),
         # truncated, and K underflows to 0 inside the graph in 24 rows, with the alpha division
         (LaplacianParams(knn=20, alpha=1.0, d=1, epsilon=0.001), "circle"),
+        # the kernel sums at both ends of the float range: sq near 1e-300 and near 1e300
+        (LaplacianParams(), "tiny-blob"),
+        (LaplacianParams(), "huge-blob"),
     ],
-    ids=["full", "defaults", "knn10-alpha0.5", "raw-full-alpha1", "full-underflow", "knn20-alpha1-underflow"],
+    ids=[
+        "full",
+        "defaults",
+        "knn10-alpha0.5",
+        "raw-full-alpha1",
+        "full-underflow",
+        "knn20-alpha1-underflow",
+        "defaults-1e-150",
+        "defaults-1e150",
+    ],
 )
 @pytest.mark.parametrize("rows_per_block", [None, 50, 7, 1], ids=["one-block", "two-blocks", "many-blocks", "row-by-row"])
 def test_row_block_assembly_equals_dense_assembly_bitwise(params, cloud, rows_per_block, monkeypatch):
@@ -349,6 +361,7 @@ def test_row_block_assembly_equals_dense_assembly_bitwise(params, cloud, rows_pe
     else:
         pts = np.random.default_rng(15).standard_normal((m, 3))
         pts[:, 2] *= 0.1
+        pts *= {"blob": 1.0, "tiny-blob": 1e-150, "huge-blob": 1e150}[cloud]
     csr, vectors = _dense_assembly(pts, params)
     if cloud == "circle":
         assert csr["indptr"][-1] < m * m

@@ -30,20 +30,19 @@ from pointforms import (
 
 def test_zero_field_is_a_fixed_point():
     y0 = np.array([2.0, -1.0])
-    times, states = integrate_ode(lambda t, y: np.zeros_like(y), y0, 3.0, 30)
-    assert times.shape == (31,) and states.shape == (31, 2)
-    assert times[0] == 0.0 and times[-1] == 3.0
+    states = integrate_ode(lambda y: np.zeros_like(y), y0, 3.0, 30)
+    assert states.shape == (31, 2)
     npt.assert_array_equal(states, np.tile(y0, (31, 1)))
 
 
 def test_lines_field_reaches_exponential_endpoint():
-    _, states = integrate_ode(lines_field, np.array([1.0, 0.0]), 1.0, 100)
+    states = integrate_ode(lines_field, np.array([1.0, 0.0]), 1.0, 100)
     npt.assert_allclose(states[-1], [np.e, 0.0], atol=1e-6)
 
 
 def test_circles_field_closes_after_full_turn():
     y0 = np.array([1.0, 0.0])
-    _, states = integrate_ode(circles_field, y0, 2.0 * np.pi, 1000)
+    states = integrate_ode(circles_field, y0, 2.0 * np.pi, 1000)
     npt.assert_allclose(states[-1], y0, atol=1e-6)
     radii = np.linalg.norm(states, axis=1)
     assert np.abs(radii - 1.0).max() <= 1e-6
@@ -51,7 +50,7 @@ def test_circles_field_closes_after_full_turn():
 
 def test_integrator_flags_blowup():
     with pytest.raises(IntegrationBlowupError):
-        integrate_ode(lambda t, y: 50.0 * y, np.array([1.0]), 20.0, 200)
+        integrate_ode(lambda y: 50.0 * y, np.array([1.0]), 20.0, 200)
 
 
 def test_integrator_rejects_zero_steps():
@@ -69,36 +68,30 @@ def test_integrator_rejects_steps_that_do_not_match_the_rows():
 
 
 def test_per_row_steps_equal_one_scalar_call_per_row_bitwise():
-    # A time-dependent field checks that each row also sees its own clock.
     rng = np.random.default_rng(7)
     alpha, beta, gamma = rng.uniform(0.8, 1.6, (3, 5, 4))
-    kinetics = rna_field(alpha, beta, gamma)
-    forced = lambda t, y: np.sin(3.0 * t) * y[..., ::-1] - 0.5 * y
     y0 = rng.uniform(0.5, 1.5, (5, 8))
     steps = np.array([7, 30, 1, 30, 12])
-    for name, field in [("kinetics", kinetics), ("forced", forced)]:
-        times, states = integrate_ode(field, y0, 2.0, steps)
-        assert times.shape == (31, 5) and states.shape == (31, 5, 8), name
-        for i, n in enumerate(steps):
-            row_field = rna_field(alpha[i], beta[i], gamma[i]) if name == "kinetics" else forced
-            t_ref, s_ref = integrate_ode(row_field, y0[i], 2.0, int(n))
-            npt.assert_array_equal(times[: n + 1, i], t_ref, err_msg=name)
-            npt.assert_array_equal(states[: n + 1, i], s_ref, err_msg=name)
-            # past its last step a row holds its final state
-            npt.assert_array_equal(states[n:, i], np.broadcast_to(s_ref[-1], (31 - n, 8)), err_msg=name)
+    states = integrate_ode(rna_field(alpha, beta, gamma), y0, 2.0, steps)
+    assert states.shape == (31, 5, 8)
+    for i, n in enumerate(steps):
+        s_ref = integrate_ode(rna_field(alpha[i], beta[i], gamma[i]), y0[i], 2.0, int(n))
+        npt.assert_array_equal(states[: n + 1, i], s_ref)
+        # past its last step a row holds its final state
+        npt.assert_array_equal(states[n:, i], np.broadcast_to(s_ref[-1], (31 - n, 8)))
 
 
 def test_per_row_blowup_counts_only_steps_inside_each_row():
-    grow = lambda t, y: y
+    grow = lambda y: y
     # Row 0 takes 2 steps of h = 0.5; run on for the 400 steps of row 1 it
     # would grow by 2.6**398, so it must stop at its own last step.
-    times, states = integrate_ode(grow, np.ones((2, 1)), 1.0, np.array([2, 400]))
+    states = integrate_ode(grow, np.ones((2, 1)), 1.0, np.array([2, 400]))
     assert np.isfinite(states).all()
     assert states[-1, 0, 0] == states[2, 0, 0]
     npt.assert_allclose(states[-1, 1, 0], np.e, rtol=1e-9)
     # a row that blows up within its own steps still raises
     with pytest.raises(IntegrationBlowupError, match="trajectory 1 blew up"):
-        integrate_ode(lambda t, y: np.array([[0.0], [50.0]]) * y, np.ones((2, 1)), 20.0, np.array([300, 200]))
+        integrate_ode(lambda y: np.array([[0.0], [50.0]]) * y, np.ones((2, 1)), 20.0, np.array([300, 200]))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +143,7 @@ def _circles_lines_per_cloud(cfg):
             radius = rng.uniform(*cfg.radius_range)
             angle = rng.uniform(0.0, 2.0 * np.pi)
             y0 = np.array([radius * np.cos(angle), radius * np.sin(angle)])
-            _, states = integrate_ode(field, y0, cfg.t_max, cfg.n_steps)
+            states = integrate_ode(field, y0, cfg.t_max, cfg.n_steps)
             pick = rng.choice(states.shape[0], size=cfg.n_points, replace=False)
             pts = states[pick] + cfg.noise * rng.standard_normal((cfg.n_points, 2))
             clouds.append((f"{name}-{i:04d}", label, pts))
@@ -176,7 +169,7 @@ def _rna_kinetics_per_cloud(cfg):
                 alpha, beta, gamma = alpha * shift[0], beta * shift[1], gamma * shift[2]
             n_pts = int(rng.integers(cfg.points_range[0], cfg.points_range[1] + 1))
             x0 = base_x0 * np.exp(cfg.x0_jitter * rng.standard_normal(base_x0.shape))
-            _, states = integrate_ode(rna_field(alpha, beta, gamma), x0, cfg.t_max, n_pts - 1)
+            states = integrate_ode(rna_field(alpha, beta, gamma), x0, cfg.t_max, n_pts - 1)
             pts = states + cfg.noise * rng.standard_normal(states.shape)
             clouds.append((f"rna{label}-{i:03d}", label, pts))
     return clouds
@@ -239,7 +232,7 @@ def test_rna_field_vanishes_at_steady_state():
     ss = rna_steady_state(alpha, beta, gamma)
     npt.assert_allclose(ss[:6], alpha / beta, atol=1e-15)
     npt.assert_allclose(ss[6:], alpha / gamma, atol=1e-15)
-    npt.assert_allclose(rna_field(alpha, beta, gamma)(0.0, ss), np.zeros(12), atol=1e-14)
+    npt.assert_allclose(rna_field(alpha, beta, gamma)(ss), np.zeros(12), atol=1e-14)
 
 
 def test_rna_zero_jitter_class_zero_is_constant():
@@ -268,7 +261,7 @@ def test_rna_perturbation_moves_unspliced_not_spliced_targets():
     shifted_ss = rna_steady_state(*shifted)
     assert shifted_ss[0] == pytest.approx(base_ss[0] * 1.3 / 0.7)
     assert shifted_ss[1] == pytest.approx(base_ss[1])
-    _, states = integrate_ode(rna_field(*shifted), base_ss, 30.0, 600)
+    states = integrate_ode(rna_field(*shifted), base_ss, 30.0, 600)
     npt.assert_allclose(states[-1], shifted_ss, atol=1e-6)
 
 
