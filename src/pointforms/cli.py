@@ -311,6 +311,8 @@ def cmd_train(args) -> int:
             "split_sizes": {k: len(v) for k, v in result.splits.items()},
         },
     )
+    # seconds vary run to run, so they stay out of config.json and every other output
+    write_json(out / "timings.json", result.timings)
     _write_config_echo(
         out,
         "train",

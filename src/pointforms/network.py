@@ -8,6 +8,13 @@ clouds: one network pass per pack, one GEMM per cloud for its comparison matrix.
 Gradients are computed in closed form end to end; training uses
 full-batch adaptive moment updates.
 
+The full-batch loss and gradient are a sum of independent per-cloud terms,
+computed as a per-pack map (``_pack_terms``) and an in-order fold
+(``_fold``). Where a second CPU is free, ``train`` forks one worker that
+folds the head packs (the first half of the points) each epoch while this
+process maps the tail; the tail is then folded onto the worker's sums, so
+the sums are bitwise those of one process.
+
 Training runs in float32. Gradient correctness is validated in float64
 against central finite differences, so every backward formula here is
 exact, not approximate.
@@ -17,7 +24,10 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import pickle
 import struct
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -284,6 +294,44 @@ def predict_logits(model: FormNetwork, samples: list[CloudSample]) -> np.ndarray
     return np.array([s for pack in _pack(model, samples, labelled=False) for s in _forward(model, pack)[0]])
 
 
+class _Terms(NamedTuple):
+    """One pack's share of the full-batch sums: per cloud its logit, ds = dloss/dlogit and ds * phi,
+    and the pack's network gradients, weights then biases."""
+
+    logits: list[float]
+    ds: list[np.ndarray]
+    ds_phi: list[np.ndarray]
+    body: list[np.ndarray]
+
+
+def _pack_terms(model: FormNetwork, pack: _Pack) -> _Terms:
+    """The map: one pack's gradient terms, independent of every other pack."""
+    logits, (trace, a, cs, phis) = _forward(model, pack)
+    d_a = np.empty_like(a)
+    ds_all, ds_phi = [], []
+    for s, sample, c, phi, cols in zip(logits, pack.samples, cs, phis, pack.cols):
+        ds = np.asarray(1.0 / (1.0 + np.exp(-s)) - float(sample.label), dtype=model.dtype)
+        dc = readout_grad(c, model.readout, ds * model.head_w)
+        # d/dF of F W F^T contracted with dc; W symmetric
+        np.matmul(dc + dc.T, a[:, cols], out=d_a[:, cols])
+        ds_all.append(ds)
+        ds_phi.append(ds * phi)
+    dw, db = model.backward(trace, d_a.reshape(model.n_forms, -1, model.n_coeffs).transpose(1, 0, 2))
+    return _Terms(logits, ds_all, ds_phi, [*dw, *db])
+
+
+def _fold(total: float, grads: list[np.ndarray], pack: _Pack, terms: _Terms) -> float:
+    """The fold: add one pack's terms onto the running sums, cloud by cloud; ``grads`` in place,
+    the new loss total returned."""
+    for s, sample, ds, ds_phi in zip(terms.logits, pack.samples, terms.ds, terms.ds_phi):
+        total += _bce(s, sample)
+        grads[-2] += ds_phi
+        grads[-1] += ds
+    for g, d in zip(grads, terms.body):
+        g += d
+    return total
+
+
 def loss_and_grad(model: FormNetwork, samples: list[CloudSample]) -> tuple[float, list[np.ndarray]]:
     """Summed binary cross-entropy and gradients for all parameters.
 
@@ -294,19 +342,7 @@ def loss_and_grad(model: FormNetwork, samples: list[CloudSample]) -> tuple[float
     grads = [np.zeros_like(p) for p in model.parameters()]
     total = 0.0
     for pack in _pack(model, samples):
-        logits, (trace, a, cs, phis) = _forward(model, pack)
-        d_a = np.empty_like(a)
-        for s, sample, c, phi, cols in zip(logits, pack.samples, cs, phis, pack.cols):
-            total += _bce(s, sample)
-            ds = np.asarray(1.0 / (1.0 + np.exp(-s)) - float(sample.label), dtype=model.dtype)
-            dc = readout_grad(c, model.readout, ds * model.head_w)
-            # d/dF of F W F^T contracted with dc; W symmetric
-            np.matmul(dc + dc.T, a[:, cols], out=d_a[:, cols])
-            grads[-2] += ds * phi
-            grads[-1] += ds
-        dw, db = model.backward(trace, d_a.reshape(model.n_forms, -1, model.n_coeffs).transpose(1, 0, 2))
-        for g, d in zip(grads, [*dw, *db]):
-            g += d
+        total = _fold(total, grads, pack, _pack_terms(model, pack))
     return total, grads
 
 
@@ -364,6 +400,7 @@ class TrainResult:
     history: list[dict]
     test_auroc: float
     splits: dict[str, list[str]]
+    timings: dict  # epoch_s (seconds of each epoch), total_s (the whole call), worker (whether one was forked)
 
 
 def split_samples(
@@ -411,8 +448,95 @@ class _Adam:
             p -= (self.lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)).astype(p.dtype)
 
 
+def _can_fork() -> bool:
+    """Whether a forked worker gets a CPU of its own, safely: fork exists, two or more CPUs are
+    usable, and this process runs one OS thread, so no BLAS pool already holds the second CPU."""
+    try:
+        return hasattr(os, "fork") and len(os.sched_getaffinity(0)) > 1 and len(os.listdir("/proc/self/task")) == 1
+    except (AttributeError, OSError):  # no affinity call or no /proc on this platform
+        return False
+
+
+def _cut(packs: list[_Pack]) -> int:
+    """Number of head packs: through the first pack whose cumulative points reach half of all
+    points, leaving at least the last pack to the tail."""
+    points = np.cumsum([len(p.points) for p in packs])
+    return min(int(np.searchsorted(points, points[-1] / 2)) + 1, len(packs) - 1)
+
+
+class _HeadWorker:
+    """One forked process that folds the head packs from zeros each time it is sent the parameters,
+    while this process maps the tail; ``close`` reaps it."""
+
+    def __init__(self, model: FormNetwork, packs: list[_Pack], cut: int):
+        self.tail = packs[cut:]
+        to_worker, tx = os.pipe()
+        rx, from_worker = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:  # os._exit: no atexit hook, test teardown or buffered output of the parent runs here
+                os.close(tx)
+                os.close(rx)
+                _serve(model, packs[:cut], open(to_worker, "rb"), open(from_worker, "wb"))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(to_worker)
+        os.close(from_worker)
+        self._tx, self._rx = open(tx, "wb"), open(rx, "rb")
+
+    def loss_and_grad(self, model: FormNetwork) -> tuple[float, list[np.ndarray]]:
+        """``loss_and_grad`` over all packs: the worker's head sums, then the tail folded onto them."""
+        pickle.dump(model.parameters(), self._tx, pickle.HIGHEST_PROTOCOL)
+        self._tx.flush()
+        terms = [_pack_terms(model, pack) for pack in self.tail]
+        try:
+            reply = pickle.load(self._rx)
+        except EOFError:
+            raise ChildProcessError(f"training worker {self.pid} exited without a reply") from None
+        if isinstance(reply, Exception):
+            raise reply
+        total, grads = reply
+        for pack, t in zip(self.tail, terms):
+            total = _fold(total, grads, pack, t)
+        return total, grads
+
+    def close(self) -> None:
+        """End the worker on every path: it reads EOF, or fails to write to a closed pipe, and exits."""
+        for fh in (self._rx, self._tx):
+            try:
+                fh.close()
+            except OSError:  # bytes left unsent to a worker that already ended
+                pass
+        os.waitpid(self.pid, 0)
+
+
+def _serve(model: FormNetwork, head: list[_Pack], rx, tx) -> None:
+    """The worker's loop: take parameters, reply with the head's sums or the error they raised, until EOF."""
+    params = model.parameters()
+    while True:
+        try:
+            received = pickle.load(rx)
+        except EOFError:
+            return
+        for p, value in zip(params, received):
+            p[...] = value
+        try:
+            reply = loss_and_grad(model, head)
+        except Exception as exc:
+            reply = exc
+        pickle.dump(reply, tx, pickle.HIGHEST_PROTOCOL)
+        tx.flush()
+
+
 def train(samples: list[CloudSample], config: TrainConfig | None = None) -> TrainResult:
-    """Full-batch training with a fixed 60/20/20-style split by cloud."""
+    """Full-batch training with a fixed 60/20/20-style split by cloud.
+
+    With two or more train packs and ``_can_fork``, one forked worker folds
+    the head packs each epoch; the result is bitwise that of one process.
+    """
+    started = time.perf_counter()
     config = config or TrainConfig()
     config.validate()
     if not samples:
@@ -435,18 +559,27 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
     opt = _Adam(params, lr=config.learning_rate)
     train_packs, val_packs = _pack(model, train_set), _pack(model, val_set)
     history: list[dict] = []
-    for epoch in range(config.epochs):
-        loss, grads = loss_and_grad(model, train_packs)
-        opt.update(params, grads)
-        row = {"epoch": epoch, "train_loss": loss / max(1, len(train_set))}
-        if val_set and (epoch % VAL_EVERY == 0 or epoch == config.epochs - 1):
-            row["val_loss"] = _loss_only(model, val_packs) / len(val_set)
-        history.append(row)
+    epoch_s: list[float] = []
+    worker = _HeadWorker(model, train_packs, _cut(train_packs)) if len(train_packs) > 1 and _can_fork() else None
+    try:
+        for epoch in range(config.epochs):
+            tick = time.perf_counter()
+            loss, grads = worker.loss_and_grad(model) if worker else loss_and_grad(model, train_packs)
+            opt.update(params, grads)
+            row = {"epoch": epoch, "train_loss": loss / max(1, len(train_set))}
+            if val_set and (epoch % VAL_EVERY == 0 or epoch == config.epochs - 1):
+                row["val_loss"] = _loss_only(model, val_packs) / len(val_set)
+            history.append(row)
+            epoch_s.append(time.perf_counter() - tick)
+    finally:
+        if worker:
+            worker.close()
     return TrainResult(
         model=model,
         history=history,
         test_auroc=evaluate(model, test_set),
         splits={k: [samples[i].cloud_id for i in v] for k, v in splits.items()},
+        timings={"epoch_s": epoch_s, "total_s": time.perf_counter() - started, "worker": worker is not None},
     )
 
 

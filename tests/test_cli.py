@@ -38,7 +38,7 @@ from pointforms import (
     load_checkpoint,
     save_dataset,
 )
-from pointforms import READOUTS, cli, data, oracle, tasks
+from pointforms import READOUTS, cli, data, network, oracle, tasks
 from pointforms.cli import hash_input, main
 from pointforms.laplacian import BANDWIDTH_SCALES, LaplacianParams
 from pointforms.oracle import MANIFOLDS
@@ -478,6 +478,57 @@ def test_train_rerun_is_bit_identical(small_pipeline, tmp_path):
         outs.append(out)
     assert (outs[0] / "history.csv").read_bytes() == (outs[1] / "history.csv").read_bytes()
     assert (outs[0] / "model.ckpt").read_bytes() == (outs[1] / "model.ckpt").read_bytes()
+
+
+def test_train_writes_timings_beside_config(small_pipeline):
+    run = small_pipeline["run"]
+    timings = json.loads((run / "timings.json").read_text())
+    assert set(timings) == {"epoch_s", "total_s", "worker"}
+    assert len(timings["epoch_s"]) == 20 and timings["total_s"] >= sum(timings["epoch_s"]) > 0
+    assert timings["worker"] is False  # one pack: nothing to share
+    echo = json.loads((run / "config.json").read_text())
+    assert "timings" not in json.dumps(echo) and "epoch_s" not in json.dumps(echo)
+
+
+# n_forms 64 makes 6,144 network outputs per 48-point cloud: 8 train clouds in two packs
+TWO_PACKS = ["--epochs", "8", "--n-forms", "64"]
+
+
+@pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")  # a forced fork beside the BLAS thread
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the NaN loss itself
+def test_worker_error_exits_with_its_class_code_and_message(small_pipeline, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(network, "_can_fork", lambda: True)
+    load = cli._load_features
+    first_train_id = []
+
+    def load_with_a_nan_head_cloud(*args, **kwargs):
+        samples, manifest = load(*args, **kwargs)
+        head = samples[network.split_samples(samples, network.VAL_FRACTION, network.TEST_FRACTION, 0)["train"][0]]
+        head.gram.values[0, 0, 0] = np.nan
+        first_train_id.append(head.cloud_id)
+        return samples, manifest
+
+    monkeypatch.setattr(cli, "_load_features", load_with_a_nan_head_cloud)
+    code = main(["train", "--features", str(small_pipeline["feat"]), "--out", str(tmp_path / "run"), *TWO_PACKS])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: cloud {first_train_id[0]}: non-finite loss\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_train_outputs_equal_the_in_process_run(small_pipeline, tmp_path, monkeypatch):
+    """The real fork path: a fresh interpreter with one BLAS thread runs one OS thread."""
+    feat = str(small_pipeline["feat"])
+    monkeypatch.setattr(network, "_can_fork", lambda: False)
+    assert main(["train", "--features", feat, "--out", str(tmp_path / "alone"), *TWO_PACKS]) == 0
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    argv = ["train", "--features", feat, "--out", str(tmp_path / "forked"), *TWO_PACKS]
+    subprocess.run([sys.executable, "-m", "pointforms.cli", *argv], env=env, check=True, capture_output=True, timeout=300)
+    timings = json.loads((tmp_path / "forked" / "timings.json").read_text())
+    assert timings["worker"] is (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1)
+    for name in ("model.ckpt", "history.csv", "result.json", "config.json"):
+        assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
 
 
 def test_eval_missing_features_exit_2(small_pipeline, tmp_path, capsys):

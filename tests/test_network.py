@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -37,7 +38,8 @@ from pointforms import (
     train,
 )
 import pointforms
-from pointforms.network import PACK_FLOATS, _loss_only, _pack
+from pointforms import network
+from pointforms.network import PACK_FLOATS, _cut, _fold, _loss_only, _pack, _pack_terms
 
 
 def _identity_coeff_net(D: int) -> FormNetwork:
@@ -473,6 +475,92 @@ def test_train_config_validation():
         TrainConfig(readout="mean").validate()
     with pytest.raises(ConfigurationError):
         TrainConfig(epochs=0).validate()
+
+
+def test_loss_and_grad_is_the_fold_of_head_sums_and_tail_terms():
+    samples = _ragged_samples()
+    model = FormNetwork.create(3, 3, n_forms=3, hidden=(5,), readout="tri", rng=35, dtype=np.float32)
+    model.head_w[:] = np.random.default_rng(36).standard_normal(model.head_w.shape)
+    packs = _pack(model, samples)
+    assert len(packs) >= 2
+    loss, grads = loss_and_grad(model, packs)
+    for cut in range(len(packs) + 1):
+        total, sums = loss_and_grad(model, packs[:cut])
+        terms = [_pack_terms(model, pack) for pack in packs[cut:]]
+        for pack, t in zip(packs[cut:], terms):
+            total = _fold(total, sums, pack, t)
+        assert total == loss
+        for g, s in zip(grads, sums):
+            assert g.tobytes() == s.tobytes()
+
+
+@pytest.mark.parametrize(
+    ("points", "cut"),
+    [([64] * 4, 2), ([64] * 5, 3), ([64, 192, 64, 128, 64], 2), ([10, 100], 1), ([100, 10], 1), ([192, 64, 64], 1)],
+)
+def test_head_runs_through_the_pack_that_reaches_half_the_points(points, cut):
+    assert _cut([SimpleNamespace(points=np.empty((m, 1))) for m in points]) == cut
+
+
+def _forced_worker(monkeypatch, forked: bool = True) -> None:
+    """Take the forked-worker path, or not, whatever the BLAS threads of this process."""
+    monkeypatch.setattr(network, "_can_fork", lambda: forked)
+
+
+def _assert_no_child() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# forking a process that holds a BLAS thread warns on Python >= 3.12; these tests fork on purpose
+fork_warning = pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+
+
+@fork_warning
+@pytest.mark.parametrize("cut", range(6))
+def test_forced_worker_trains_bitwise_as_one_process(cut, monkeypatch):
+    samples = _training_set(n_per_class=7)
+    config = TrainConfig(n_forms=2, hidden=(8,), epochs=12, seed=0, split_seed=0)
+    monkeypatch.setattr(network, "PACK_FLOATS", 2 * 6 * 2 * 2)  # two clouds per pack: 10 train clouds, 5 packs
+    _forced_worker(monkeypatch, False)
+    alone = train(samples, config)
+    _forced_worker(monkeypatch)
+    monkeypatch.setattr(network, "_cut", lambda packs: cut)
+    forked = train(samples, config)
+    _assert_no_child()
+    assert not alone.timings["worker"] and forked.timings["worker"]
+    assert forked.history == alone.history
+    assert forked.test_auroc == alone.test_auroc
+    for a, b in zip(alone.model.parameters(), forked.model.parameters()):
+        assert a.tobytes() == b.tobytes()
+
+
+@fork_warning
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the NaN loss itself
+def test_worker_error_reaches_the_caller_and_leaves_no_child(monkeypatch):
+    samples = _training_set(n_per_class=7)
+    config = TrainConfig(n_forms=2, hidden=(8,), epochs=3, seed=0, split_seed=0)
+    monkeypatch.setattr(network, "PACK_FLOATS", 2 * 6 * 2 * 2)
+    _forced_worker(monkeypatch)
+    head_cloud = samples[split_samples(samples, 0.2, 0.2, 0)["train"][0]]
+    head_cloud.gram.values[0, 0, 0] = np.nan
+    with pytest.raises(NumericFailureError, match=f"cloud {head_cloud.cloud_id}: non-finite loss"):
+        train(samples, config)
+    _assert_no_child()
+
+
+def test_tiny_train_splits_run_no_worker(monkeypatch):
+    _forced_worker(monkeypatch)
+    monkeypatch.setattr(network, "_HeadWorker", None)  # any attempt to fork fails the test
+    config = TrainConfig(n_forms=2, hidden=(8,), epochs=3, seed=0, split_seed=0)
+    # one cloud per label in train: one pack
+    result = train(_training_set(n_per_class=3), config)
+    assert len(result.splits["train"]) == 2 and not result.timings["worker"]
+    # a train split of one cloud: it trains, then one label cannot score an AUROC
+    lone = [s for s in _training_set(n_per_class=3) if s.label == 0]
+    with pytest.raises(UndefinedMetricError):
+        train(lone, config)
+    _assert_no_child()
 
 
 # ---------------------------------------------------------------------------
