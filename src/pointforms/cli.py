@@ -25,6 +25,7 @@ from .data import (
     _HEADER,
     MEASURES,
     PRECISIONS,
+    fork_map,
     load_dataset,
     measure_weights,
     read_gram_cache,
@@ -167,11 +168,9 @@ def cmd_precompute(args) -> int:
     dim = clouds[0].dim
     check_computable_degree(dim, args.k)
     out.mkdir(parents=True, exist_ok=True)
-    records = []
-    total_bytes = 0
-    total_points = 0
-    failures = []
-    for cloud in clouds:
+
+    def cache(cloud):
+        """Write one cloud's cache; its record and cache size, or the error it raised."""
         try:
             op = build_laplacian(cloud.points, params)
             g1 = gram_field_1(op, cloud.points)
@@ -180,12 +179,22 @@ def cmd_precompute(args) -> int:
             write_gram_cache(out / cache_rel, gram, precision=args.precision)
             mu = measure_weights(cloud, args.measure, density=op.density.q0)
         except PointFormsError as exc:
-            print(f"cloud {cloud.id}: {exc}", file=sys.stderr)
-            failures.append(exc)
-            continue
+            return exc
         # JSON floats round-trip exactly, so the record holds the measure itself
-        records.append({"id": cloud.id, "cache": cache_rel, "mu": mu.tolist(), "m": cloud.m})
-        total_bytes += (out / cache_rel).stat().st_size
+        return {"id": cloud.id, "cache": cache_rel, "mu": mu.tolist(), "m": cloud.m}, (out / cache_rel).stat().st_size
+
+    records = []
+    total_bytes = 0
+    total_points = 0
+    failures = []
+    for cloud, done in zip(clouds, fork_map(cache, clouds, lambda c: c.m**2)):
+        if isinstance(done, PointFormsError):
+            print(f"cloud {cloud.id}: {done}", file=sys.stderr)
+            failures.append(done)
+            continue
+        record, size = done
+        records.append(record)
+        total_bytes += size
         total_points += cloud.m
     if not records:
         raise failures[0]
@@ -284,8 +293,6 @@ def cmd_train(args) -> int:
     samples, feat_manifest = _load_features(features_dir)
     # the features record the digest of their dataset, which eval checks again
     _refuse_out_inside(out, features_dir / feat_manifest["dataset"], "the features' dataset", "the features record")
-    if any(s.label is None for s in samples):
-        raise ConfigurationError("training requires labeled clouds")
     config = _from_args(TrainConfig, args)
     result = train(samples, config)
     out.mkdir(parents=True, exist_ok=True)

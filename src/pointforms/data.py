@@ -6,7 +6,9 @@ layout all live here so the compute modules stay free of I/O concerns.
 Each artifact kind has one checked reader or writer: ``read_manifest``,
 ``read_framed`` (Gram caches and checkpoints), ``read_csv``/``write_csv``
 and ``write_json``. ``PRECISIONS`` and ``MEASURES`` are the one list of
-each choice.
+each choice. The one channel to a second process is here too: ``Worker``,
+a forked process answering pickled requests over two pipes, and
+``fork_map``, a per-item map whose head it runs in such a worker.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import pickle
 import struct
-from collections.abc import Collection
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -256,9 +260,13 @@ def load_dataset(dataset_dir: str | Path, ids: Collection[str] | None = None) ->
     if not manifest_path.is_file():
         raise IngestionError(f"no manifest at {manifest_path}")
     manifest = read_manifest(manifest_path, "pointforms-dataset", (), ("id", "path"), IngestionError)
+    records = sorted(manifest["clouds"], key=lambda r: r["id"])
+    for a, b in zip(records, records[1:]):
+        if a["id"] == b["id"]:
+            raise IngestionError(f"{manifest_path}: cloud id {a['id']!r} appears more than once")
     clouds: list[PointCloud] = []
     dim: int | None = None
-    for rec in sorted(manifest["clouds"], key=lambda r: r["id"]):
+    for rec in records:
         if ids is not None and rec["id"] not in ids:
             continue
         label = rec.get("label")
@@ -273,3 +281,105 @@ def load_dataset(dataset_dir: str | Path, ids: Collection[str] | None = None) ->
             )
         clouds.append(PointCloud(id=rec["id"], points=pts, label=label))
     return clouds, manifest
+
+
+# ---------------------------------------------------------------------------
+# a second process: one forked worker over two pipes
+
+
+def _can_fork() -> bool:
+    """Whether a forked worker gets a CPU of its own, safely: fork exists, two or more CPUs are
+    usable, and this process runs one OS thread, so no BLAS pool already holds the second CPU."""
+    try:
+        return hasattr(os, "fork") and len(os.sched_getaffinity(0)) > 1 and len(os.listdir("/proc/self/task")) == 1
+    except (AttributeError, OSError):  # no affinity call or no /proc on this platform
+        return False
+
+
+def head_count(costs: Sequence[float]) -> int:
+    """Number of head items: through the first item whose cumulative cost reaches half of the
+    total, leaving at least the last item to the tail."""
+    cum = np.cumsum(costs)
+    return min(int(np.searchsorted(cum, cum[-1] / 2)) + 1, len(costs) - 1)
+
+
+class Worker:
+    """One forked process that answers each object sent to it with ``handle(obj)``, or with the
+    exception that raised, until ``close`` ends and reaps it. The worker shares this process's
+    memory copy-on-write, so ``handle`` needs no pickling; only requests and replies are pickled."""
+
+    def __init__(self, handle: Callable):
+        to_worker, tx = os.pipe()
+        rx, from_worker = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:  # os._exit: no atexit hook, test teardown or buffered output of the parent runs here
+                os.close(tx)
+                os.close(rx)
+                _serve(handle, open(to_worker, "rb"), open(from_worker, "wb"))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(to_worker)
+        os.close(from_worker)
+        self._tx, self._rx = open(tx, "wb"), open(rx, "rb")
+
+    def send(self, obj: object) -> None:
+        pickle.dump(obj, self._tx, pickle.HIGHEST_PROTOCOL)
+        self._tx.flush()
+
+    def receive(self) -> object:
+        """The worker's next reply; an exception it replied with is raised here as its own class and message."""
+        try:
+            reply = pickle.load(self._rx)
+        except EOFError:
+            raise ChildProcessError(f"worker {self.pid} exited without a reply") from None
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    def close(self) -> None:
+        """End the worker on every path: it reads EOF, or fails to write to a closed pipe, and exits."""
+        for fh in (self._rx, self._tx):
+            try:
+                fh.close()
+            except OSError:  # bytes left unsent to a worker that already ended
+                pass
+        os.waitpid(self.pid, 0)
+
+
+def _serve(handle: Callable, rx, tx) -> None:
+    """The worker's loop: answer each object received, until EOF."""
+    while True:
+        try:
+            obj = pickle.load(rx)
+        except EOFError:
+            return
+        try:
+            reply = pickle.dumps(handle(obj), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # the parent raises it
+            reply = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+        tx.write(reply)
+        tx.flush()
+
+
+def fork_map(fn: Callable, items: Sequence, cost: Callable[[object], float]) -> list:
+    """``[fn(x) for x in items]``, in input order. Where ``_can_fork`` allows and there are two or
+    more items, a forked ``Worker`` maps the head (``head_count`` of the items' costs) while this
+    process maps the tail, and the first error in input order is raised. ``fn`` must print nothing,
+    since a worker's output would bypass this process's streams; files it writes stay written."""
+    if len(items) < 2 or not _can_fork():
+        return [fn(x) for x in items]
+    cut = head_count([cost(x) for x in items])
+    worker = Worker(lambda _: [fn(x) for x in items[:cut]])
+    try:
+        worker.send(None)
+        try:
+            tail = [fn(x) for x in items[cut:]]
+        except Exception:
+            worker.receive()  # an error in the head comes first, as in one process
+            raise
+        return worker.receive() + tail
+    finally:
+        worker.close()

@@ -10,10 +10,10 @@ full-batch adaptive moment updates.
 
 The full-batch loss and gradient are a sum of independent per-cloud terms,
 computed as a per-pack map (``_pack_terms``) and an in-order fold
-(``_fold``). Where a second CPU is free, ``train`` forks one worker that
-folds the head packs (the first half of the points) each epoch while this
-process maps the tail; the tail is then folded onto the worker's sums, so
-the sums are bitwise those of one process.
+(``_fold``). Where a second CPU is free, ``train`` forks one worker
+(``data.Worker``) that folds the head packs (the first half of the points)
+each epoch while this process maps the tail; the tail is then folded onto
+the worker's sums, so the sums are bitwise those of one process.
 
 Training runs in float32. Gradient correctness is validated in float64
 against central finite differences, so every backward formula here is
@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
-import pickle
 import struct
 import time
 from dataclasses import dataclass
@@ -34,7 +32,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import GramField, read_framed
+from . import data
+from .data import GramField, Worker, head_count, read_framed
 from .errors import (
     CacheFormatError,
     ConfigurationError,
@@ -243,7 +242,7 @@ class _Pack(NamedTuple):
     cols: list[slice]  # each cloud's columns of A
 
 
-def _pack(model: FormNetwork, samples: list[CloudSample], labelled: bool = True) -> list[_Pack]:
+def _pack(model: FormNetwork, samples: list[CloudSample]) -> list[_Pack]:
     """Group clouds into packs of at most PACK_FLOATS network outputs (a wider cloud is a pack
     of its own), checking each against the model; packs pass through unchanged."""
     if samples and isinstance(samples[0], _Pack):
@@ -255,8 +254,6 @@ def _pack(model: FormNetwork, samples: list[CloudSample], labelled: bool = True)
         if np.shape(s.points) != (m, model.input_dim) or s.gram.B != model.n_coeffs:
             got = f"points {np.shape(s.points)} and a B={s.gram.B} field over {m} points"
             raise ConfigurationError(f"cloud {s.cloud_id}: {got} do not fit D={model.input_dim}, B={model.n_coeffs}")
-        if labelled and s.label not in (0, 1):
-            raise ConfigurationError(f"cloud {s.cloud_id}: label must be 0 or 1, got {s.label}")
         n = m * model.n_forms * model.n_coeffs
         if not groups or size + n > PACK_FLOATS:
             groups.append([])
@@ -291,7 +288,7 @@ def _bce(s: float, sample: CloudSample) -> float:
 
 
 def predict_logits(model: FormNetwork, samples: list[CloudSample]) -> np.ndarray:
-    return np.array([s for pack in _pack(model, samples, labelled=False) for s in _forward(model, pack)[0]])
+    return np.array([s for pack in _pack(model, samples) for s in _forward(model, pack)[0]])
 
 
 class _Terms(NamedTuple):
@@ -337,7 +334,8 @@ def loss_and_grad(model: FormNetwork, samples: list[CloudSample]) -> tuple[float
 
     The gradient list matches ``model.parameters()`` order. Each cloud
     contributes independently, so duplicating a cloud doubles its term.
-    Takes clouds or the packs ``train`` makes of them once.
+    Takes clouds labelled 0 or 1 (``train`` checks them), or the packs
+    ``train`` makes of them once.
     """
     grads = [np.zeros_like(p) for p in model.parameters()]
     total = 0.0
@@ -448,99 +446,51 @@ class _Adam:
             p -= (self.lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)).astype(p.dtype)
 
 
-def _can_fork() -> bool:
-    """Whether a forked worker gets a CPU of its own, safely: fork exists, two or more CPUs are
-    usable, and this process runs one OS thread, so no BLAS pool already holds the second CPU."""
-    try:
-        return hasattr(os, "fork") and len(os.sched_getaffinity(0)) > 1 and len(os.listdir("/proc/self/task")) == 1
-    except (AttributeError, OSError):  # no affinity call or no /proc on this platform
-        return False
-
-
 def _cut(packs: list[_Pack]) -> int:
-    """Number of head packs: through the first pack whose cumulative points reach half of all
-    points, leaving at least the last pack to the tail."""
-    points = np.cumsum([len(p.points) for p in packs])
-    return min(int(np.searchsorted(points, points[-1] / 2)) + 1, len(packs) - 1)
+    """Number of head packs, by ``head_count`` of their points."""
+    return head_count([len(p.points) for p in packs])
 
 
-class _HeadWorker:
-    """One forked process that folds the head packs from zeros each time it is sent the parameters,
+class _HeadWorker(Worker):
+    """A forked worker that folds the head packs from zeros each time it is sent the parameters,
     while this process maps the tail; ``close`` reaps it."""
 
     def __init__(self, model: FormNetwork, packs: list[_Pack], cut: int):
         self.tail = packs[cut:]
-        to_worker, tx = os.pipe()
-        rx, from_worker = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            code = 1
-            try:  # os._exit: no atexit hook, test teardown or buffered output of the parent runs here
-                os.close(tx)
-                os.close(rx)
-                _serve(model, packs[:cut], open(to_worker, "rb"), open(from_worker, "wb"))
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(to_worker)
-        os.close(from_worker)
-        self._tx, self._rx = open(tx, "wb"), open(rx, "rb")
+        super().__init__(functools.partial(_head_sums, model, packs[:cut]))
 
     def loss_and_grad(self, model: FormNetwork) -> tuple[float, list[np.ndarray]]:
         """``loss_and_grad`` over all packs: the worker's head sums, then the tail folded onto them."""
-        pickle.dump(model.parameters(), self._tx, pickle.HIGHEST_PROTOCOL)
-        self._tx.flush()
+        self.send(model.parameters())
         terms = [_pack_terms(model, pack) for pack in self.tail]
-        try:
-            reply = pickle.load(self._rx)
-        except EOFError:
-            raise ChildProcessError(f"training worker {self.pid} exited without a reply") from None
-        if isinstance(reply, Exception):
-            raise reply
-        total, grads = reply
+        total, grads = self.receive()
         for pack, t in zip(self.tail, terms):
             total = _fold(total, grads, pack, t)
         return total, grads
 
-    def close(self) -> None:
-        """End the worker on every path: it reads EOF, or fails to write to a closed pipe, and exits."""
-        for fh in (self._rx, self._tx):
-            try:
-                fh.close()
-            except OSError:  # bytes left unsent to a worker that already ended
-                pass
-        os.waitpid(self.pid, 0)
 
-
-def _serve(model: FormNetwork, head: list[_Pack], rx, tx) -> None:
-    """The worker's loop: take parameters, reply with the head's sums or the error they raised, until EOF."""
-    params = model.parameters()
-    while True:
-        try:
-            received = pickle.load(rx)
-        except EOFError:
-            return
-        for p, value in zip(params, received):
-            p[...] = value
-        try:
-            reply = loss_and_grad(model, head)
-        except Exception as exc:
-            reply = exc
-        pickle.dump(reply, tx, pickle.HIGHEST_PROTOCOL)
-        tx.flush()
+def _head_sums(model: FormNetwork, head: list[_Pack], received: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+    """In the worker: the head's sums at the parameters received."""
+    for p, value in zip(model.parameters(), received):
+        p[...] = value
+    return loss_and_grad(model, head)
 
 
 def train(samples: list[CloudSample], config: TrainConfig | None = None) -> TrainResult:
     """Full-batch training with a fixed 60/20/20-style split by cloud.
 
-    With two or more train packs and ``_can_fork``, one forked worker folds
-    the head packs each epoch; the result is bitwise that of one process.
+    Every cloud must be labelled 0 or 1. With two or more train packs and
+    ``data._can_fork``, one forked worker folds the head packs each epoch;
+    the result is bitwise that of one process.
     """
     started = time.perf_counter()
     config = config or TrainConfig()
     config.validate()
     if not samples:
         raise ConfigurationError("empty training set")
+    for s in samples:
+        if s.label not in (0, 1):
+            raise ConfigurationError(f"cloud {s.cloud_id}: label must be 0 or 1, got {s.label}")
     splits = split_samples(samples, VAL_FRACTION, TEST_FRACTION, config.split_seed)
     train_set = [samples[i] for i in splits["train"]]
     val_set = [samples[i] for i in splits["val"]]
@@ -560,7 +510,7 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
     train_packs, val_packs = _pack(model, train_set), _pack(model, val_set)
     history: list[dict] = []
     epoch_s: list[float] = []
-    worker = _HeadWorker(model, train_packs, _cut(train_packs)) if len(train_packs) > 1 and _can_fork() else None
+    worker = _HeadWorker(model, train_packs, _cut(train_packs)) if len(train_packs) > 1 and data._can_fork() else None
     try:
         for epoch in range(config.epochs):
             tick = time.perf_counter()

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, ConfigurationWarning, OraclePrecisionError
-from .data import GramField
+from .data import GramField, fork_map
 from .gram import check_computable_degree, comparison_matrix, compound_gram_field, coordinate_form, gram_field_1, minors
 from .laplacian import LaplacianParams, build_laplacian
 
@@ -320,42 +320,47 @@ def convergence_study(
             ConfigurationWarning,
             stacklevel=2,
         )
-    rows: list[dict] = []
     dx = coordinate_form(manifold.ambient_dim, 1)[None, :]  # one constant form, (1, B)
     oracle_density_weighted = float(oracle_global_inner_product(manifold, dx, 1, "density")[0, 0])
     oracle_volume = float(oracle_global_inner_product(manifold, dx, 1, "volume")[0, 0])
 
-    for n in sizes:
+    def sample_rows(item: tuple[int, int]) -> list[dict]:
+        n, seed = item
         eps_n = params.epsilon if theta is None else params.epsilon * n ** (-theta)
         run_params = replace(params, epsilon=eps_n, knn="full", d=d)
-        for seed in range(n_seeds):
-            rng = np.random.default_rng([base_seed, n, seed])
-            points, u = manifold.sample(n, rng)
-            # no operator outlives its Gram field, so none is alive during the next build
-            g1 = gram_field_1(build_laplacian(points, run_params), points)
-            gk = compound_gram_field(g1, k)
-            oracle = oracle_gram_k(manifold, u, k)
-            mask = _interior_mask(manifold, u)
-            err = np.abs(gk.values - oracle).max(axis=(1, 2))[mask]
-            eigs = np.linalg.eigvalsh(gk.values)
-            base = {
-                "manifold": manifold.name,
-                "n": n,
-                "epsilon": eps_n,
-                "alpha": run_params.alpha,
-                "beta": run_params.beta,
-                "seed": seed,
-            }
-            rows.append(base | {"metric": f"g{k}_err_median", "value": float(np.median(err))})
-            rows.append(base | {"metric": f"g{k}_err_max", "value": float(err.max())})
-            rows.append(base | {"metric": f"g{k}_min_eigenvalue", "value": float(eigs.min())})
-            if k == 1:
-                est_uniform = float(comparison_matrix(g1, dx, np.full(n, 1.0 / n))[0, 0])
-                q_true = manifold.density(u)
-                est_corrected = float(comparison_matrix(g1, dx, 1.0 / (n * q_true))[0, 0])
-                rows.append(base | {"metric": "gip_dxdx_uniform_err", "value": abs(est_uniform - oracle_density_weighted)})
-                rows.append(base | {"metric": "gip_dxdx_corrected_err", "value": abs(est_corrected - oracle_volume)})
-    return rows
+        rng = np.random.default_rng([base_seed, n, seed])
+        points, u = manifold.sample(n, rng)
+        # no operator outlives its Gram field, so none is alive during the next build
+        g1 = gram_field_1(build_laplacian(points, run_params), points)
+        gk = compound_gram_field(g1, k)
+        oracle = oracle_gram_k(manifold, u, k)
+        mask = _interior_mask(manifold, u)
+        err = np.abs(gk.values - oracle).max(axis=(1, 2))[mask]
+        eigs = np.linalg.eigvalsh(gk.values)
+        base = {
+            "manifold": manifold.name,
+            "n": n,
+            "epsilon": eps_n,
+            "alpha": run_params.alpha,
+            "beta": run_params.beta,
+            "seed": seed,
+        }
+        rows = [
+            base | {"metric": f"g{k}_err_median", "value": float(np.median(err))},
+            base | {"metric": f"g{k}_err_max", "value": float(err.max())},
+            base | {"metric": f"g{k}_min_eigenvalue", "value": float(eigs.min())},
+        ]
+        if k == 1:
+            est_uniform = float(comparison_matrix(g1, dx, np.full(n, 1.0 / n))[0, 0])
+            q_true = manifold.density(u)
+            est_corrected = float(comparison_matrix(g1, dx, 1.0 / (n * q_true))[0, 0])
+            rows.append(base | {"metric": "gip_dxdx_uniform_err", "value": abs(est_uniform - oracle_density_weighted)})
+            rows.append(base | {"metric": "gip_dxdx_corrected_err", "value": abs(est_corrected - oracle_volume)})
+        return rows
+
+    # each (n, seed) sample is independent: a dense build costs about n^2
+    items = [(n, seed) for n in sizes for seed in range(n_seeds)]
+    return [row for rows in fork_map(sample_rows, items, lambda item: item[0] ** 2) for row in rows]
 
 
 def aggregate_metric(rows: list[dict], metric: str) -> dict[int, float]:
@@ -399,22 +404,24 @@ def density_check(
         )
     dxdy = np.eye(2)  # the coordinate forms dx, dy as rows
     target = oracle_global_inner_product(unit_circle(), dxdy, 1, "volume")
+    iu, ju = np.triu_indices(2)
 
+    def errors(item: tuple[int, int]) -> tuple[float, float]:
+        ki, seed = item
+        rng = np.random.default_rng([base_seed, ki, seed])
+        points, q = von_mises_sampler(n, kappas[ki], mode=0.0, rng=rng)
+        g1 = gram_field_1(build_laplacian(points, run_params), points)
+        est_unc = comparison_matrix(g1, dxdy, np.full(n, 2.0 * np.pi / n))
+        est_corr = comparison_matrix(g1, dxdy, 1.0 / (n * q))
+        return float(np.abs(est_unc - target)[iu, ju].mean()), float(np.abs(est_corr - target)[iu, ju].mean())
+
+    # every (kappa, seed) sample has n points, so each costs the same
+    errs = fork_map(errors, [(ki, seed) for ki in range(len(kappas)) for seed in range(n_seeds)], lambda item: 1)
     rows: list[dict] = []
     summary: list[dict] = []
-    iu, ju = np.triu_indices(2)
     for ki, kappa in enumerate(kappas):
-        mae_corr, mae_unc = [], []
-        for seed in range(n_seeds):
-            rng = np.random.default_rng([base_seed, ki, seed])
-            points, q = von_mises_sampler(n, kappa, mode=0.0, rng=rng)
-            g1 = gram_field_1(build_laplacian(points, run_params), points)
-            est_unc = comparison_matrix(g1, dxdy, np.full(n, 2.0 * np.pi / n))
-            est_corr = comparison_matrix(g1, dxdy, 1.0 / (n * q))
-            err_unc = float(np.abs(est_unc - target)[iu, ju].mean())
-            err_corr = float(np.abs(est_corr - target)[iu, ju].mean())
-            mae_unc.append(err_unc)
-            mae_corr.append(err_corr)
+        mae_unc, mae_corr = zip(*errs[ki * n_seeds : (ki + 1) * n_seeds])
+        for seed, (err_unc, err_corr) in enumerate(zip(mae_unc, mae_corr)):
             base = {"kappa": kappa, "n": n, "seed": seed}
             rows.append(base | {"metric": "mae_uncorrected", "value": err_unc})
             rows.append(base | {"metric": "mae_corrected", "value": err_corr})

@@ -424,6 +424,74 @@ def test_precompute_keeps_partial_progress_on_cloud_failure(tmp_path, capsys):
     assert (feat / "good.gram.bin").is_file()
 
 
+# forking a process that holds a BLAS thread warns on Python >= 3.12; these tests fork on purpose
+fork_warning = pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+# one BLAS thread: the process runs one OS thread, so a real fork is allowed
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+@fork_warning
+def test_forked_precompute_equals_the_one_process_run(tmp_path, monkeypatch, capsys, forked_workers):
+    rng = np.random.default_rng(4)
+    # one 3-point cloud fails in each half: by cost m^2 the worker takes a, b-bad and c
+    sizes = {"a": 40, "b-bad": 3, "c": 40, "d": 40, "e-bad": 3, "f": 40}
+    clouds = [PointCloud(id=i, points=rng.standard_normal((m, 2)), label=0) for i, m in sizes.items()]
+    assert data.head_count([m * m for m in sizes.values()]) == 3
+    save_dataset(tmp_path / "data", "toy", clouds, {})
+    runs = []
+    for forked in (False, True):
+        monkeypatch.setattr(data, "_can_fork", lambda: forked)
+        feat = tmp_path / f"feat-{forked}"
+        code = main(["precompute", "--dataset", str(tmp_path / "data"), "--out", str(feat), "--d", "1"])
+        runs.append((code, capsys.readouterr(), _dir_digest(feat)))
+    assert len(forked_workers) == 1
+    assert runs[1] == runs[0]
+    code, outputs, files = runs[1]
+    assert code == InsufficientPointsError.exit_code
+    assert [line.split(":")[0] for line in outputs.err.splitlines()] == [
+        "cloud b-bad",
+        "cloud e-bad",
+        "2 cloud(s) failed; caches for the rest were kept",
+        "error",
+    ]
+    assert sorted(files) == ["a.gram.bin", "c.gram.bin", "config.json", "d.gram.bin", "f.gram.bin", "features.json"]
+
+
+def test_forked_precompute_and_consistency_equal_the_in_process_run(tmp_path, monkeypatch, capsys):
+    """The real fork path: a fresh interpreter with one BLAS thread runs one OS thread."""
+    monkeypatch.setattr(data, "_can_fork", lambda: False)
+    data_dir = _small_dataset(tmp_path / "data")
+    commands = {
+        "precompute": ["precompute", "--dataset", str(data_dir), "--d", "1", "--out"],
+        "consistency": ["consistency", "--manifold", "circle", "--sizes", "60,90", "--seeds", "2", "--out"],
+    }
+    # the CLI in a fresh interpreter, printing to stderr how many workers it forked
+    code = """
+import sys
+from pointforms import data
+from pointforms.cli import main
+started = []
+class Counted(data.Worker):
+    def __init__(self, handle):
+        super().__init__(handle)
+        started.append(self.pid)
+data.Worker = Counted
+code = main(sys.argv[1:])
+print(len(started), file=sys.stderr)
+sys.exit(code)
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), **ONE_BLAS_THREAD}
+    can_fork = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+    for name, argv in commands.items():
+        assert main([*argv, str(tmp_path / f"{name}-alone")]) == 0
+        alone = capsys.readouterr().out
+        argv = [*argv, str(tmp_path / f"{name}-forked")]
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, capture_output=True, text=True, timeout=300)
+        assert done.stdout == alone and done.stderr == f"{int(can_fork)}\n", name
+        assert _dir_digest(tmp_path / f"{name}-forked") == _dir_digest(tmp_path / f"{name}-alone"), name
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 
@@ -494,10 +562,10 @@ def test_train_writes_timings_beside_config(small_pipeline):
 TWO_PACKS = ["--epochs", "8", "--n-forms", "64"]
 
 
-@pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")  # a forced fork beside the BLAS thread
+@fork_warning
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the NaN loss itself
 def test_worker_error_exits_with_its_class_code_and_message(small_pipeline, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(network, "_can_fork", lambda: True)
+    monkeypatch.setattr(data, "_can_fork", lambda: True)
     load = cli._load_features
     first_train_id = []
 
@@ -519,10 +587,10 @@ def test_worker_error_exits_with_its_class_code_and_message(small_pipeline, tmp_
 def test_forked_train_outputs_equal_the_in_process_run(small_pipeline, tmp_path, monkeypatch):
     """The real fork path: a fresh interpreter with one BLAS thread runs one OS thread."""
     feat = str(small_pipeline["feat"])
-    monkeypatch.setattr(network, "_can_fork", lambda: False)
+    monkeypatch.setattr(data, "_can_fork", lambda: False)
     assert main(["train", "--features", feat, "--out", str(tmp_path / "alone"), *TWO_PACKS]) == 0
     src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(src), **ONE_BLAS_THREAD}
     argv = ["train", "--features", feat, "--out", str(tmp_path / "forked"), *TWO_PACKS]
     subprocess.run([sys.executable, "-m", "pointforms.cli", *argv], env=env, check=True, capture_output=True, timeout=300)
     timings = json.loads((tmp_path / "forked" / "timings.json").read_text())
@@ -884,6 +952,7 @@ def test_density_check_infinite_kappa_exit_1(tmp_path, capsys):
 
 
 def test_density_check_checks_every_kappa_before_any_operator(monkeypatch, capsys):
+    monkeypatch.setattr(data, "_can_fork", lambda: False)  # the counter sees this process's builds only
     builds = []
     build = oracle.build_laplacian
     monkeypatch.setattr(oracle, "build_laplacian", lambda *args: builds.append(1) or build(*args))

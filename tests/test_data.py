@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -25,7 +26,8 @@ from pointforms import (
     save_dataset,
     write_gram_cache,
 )
-from pointforms.data import CACHE_MAGIC, CACHE_VERSION, _HEADER, write_csv
+from pointforms import data
+from pointforms.data import CACHE_MAGIC, CACHE_VERSION, _HEADER, fork_map, head_count, write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -274,3 +276,71 @@ def test_only_data_parses_json_and_csv_files():
         if module.name != "data.py":
             text = module.read_text()
             assert "json.load(" not in text and "np.loadtxt(" not in text, module.name
+
+
+def test_dataset_duplicate_id_rejected_naming_it(tmp_path):
+    save_dataset(tmp_path, "toy", [PointCloud(id=i, points=np.ones((3, 2)) * k) for k, i in enumerate("ab")], {})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["clouds"][1]["id"] = "a"
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    for ids in (None, {"a"}):
+        with pytest.raises(IngestionError, match="cloud id 'a' appears more than once"):
+            load_dataset(tmp_path, ids)
+
+
+# ---------------------------------------------------------------------------
+# the forked worker
+
+# forking a process that holds a BLAS thread warns on Python >= 3.12; these tests fork on purpose
+fork_warning = pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+
+
+@fork_warning
+@pytest.mark.parametrize("n", range(6))
+def test_fork_map_equals_the_comprehension(n, forked_workers):
+    items = list(range(n))
+    out = fork_map(lambda x: (x, os.getpid()), items, lambda x: 1)
+    assert [x for x, _ in out] == items
+    # the worker maps the head, this process the tail; fewer than two items fork nothing
+    pids = [pid for _, pid in out]
+    cut = head_count([1] * n) if n > 1 else 0
+    assert pids == forked_workers[:1] * cut + [os.getpid()] * (n - cut)
+    assert len(forked_workers) == (n > 1)
+
+
+def test_fork_map_without_fork_is_one_process(monkeypatch):
+    monkeypatch.setattr(data, "_can_fork", lambda: False)
+    monkeypatch.setattr(data, "Worker", None)  # any attempt to fork fails the test
+    assert fork_map(lambda x: x * x, [1, 2, 3], lambda x: 1) == [1, 4, 9]
+
+
+class _ItemError(Exception):
+    pass
+
+
+@fork_warning
+@pytest.mark.parametrize(("failing", "first"), [({1}, 1), ({3}, 3), ({1, 3}, 1)], ids=["head", "tail", "both"])
+def test_fork_map_raises_the_first_error_in_input_order(failing, first, forked_workers):
+    def fn(x):
+        if x in failing:
+            raise _ItemError(f"item {x}")
+        return x
+
+    # costs 1 each: items 0 and 1 are the worker's head, 2 and 3 this process's tail
+    with pytest.raises(_ItemError, match=f"^item {first}$"):
+        fork_map(fn, [0, 1, 2, 3], lambda x: 1)
+    assert len(forked_workers) == 1
+
+
+@fork_warning
+def test_worker_error_reaches_the_caller_as_its_class_and_message(forked_workers):
+    worker = data.Worker(lambda x: {}[x])
+    try:
+        worker.send("missing")
+        with pytest.raises(KeyError, match="missing"):
+            worker.receive()
+        worker.send(None)  # the worker still answers after an error
+        with pytest.raises(KeyError):
+            worker.receive()
+    finally:
+        worker.close()

@@ -38,7 +38,7 @@ from pointforms import (
     train,
 )
 import pointforms
-from pointforms import network
+from pointforms import data, network
 from pointforms.network import PACK_FLOATS, _cut, _fold, _loss_only, _pack, _pack_terms
 
 
@@ -504,7 +504,7 @@ def test_head_runs_through_the_pack_that_reaches_half_the_points(points, cut):
 
 def _forced_worker(monkeypatch, forked: bool = True) -> None:
     """Take the forked-worker path, or not, whatever the BLAS threads of this process."""
-    monkeypatch.setattr(network, "_can_fork", lambda: forked)
+    monkeypatch.setattr(data, "_can_fork", lambda: forked)
 
 
 def _assert_no_child() -> None:
@@ -561,6 +561,16 @@ def test_tiny_train_splits_run_no_worker(monkeypatch):
     with pytest.raises(UndefinedMetricError):
         train(lone, config)
     _assert_no_child()
+
+
+@pytest.mark.parametrize("label", [None, 2, 1.5])
+def test_train_checks_every_label_before_the_split(label):
+    config = TrainConfig(n_forms=2, hidden=(8,), epochs=3, seed=0, split_seed=0)
+    for i in range(10):  # the cloud in each position, whichever split it would land in
+        samples = _training_set(n_per_class=5)
+        samples[i].label = label
+        with pytest.raises(ConfigurationError, match=f"cloud {samples[i].cloud_id}: label must be 0 or 1, got {label}"):
+            train(samples, config)
 
 
 # ---------------------------------------------------------------------------

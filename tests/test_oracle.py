@@ -35,7 +35,7 @@ from pointforms import (
     unit_sphere,
     von_mises_sampler,
 )
-from pointforms import oracle
+from pointforms import data, oracle
 from pointforms.data import GramField
 
 
@@ -392,6 +392,22 @@ def test_density_check_summary_contract():
     assert summary[0]["mae_corrected"] == pytest.approx(summary[0]["mae_uncorrected"], rel=1e-12)
     metrics = {r["metric"] for r in rows}
     assert metrics == {"mae_corrected", "mae_uncorrected"}
+
+
+@pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")  # forked on purpose beside the BLAS thread
+def test_forked_studies_equal_the_one_process_rows(monkeypatch, forked_workers):
+    runs = []
+    for forked in (False, True):
+        monkeypatch.setattr(data, "_can_fork", lambda: forked)
+        runs.append(
+            (
+                convergence_study(unit_circle(), [40, 60, 80], n_seeds=2),
+                convergence_study(unit_sphere(), [40, 60], n_seeds=2, k=2),
+                density_check([0.0, 2.0], n=48, n_seeds=3),
+            )
+        )
+    assert len(forked_workers) == 3
+    assert runs[1] == runs[0]
 
 
 def test_aggregate_metric_median_over_seeds():
