@@ -2,10 +2,11 @@
 
 Subcommands: gen, precompute, train, eval, consistency, density-check,
 mem. Every command that writes a directory drops a ``config.json`` echo
-holding the resolved arguments and a sha256 digest of each input, and no
-output embeds timestamps, so a rerun with the same arguments is
-byte-identical. Exit codes: 0 success, otherwise the ``exit_code`` of the
-raised error class (1 configuration or usage, 2 data or format, 3 numeric).
+holding the resolved arguments and the sha256 of each input's manifest,
+which records the sha256 of each file it names; no output embeds
+timestamps, so a rerun with the same arguments is byte-identical. Exit
+codes: 0 success, otherwise the ``exit_code`` of the raised error class
+(1 configuration or usage, 2 data or format, 3 numeric).
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import numpy as np
 from . import tasks
 from .data import (
     _HEADER,
+    MANIFEST_NAME,
+    MANIFESTS,
     MEASURES,
     PRECISIONS,
     fork_map,
@@ -56,7 +59,6 @@ from .network import (
 from .oracle import MANIFOLDS, aggregate_metric, convergence_study, density_check
 
 FEATURES_MANIFEST = "features.json"
-FEATURES_VERSION = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,28 +70,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def hash_input(path: str | Path) -> str:
-    """Content digest of a file, or of a directory's files by relative name."""
-    p = Path(path)
-    if p.is_file():
-        return _sha256_file(p)
-    if p.is_dir():
-        h = hashlib.sha256()
-        for f in sorted(q for q in p.rglob("*") if q.is_file()):
-            h.update(f.relative_to(p).as_posix().encode())
-            h.update(b"\0")
-            h.update(_sha256_file(f).encode())
-            h.update(b"\n")
-        return h.hexdigest()
-    raise IngestionError(f"input path does not exist: {p}")
+    """The sha256 of a file's bytes."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _write_config_echo(out_dir: Path, command: str, args_dict: dict, inputs: dict[str, str]) -> None:
@@ -134,12 +117,6 @@ def _write_study(out: str | None, command: str, keys: list[str], rows: list[dict
     _write_config_echo(out, command, echo, {})
 
 
-def _refuse_out_inside(out: Path, source: Path, name: str, recorder: str) -> None:
-    """An output may not lie inside an input whose digest it records: writing it would change that digest."""
-    if out.resolve().is_relative_to(source.resolve()):
-        raise ConfigurationError(f"--out {out} lies inside {name} {source}, whose digest {recorder}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -160,7 +137,6 @@ def cmd_gen(args) -> int:
 def cmd_precompute(args) -> int:
     dataset_dir = Path(args.dataset)
     out = Path(args.out)
-    _refuse_out_inside(out, dataset_dir, "--dataset", "the features record")
     params = _from_args(LaplacianParams, args)
     clouds, _ = load_dataset(dataset_dir)
     if not clouds:
@@ -170,38 +146,35 @@ def cmd_precompute(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     def cache(cloud):
-        """Write one cloud's cache; its record and cache size, or the error it raised."""
+        """Write one cloud's cache; its record, or the error it raised."""
         try:
             op = build_laplacian(cloud.points, params)
             g1 = gram_field_1(op, cloud.points)
             gram = compound_gram_field(g1, args.k)
             cache_rel = f"{cloud.id}.gram.bin"
-            write_gram_cache(out / cache_rel, gram, precision=args.precision)
+            digest = write_gram_cache(out / cache_rel, gram, precision=args.precision)
             mu = measure_weights(cloud, args.measure, density=op.density.q0)
         except PointFormsError as exc:
             return exc
+        size = (out / cache_rel).stat().st_size
         # JSON floats round-trip exactly, so the record holds the measure itself
-        return {"id": cloud.id, "cache": cache_rel, "mu": mu.tolist(), "m": cloud.m}, (out / cache_rel).stat().st_size
+        return {"id": cloud.id, "cache": cache_rel, "sha256": digest, "bytes": size, "mu": mu.tolist(), "m": cloud.m}
 
     records = []
-    total_bytes = 0
-    total_points = 0
     failures = []
     for cloud, done in zip(clouds, fork_map(cache, clouds, lambda c: c.m**2)):
         if isinstance(done, PointFormsError):
             print(f"cloud {cloud.id}: {done}", file=sys.stderr)
             failures.append(done)
-            continue
-        record, size = done
-        records.append(record)
-        total_bytes += size
-        total_points += cloud.m
+        else:
+            records.append(done)
     if not records:
         raise failures[0]
-    dataset_hash = hash_input(dataset_dir)
+    total_bytes = sum(rec["bytes"] for rec in records)
+    dataset_hash = hash_input(dataset_dir / MANIFEST_NAME)
     manifest = {
         "format": "pointforms-features",
-        "version": FEATURES_VERSION,
+        "version": MANIFESTS["pointforms-features"][0],
         # a relative path is stored relative to the features, so they load from any working directory
         "dataset": str(dataset_dir) if dataset_dir.is_absolute() else os.path.relpath(dataset_dir, out),
         "dataset_sha256": dataset_hash,
@@ -224,7 +197,7 @@ def cmd_precompute(args) -> int:
         },
         {str(dataset_dir): dataset_hash},
     )
-    estimate = estimate_gram_memory(total_points, dim, args.k, precision=args.precision)
+    estimate = estimate_gram_memory(sum(rec["m"] for rec in records), dim, args.k, precision=args.precision)
     print(
         f"cached {len(records)} gram fields (degree {args.k}, {args.precision}): "
         f"payload {format_bytes(total_bytes - len(records) * _HEADER.size)}, estimate {format_bytes(estimate)}, "
@@ -237,36 +210,33 @@ def cmd_precompute(args) -> int:
 
 
 def _load_features(features_dir: Path, ids: Collection[str] | None = None) -> tuple[list[CloudSample], dict]:
-    """Samples for the clouds named in ``ids`` (all when None), checked against the manifest and dataset.
-    The one place the measure is applied: each field is weighted in place, slice p by mu_p, as it loads."""
+    """Samples for the clouds named in ``ids`` (all when None), and the manifest. Every cache named must be there
+    at its recorded size, a stat each, and each file read must hash to its recorded sha256. The one place the
+    measure is applied: each field is weighted in place, slice p by mu_p, as it loads."""
     manifest_path = features_dir / FEATURES_MANIFEST
-    if not manifest_path.is_file():
-        raise MissingCacheError(
-            f"no feature manifest at {manifest_path}; run 'pointforms precompute' first"
-        )
-    keys = ("version", "dataset", "dataset_sha256", "degree", "measure")
-    manifest = read_manifest(manifest_path, "pointforms-features", keys, ("id", "cache"), CacheFormatError)
-    if manifest["version"] != FEATURES_VERSION:
-        raise CacheFormatError(f"{manifest_path}: version {manifest['version']}; rerun 'pointforms precompute'")
+    keys = ("dataset", "dataset_sha256", "degree", "measure")
+    manifest = read_manifest(manifest_path, "pointforms-features", keys, CacheFormatError)
     dataset_dir = features_dir / manifest["dataset"]
-    records = [rec for rec in manifest["clouds"] if ids is None or rec["id"] in ids]
     clouds, _ = load_dataset(dataset_dir, ids)
-    dataset_hash = hash_input(dataset_dir)
-    if dataset_hash != manifest["dataset_sha256"]:
+    if (digest := hash_input(dataset_dir / MANIFEST_NAME)) != manifest["dataset_sha256"]:
         raise CacheFormatError(
-            f"dataset {dataset_dir} has digest {dataset_hash}, the features were computed from "
+            f"{dataset_dir / MANIFEST_NAME} has sha256 {digest}, the features were computed from "
             f"{manifest['dataset_sha256']}; rerun 'pointforms precompute'"
         )
     by_id = {c.id: c for c in clouds}
     samples = []
-    for rec in records:
-        cloud = by_id.get(rec["id"])
-        if cloud is None:
-            raise MissingCacheError(f"cloud {rec['id']} missing from dataset {dataset_dir}")
+    for rec in manifest["clouds"]:
         cache_path = features_dir / rec["cache"]
         if not cache_path.is_file():
             raise MissingCacheError(f"cloud {rec['id']}: missing {cache_path}; rerun 'pointforms precompute'")
-        gram = read_gram_cache(cache_path)
+        if (size := cache_path.stat().st_size) != rec.get("bytes"):
+            raise CacheFormatError(f"{cache_path}: {size} bytes, the features record {rec.get('bytes')}")
+        if ids is not None and rec["id"] not in ids:
+            continue
+        cloud = by_id.get(rec["id"])
+        if cloud is None:
+            raise MissingCacheError(f"cloud {rec['id']} missing from dataset {dataset_dir}")
+        gram = read_gram_cache(cache_path, rec["sha256"])
         if gram.m != cloud.m:
             raise CacheFormatError(f"cloud {rec['id']}: gram field covers {gram.m} points, the cloud has {cloud.m}")
         if gram.D != cloud.dim:
@@ -289,14 +259,11 @@ def _load_features(features_dir: Path, ids: Collection[str] | None = None) -> tu
 def cmd_train(args) -> int:
     features_dir = Path(args.features)
     out = Path(args.out)
-    _refuse_out_inside(out, features_dir, "--features", "the checkpoint records")
     samples, feat_manifest = _load_features(features_dir)
-    # the features record the digest of their dataset, which eval checks again
-    _refuse_out_inside(out, features_dir / feat_manifest["dataset"], "the features' dataset", "the features record")
     config = _from_args(TrainConfig, args)
     result = train(samples, config)
     out.mkdir(parents=True, exist_ok=True)
-    feat_hash = hash_input(features_dir)
+    feat_hash = hash_input(features_dir / FEATURES_MANIFEST)
     meta = {
         "train_config": asdict(config),
         "test_auroc": result.test_auroc,
@@ -307,9 +274,9 @@ def cmd_train(args) -> int:
     }
     save_checkpoint(out / "model.ckpt", result.model, meta)
     with open(out / "history.csv", "w") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for row in result.history:
-            fh.write(f"{row['epoch']},{row['train_loss']!r},{row.get('val_loss', float('nan'))!r}\n")
+        fh.write("epoch,train_loss,val_loss,grad_norm\n")
+        for row, norm in zip(result.history, result.grad_norm):
+            fh.write(f"{row['epoch']},{row['train_loss']!r},{row.get('val_loss', float('nan'))!r},{norm!r}\n")
     write_json(
         out / "result.json",
         {
@@ -343,9 +310,9 @@ def cmd_eval(args) -> int:
         found = (s.gram.k, s.points.shape[1], s.gram.B)
         if found != trained:
             raise CacheFormatError(f"checkpoint expects (degree, input dim, B) {trained}, cloud {s.cloud_id} has {found}")
-    digest = hash_input(args.features)
+    digest = hash_input(Path(args.features) / FEATURES_MANIFEST)
     if digest != meta.get("features_sha256", digest):
-        raise CacheFormatError(f"features have digest {digest}, the checkpoint was trained on {meta['features_sha256']}")
+        raise CacheFormatError(f"{FEATURES_MANIFEST} has sha256 {digest}, the checkpoint records {meta['features_sha256']}")
     if any(s.label is None for s in samples):
         raise UndefinedMetricError("evaluation requires labeled clouds")
     score = evaluate(model, samples)

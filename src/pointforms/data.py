@@ -5,14 +5,17 @@ Gram fields, the binary Gram cache, and the CSV-plus-manifest dataset
 layout all live here so the compute modules stay free of I/O concerns.
 Each artifact kind has one checked reader or writer: ``read_manifest``,
 ``read_framed`` (Gram caches and checkpoints), ``read_csv``/``write_csv``
-and ``write_json``. ``PRECISIONS`` and ``MEASURES`` are the one list of
-each choice. The one channel to a second process is here too: ``Worker``,
-a forked process answering pickled requests over two pipes, and
-``fork_map``, a per-item map whose head it runs in such a worker.
+and ``write_json``; a manifest records each named file's sha256 as written,
+and a reader checks the bytes it reads. ``PRECISIONS`` and ``MEASURES``
+are the one list of each choice. The one channel to a second process is
+here too: ``Worker``, a forked process answering pickled requests over two
+pipes, and ``fork_map``, a per-item map whose head it runs in such a worker.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import itertools
 import json
 import math
@@ -42,6 +45,11 @@ PRECISIONS = {"fp32": np.dtype("<f4"), "fp64": np.dtype("<f8")}
 MEASURES = ("uniform", "density_corrected")
 
 MANIFEST_NAME = "manifest.json"
+# each manifest's format tag -> its version, the command that writes it, and the keys of a cloud record
+MANIFESTS = {
+    "pointforms-dataset": (2, "gen", ("id", "path", "sha256")),
+    "pointforms-features": (3, "precompute", ("id", "cache", "sha256")),
+}
 
 
 @dataclass(eq=False)
@@ -136,16 +144,15 @@ class GramField:
         return math.comb(self.D, self.k)
 
 
-def write_gram_cache(path: str | Path, gram: GramField, precision: str = "fp32") -> None:
-    """Write a Gram field as header + row-major point-major payload."""
+def write_gram_cache(path: str | Path, gram: GramField, precision: str = "fp32") -> str:
+    """Write a Gram field as header + row-major point-major payload; returns the sha256 of the bytes written."""
     if precision not in PRECISIONS:
         raise ConfigurationError(f"precision must be one of {tuple(PRECISIONS)}, got {precision!r}")
     flag = list(PRECISIONS).index(precision)
     header = _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, gram.D, gram.k, gram.m, flag)
-    payload = np.ascontiguousarray(gram.values, dtype=PRECISIONS[precision]).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    raw = header + np.ascontiguousarray(gram.values, dtype=PRECISIONS[precision]).tobytes()
+    Path(path).write_bytes(raw)
+    return hashlib.sha256(raw).hexdigest()
 
 
 def read_framed(path: str | Path, header: struct.Struct, magic: bytes, version: int) -> tuple[bytes, tuple]:
@@ -161,9 +168,11 @@ def read_framed(path: str | Path, header: struct.Struct, magic: bytes, version: 
     return raw, found[2:]
 
 
-def read_gram_cache(path: str | Path) -> GramField:
-    """Read a Gram cache, validating magic, version, payload length and values."""
+def read_gram_cache(path: str | Path, sha256: str | None = None) -> GramField:
+    """Read a Gram cache, validating magic, version, its recorded sha256 (if given), payload length and values."""
     raw, (D, k, m, flag) = read_framed(path, _HEADER, CACHE_MAGIC, CACHE_VERSION)
+    if sha256 is not None and (found := hashlib.sha256(raw).hexdigest()) != sha256:
+        raise CacheFormatError(f"{path} has sha256 {found}, the features record {sha256}; rerun 'pointforms precompute'")
     if flag >= len(PRECISIONS):
         raise CacheFormatError(f"{path}: unknown precision flag {flag}")
     dtype = list(PRECISIONS.values())[flag]
@@ -192,47 +201,57 @@ def write_json(path: str | Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def read_manifest(path: Path, fmt: str, keys: Collection[str], record_keys: Collection[str], error: type) -> dict:
-    """The JSON object at ``path`` tagged ``"format": fmt``, holding ``keys`` and a ``clouds`` list of
-    objects that each hold ``record_keys``; a file that is not raises ``error``."""
+def read_manifest(path: Path, fmt: str, keys: Collection[str], error: type) -> dict:
+    """The JSON object at ``path`` tagged ``"format": fmt`` at its ``MANIFESTS`` version, holding ``keys`` and a
+    ``clouds`` list of objects holding the format's record keys as strings; a file that is not raises ``error``,
+    naming the writing command where it is missing or of another version."""
+    version, writer, record_keys = MANIFESTS[fmt]
     try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+        raw = path.read_bytes()
+    except OSError as exc:  # missing, or a path through a file
+        raise error(f"cannot read {path}: {exc.strerror}; run 'pointforms {writer}' first") from None
+    try:
+        manifest = json.loads(raw)
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise error(f"{path}: invalid manifest: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != fmt:
         raise error(f"{path}: not a {fmt} manifest")
+    if manifest.get("version") != version:
+        raise error(f"{path}: version {manifest.get('version')}, expected {version}; rerun 'pointforms {writer}'")
     records = manifest.get("clouds")
     if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
         raise error(f"{path}: clouds must be a list of cloud records")
-    missing = (set(keys) - manifest.keys()) | {k for rec in records for k in record_keys if k not in rec}
+    missing = set(keys) - manifest.keys()
+    missing |= {k for rec in records for k in record_keys if not isinstance(rec.get(k), str)}
     if missing:
-        raise error(f"{path}: manifest or cloud record lacks {', '.join(sorted(missing))}")
+        raise error(f"{path}: manifest or cloud record lacks {', '.join(sorted(missing))} (record keys are strings)")
     return manifest
 
 
-def write_csv(path: str | Path, array: np.ndarray) -> None:
+def write_csv(path: str | Path, array: np.ndarray) -> str:
     """Write a 2-D array one row per line, each value as "%.17g" and comma separated:
-    the bytes of ``np.savetxt(path, array, fmt="%.17g", delimiter=",")`` from one format call."""
+    the bytes of ``np.savetxt(path, array, fmt="%.17g", delimiter=",")`` from one format call.
+    Returns the sha256 of the bytes written."""
     rows = np.asarray(array, dtype=np.float64)
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
+    raw = (line * rows.shape[0] % tuple(rows.ravel().tolist())).encode()
+    Path(path).write_bytes(raw)
+    return hashlib.sha256(raw).hexdigest()
 
 
 def save_dataset(out_dir: str | Path, name: str, clouds: list[PointCloud], config: dict) -> Path:
-    """Write one CSV per cloud and a manifest recording each cloud's id, path and label;
+    """Write one CSV per cloud and a manifest recording each cloud's id, path, label and sha256;
     returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
     for cloud in sorted(clouds, key=lambda c: c.id):
         rel = f"{cloud.id}.csv"
-        write_csv(out / rel, cloud.points)
-        records.append({"id": cloud.id, "path": rel, "label": cloud.label})
+        digest = write_csv(out / rel, cloud.points)
+        records.append({"id": cloud.id, "path": rel, "label": cloud.label, "sha256": digest})
     manifest = {
         "format": "pointforms-dataset",
-        "version": 1,
+        "version": MANIFESTS["pointforms-dataset"][0],
         "name": name,
         "config": config,
         "clouds": records,
@@ -242,24 +261,23 @@ def save_dataset(out_dir: str | Path, name: str, clouds: list[PointCloud], confi
     return manifest_path
 
 
-def read_csv(path: Path, cloud_id: str) -> np.ndarray:
-    """The finite (rows, columns) float64 array of a file ``write_csv`` wrote."""
+def read_csv(path: Path, cloud_id: str, sha256: str) -> np.ndarray:
+    """The (rows, columns) float64 array of a file ``write_csv`` wrote, whose bytes hash to ``sha256``."""
     try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        raw = path.read_bytes()
+        if (found := hashlib.sha256(raw).hexdigest()) != sha256:
+            raise IngestionError(f"cloud {cloud_id}: {path} has sha256 {found}, the dataset manifest records {sha256}")
+        return np.loadtxt(io.BytesIO(raw), delimiter=",", ndmin=2, dtype=np.float64)  # PointCloud checks finiteness
     except (ValueError, OSError) as exc:
         raise IngestionError(f"cloud {cloud_id}: cannot parse {path.name}: {exc}") from exc
-    if not np.isfinite(arr).all():
-        raise IngestionError(f"cloud {cloud_id}: non-finite values in {path.name}")
-    return arr
 
 
 def load_dataset(dataset_dir: str | Path, ids: Collection[str] | None = None) -> tuple[list[PointCloud], dict]:
-    """Load a dataset directory, or only the clouds named in ``ids``; clouds come back sorted by id."""
+    """Load a dataset directory, or only the clouds named in ``ids``; clouds come back sorted by id.
+    Each cloud file read must hash to the sha256 its record holds."""
     base = Path(dataset_dir)
     manifest_path = base / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise IngestionError(f"no manifest at {manifest_path}")
-    manifest = read_manifest(manifest_path, "pointforms-dataset", (), ("id", "path"), IngestionError)
+    manifest = read_manifest(manifest_path, "pointforms-dataset", (), IngestionError)
     records = sorted(manifest["clouds"], key=lambda r: r["id"])
     for a, b in zip(records, records[1:]):
         if a["id"] == b["id"]:
@@ -272,7 +290,7 @@ def load_dataset(dataset_dir: str | Path, ids: Collection[str] | None = None) ->
         label = rec.get("label")
         if label is not None and (type(label) is not int or label not in (0, 1)):
             raise IngestionError(f"cloud {rec['id']}: label must be null, 0 or 1, got {label!r}")
-        pts = read_csv(base / rec["path"], rec["id"])
+        pts = read_csv(base / rec["path"], rec["id"], rec["sha256"])
         if dim is None:
             dim = pts.shape[1]
         elif pts.shape[1] != dim:
@@ -311,7 +329,12 @@ class Worker:
     def __init__(self, handle: Callable):
         to_worker, tx = os.pipe()
         rx, from_worker = os.pipe()
-        self.pid = os.fork()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (to_worker, tx, rx, from_worker):
+                os.close(fd)
+            raise
         if self.pid == 0:
             code = 1
             try:  # os._exit: no atexit hook, test teardown or buffered output of the parent runs here
@@ -364,15 +387,23 @@ def _serve(handle: Callable, rx, tx) -> None:
         tx.flush()
 
 
+def start_worker(cls: type[Worker], *args) -> Worker | None:
+    """``cls(*args)``, started, or None where ``_can_fork`` says no or the fork fails: the caller works alone."""
+    try:
+        return cls(*args) if _can_fork() else None
+    except OSError:
+        return None
+
+
 def fork_map(fn: Callable, items: Sequence, cost: Callable[[object], float]) -> list:
-    """``[fn(x) for x in items]``, in input order. Where ``_can_fork`` allows and there are two or
-    more items, a forked ``Worker`` maps the head (``head_count`` of the items' costs) while this
-    process maps the tail, and the first error in input order is raised. ``fn`` must print nothing,
-    since a worker's output would bypass this process's streams; files it writes stay written."""
-    if len(items) < 2 or not _can_fork():
+    """``[fn(x) for x in items]``, in input order. Where ``start_worker`` starts one and there are
+    two or more items, a forked ``Worker`` maps the head (``head_count`` of the items' costs) while
+    this process maps the tail, and the first error in input order is raised. ``fn`` must print
+    nothing, since a worker's output would bypass this process's streams; files it writes stay written."""
+    cut = head_count([cost(x) for x in items]) if len(items) > 1 else 0
+    worker = start_worker(Worker, lambda _: [fn(x) for x in items[:cut]]) if cut else None
+    if worker is None:
         return [fn(x) for x in items]
-    cut = head_count([cost(x) for x in items])
-    worker = Worker(lambda _: [fn(x) for x in items[:cut]])
     try:
         worker.send(None)
         try:

@@ -396,6 +396,7 @@ class TrainConfig:
 class TrainResult:
     model: FormNetwork
     history: list[dict]
+    grad_norm: list[float]  # per epoch, the L2 norm of the gradient of that epoch's train_loss
     test_auroc: float
     splits: dict[str, list[str]]
     timings: dict  # epoch_s (seconds of each epoch), total_s (the whole call), worker (whether one was forked)
@@ -479,9 +480,9 @@ def _head_sums(model: FormNetwork, head: list[_Pack], received: list[np.ndarray]
 def train(samples: list[CloudSample], config: TrainConfig | None = None) -> TrainResult:
     """Full-batch training with a fixed 60/20/20-style split by cloud.
 
-    Every cloud must be labelled 0 or 1. With two or more train packs and
-    ``data._can_fork``, one forked worker folds the head packs each epoch;
-    the result is bitwise that of one process.
+    Every cloud must be labelled 0 or 1. With two or more train packs and a
+    worker from ``data.start_worker``, that worker folds the head packs each
+    epoch; the result is bitwise that of one process.
     """
     started = time.perf_counter()
     config = config or TrainConfig()
@@ -508,15 +509,19 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
     params = model.parameters()
     opt = _Adam(params, lr=config.learning_rate)
     train_packs, val_packs = _pack(model, train_set), _pack(model, val_set)
+    n_train = max(1, len(train_set))
     history: list[dict] = []
+    grad_norm: list[float] = []
     epoch_s: list[float] = []
-    worker = _HeadWorker(model, train_packs, _cut(train_packs)) if len(train_packs) > 1 and data._can_fork() else None
+    worker = data.start_worker(_HeadWorker, model, train_packs, _cut(train_packs)) if len(train_packs) > 1 else None
     try:
         for epoch in range(config.epochs):
             tick = time.perf_counter()
             loss, grads = worker.loss_and_grad(model) if worker else loss_and_grad(model, train_packs)
+            # numpy's pairwise sums, not BLAS, so the norm does not depend on the thread count
+            grad_norm.append(float(np.sqrt(sum(np.square(g, dtype=np.float64).sum() for g in grads))) / n_train)
             opt.update(params, grads)
-            row = {"epoch": epoch, "train_loss": loss / max(1, len(train_set))}
+            row = {"epoch": epoch, "train_loss": loss / n_train}
             if val_set and (epoch % VAL_EVERY == 0 or epoch == config.epochs - 1):
                 row["val_loss"] = _loss_only(model, val_packs) / len(val_set)
             history.append(row)
@@ -527,6 +532,7 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
     return TrainResult(
         model=model,
         history=history,
+        grad_norm=grad_norm,
         test_auroc=evaluate(model, test_set),
         splits={k: [samples[i].cloud_id for i in v] for k, v in splits.items()},
         timings={"epoch_s": epoch_s, "total_s": time.perf_counter() - started, "worker": worker is not None},

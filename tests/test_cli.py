@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import errno
 import functools
 import hashlib
 import json
@@ -196,7 +197,8 @@ def test_every_task_writes_the_one_labelled_dataset_shape(task, tmp_path, monkey
     assert {p.name for p in out.iterdir()} == expected
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["clouds"]) == len(clouds)
-    assert all(set(rec) == {"id", "path", "label"} for rec in manifest["clouds"])
+    assert all(set(rec) == {"id", "path", "label", "sha256"} for rec in manifest["clouds"])
+    assert all(rec["sha256"] == hash_input(out / rec["path"]) for rec in manifest["clouds"])
 
 
 def test_density_shift_runs_gen_to_eval(tmp_path, capsys):
@@ -319,15 +321,22 @@ def test_precompute_bad_setting_exits_1_once_before_any_cloud(flags, tmp_path, c
 
 
 @pytest.mark.parametrize("sub", ["feat", "."], ids=["subdirectory", "dataset-itself"])
-def test_precompute_into_its_own_dataset_exit_1(sub, tmp_path, capsys):
-    data_dir = _small_dataset(tmp_path / "data")
-    before = {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()}
-    code = main(["precompute", "--dataset", str(data_dir), "--out", str(data_dir / sub)])
-    assert code == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "inside --dataset" in err[0]
-    assert {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()} == before
-    assert not (data_dir / "feat").exists()
+def test_precompute_into_its_own_dataset_then_train_and_eval(sub, small_pipeline, tmp_path, capsys):
+    # the features record the digest of the dataset's manifest, which files written beside it leave alone
+    import shutil
+
+    data_dir = tmp_path / "data"
+    shutil.copytree(small_pipeline["data"], data_dir)
+    manifest = (data_dir / data.MANIFEST_NAME).read_bytes()
+    feat = data_dir / sub
+    assert main(["precompute", "--dataset", str(data_dir), "--out", str(feat)]) == 0
+    assert (data_dir / data.MANIFEST_NAME).read_bytes() == manifest
+    recorded = json.loads((feat / cli.FEATURES_MANIFEST).read_text())["dataset_sha256"]
+    assert recorded == hash_input(data_dir / data.MANIFEST_NAME)
+    assert main(["train", "--features", str(feat), "--out", str(feat / "run"), "--epochs", "2", "--n-forms", "2"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(feat / "run" / "model.ckpt"), "--features", str(feat)]) == 0
+    assert "match: True" in capsys.readouterr().out
 
 
 def test_precompute_every_cloud_failing_reports_the_first_failure(tmp_path, capsys):
@@ -501,10 +510,10 @@ def test_train_outputs_and_eval_reproduces_auroc(small_pipeline, capsys):
     for name in ("model.ckpt", "history.csv", "result.json", "config.json"):
         assert (run / name).is_file()
     history = (run / "history.csv").read_text().splitlines()
-    assert history[0] == "epoch,train_loss,val_loss"
+    assert history[0] == "epoch,train_loss,val_loss,grad_norm"
     assert len(history) == 21
     # validation runs at epoch 0, every 10th epoch and the last; other rows write nan
-    assert [int(row.split(",")[0]) for row in history[1:] if not row.endswith(",nan")] == [0, 10, 19]
+    assert [int(row.split(",")[0]) for row in history[1:] if row.split(",")[2] != "nan"] == [0, 10, 19]
     result = json.loads((run / "result.json").read_text())
     assert 0.0 <= result["test_auroc"] <= 1.0
 
@@ -691,7 +700,8 @@ def test_eval_checkpoint_on_other_features_exit_2(small_pipeline, tmp_path, caps
     code = main(["eval", "--model", str(small_pipeline["run"] / "model.ckpt"), "--features", str(feat2)])
     assert code == 2
     err = capsys.readouterr().err
-    assert hash_input(feat2) in err and hash_input(small_pipeline["feat"]) in err
+    for feat in (feat2, small_pipeline["feat"]):
+        assert hash_input(feat / cli.FEATURES_MANIFEST) in err
 
 
 @pytest.mark.parametrize(
@@ -707,26 +717,18 @@ def test_train_bad_config_exit_1(flags, small_pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_into_its_own_features_exit_1(small_pipeline, tmp_path, monkeypatch, capsys):
+def test_train_into_its_own_features_or_dataset_then_eval(small_pipeline, tmp_path, capsys):
     import shutil
 
-    feat = tmp_path / "feat"
-    shutil.copytree(small_pipeline["feat"], feat)
-    code = main(["train", "--features", str(feat), "--out", str(feat / "run"), "--epochs", "1"])
-    assert code == 1
-    assert "inside --features" in capsys.readouterr().err
-    assert not (feat / "run").exists()
-    # nor inside the dataset the features were computed from, whose digest they record
-    data_dir = tmp_path / "data"
+    data_dir, feat = tmp_path / "data", tmp_path / "feat"
     shutil.copytree(small_pipeline["data"], data_dir)
     assert main(["precompute", "--dataset", str(data_dir), "--out", str(feat), "--k", "1"]) == 0
-    before = {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()}
+    for out in (feat / "run", data_dir / "run"):
+        assert main(["train", "--features", str(feat), "--out", str(out), "--epochs", "2", "--n-forms", "2"]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("trained before refusing --out"))
-    code = main(["train", "--features", str(feat), "--out", str(data_dir / "run"), "--epochs", "1"])
-    assert code == 1
-    assert "inside the features' dataset" in capsys.readouterr().err
-    assert {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()} == before
+    for out in (feat / "run", data_dir / "run"):
+        assert main(["eval", "--model", str(out / "model.ckpt"), "--features", str(feat)]) == 0
+        assert "match: True" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("damage", ["missing", "unparsable-echo", "echo-without-arch"])
@@ -796,7 +798,7 @@ def test_relative_dataset_path_resolves_from_the_features(small_pipeline, tmp_pa
 def test_eval_reads_only_the_scored_caches(split, small_pipeline, monkeypatch, capsys):
     run = small_pipeline["run"]
     read = []
-    monkeypatch.setattr(cli, "read_gram_cache", lambda path: read.append(path) or data.read_gram_cache(path))
+    monkeypatch.setattr(cli, "read_gram_cache", lambda path, *a: read.append(path) or data.read_gram_cache(path, *a))
     code = main(["eval", "--model", str(run / "model.ckpt"), "--features", str(small_pipeline["feat"]), "--split", split])
     assert code == 0
     splits = json.loads((run / "result.json").read_text())["split_sizes"]
@@ -809,7 +811,7 @@ def test_eval_corrupt_cache_exit_2(small_pipeline, tmp_path, capsys):
 
     feat_copy = tmp_path / "feat"
     shutil.copytree(small_pipeline["feat"], feat_copy)
-    victim = next(feat_copy.glob("*.gram.bin"))
+    victim = feat_copy / f"{load_checkpoint(small_pipeline['run'] / 'model.ckpt')[1]['splits']['test'][0]}.gram.bin"
     raw = bytearray(victim.read_bytes())
     raw[0] ^= 0xFF
     victim.write_bytes(bytes(raw))
@@ -823,9 +825,13 @@ def test_cache_of_another_ambient_dimension_exit_2(small_pipeline, tmp_path, cap
 
     feat_copy = tmp_path / "feat"
     shutil.copytree(small_pipeline["feat"], feat_copy)
-    for victim in feat_copy.glob("*.gram.bin"):
-        m = data.read_gram_cache(victim).m
-        data.write_gram_cache(victim, data.GramField(D=3, k=1, values=np.tile(np.eye(3), (m, 1, 1))))
+    manifest = json.loads((feat_copy / cli.FEATURES_MANIFEST).read_text())
+    for rec in manifest["clouds"]:  # recorded anew, so the dimension check is the one that fails
+        victim = feat_copy / rec["cache"]
+        gram = data.GramField(D=3, k=1, values=np.tile(np.eye(3), (rec["m"], 1, 1)))
+        rec["sha256"] = data.write_gram_cache(victim, gram)
+        rec["bytes"] = victim.stat().st_size
+    (feat_copy / cli.FEATURES_MANIFEST).write_text(json.dumps(manifest))
     code = main(["train", "--features", str(feat_copy), "--out", str(tmp_path / "run"), "--epochs", "1"])
     assert code == 2
     assert "ambient dimension 3, the cloud has 2" in capsys.readouterr().err
@@ -1059,13 +1065,182 @@ def test_hash_input_tracks_content(tmp_path):
     h1 = hash_input(f)
     f.write_text("1,3\n")
     assert hash_input(f) != h1
-    d = tmp_path / "d"
-    d.mkdir()
-    (d / "a.txt").write_text("a")
-    (d / "b.txt").write_text("b")
-    h_dir = hash_input(d)
-    (d / "b.txt").write_text("c")
-    assert hash_input(d) != h_dir
+    # a dataset's digest is its manifest's, which holds each cloud file's
+    d = _small_dataset(tmp_path / "d")
+    h_dir = hash_input(d / data.MANIFEST_NAME)
+    (d / "notes.txt").write_text("not a cloud")
+    assert hash_input(d / data.MANIFEST_NAME) == h_dir
+    clouds, _ = data.load_dataset(d)
+    save_dataset(d, "toy", [PointCloud(id=c.id, points=c.points * 2.0, label=c.label) for c in clouds], {"seed": 2})
+    assert hash_input(d / data.MANIFEST_NAME) != h_dir
+
+
+# ---------------------------------------------------------------------------
+# recorded digests: each manifest holds the sha256 of every file it names, and each reader checks what it reads
+
+
+def _flip_last_byte(path: Path) -> None:
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("kind", ["cache", "csv"])
+def test_eval_checks_the_files_it_scores_and_train_every_file(kind, small_pipeline, tmp_path, capsys):
+    import shutil
+
+    data_dir, feat, run = tmp_path / "data", tmp_path / "feat", tmp_path / "run"
+    shutil.copytree(small_pipeline["data"], data_dir)
+    assert main(["precompute", "--dataset", str(data_dir), "--out", str(feat)]) == 0
+    assert main(["train", "--features", str(feat), "--out", str(run), "--epochs", "2", "--n-forms", "2"]) == 0
+    splits = load_checkpoint(run / "model.ckpt")[1]["splits"]
+    path = {"cache": lambda cid: feat / f"{cid}.gram.bin", "csv": lambda cid: data_dir / f"{cid}.csv"}[kind]
+    evaluate = ["eval", "--model", str(run / "model.ckpt"), "--features", str(feat)]
+    unscored, scored = path(splits["train"][0]), path(splits["test"][0])
+    _flip_last_byte(unscored)
+    capsys.readouterr()
+    assert main(evaluate) == 0
+    assert "match: True" in capsys.readouterr().out
+    assert main(["train", "--features", str(feat), "--out", str(tmp_path / "run2"), "--epochs", "1"]) == 2
+    assert f"{unscored} has sha256" in capsys.readouterr().err
+    assert not (tmp_path / "run2").exists()
+    _flip_last_byte(scored)
+    assert main(evaluate) == 2
+    assert f"{scored} has sha256" in capsys.readouterr().err
+
+
+def test_features_of_a_relabelled_dataset_exit_2(small_pipeline, tmp_path, capsys):
+    # every cloud file is intact; only the manifest, whose digest the features record, changed
+    import shutil
+
+    data_dir, feat = tmp_path / "data", tmp_path / "feat"
+    shutil.copytree(small_pipeline["data"], data_dir)
+    assert main(["precompute", "--dataset", str(data_dir), "--out", str(feat)]) == 0
+    manifest = json.loads((data_dir / data.MANIFEST_NAME).read_text())
+    manifest["clouds"][0]["label"] = 1 - manifest["clouds"][0]["label"]
+    (data_dir / data.MANIFEST_NAME).write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["train", "--features", str(feat), "--out", str(tmp_path / "run"), "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{data_dir / data.MANIFEST_NAME} has sha256 {hash_input(data_dir / data.MANIFEST_NAME)}" in err
+    assert "rerun 'pointforms precompute'" in err
+    # a features path through a file reads no manifest
+    ckpt = small_pipeline["run"] / "model.ckpt"
+    assert main(["eval", "--model", str(ckpt), "--features", str(data_dir / data.MANIFEST_NAME)]) == 2
+    assert "run 'pointforms precompute' first" in capsys.readouterr().err
+
+
+def test_every_cache_named_keeps_its_recorded_size(small_pipeline, tmp_path, capsys):
+    # a stat each, so a truncated or missing cache stops eval even where eval does not read it
+    import shutil
+
+    feat = tmp_path / "feat"
+    shutil.copytree(small_pipeline["feat"], feat)
+    ckpt = small_pipeline["run"] / "model.ckpt"
+    victim = feat / f"{load_checkpoint(ckpt)[1]['splits']['train'][0]}.gram.bin"
+    victim.write_bytes(victim.read_bytes()[:-4])
+    assert main(["eval", "--model", str(ckpt), "--features", str(feat)]) == 2
+    size = victim.stat().st_size
+    assert f"{victim}: {size} bytes, the features record {size + 4}" in capsys.readouterr().err
+    victim.unlink()
+    assert main(["eval", "--model", str(ckpt), "--features", str(feat)]) == MissingCacheError.exit_code
+    assert f"missing {victim}" in capsys.readouterr().err
+
+
+def test_extra_files_change_no_digest_and_no_output(small_pipeline, tmp_path, capsys):
+    import shutil
+
+    data_dir, feat, run = tmp_path / "data", tmp_path / "feat", tmp_path / "run"
+    shutil.copytree(small_pipeline["data"], data_dir)
+    outputs = []
+    for extra in (False, True):
+        if extra:
+            (data_dir / "notes.txt").write_text("kept beside the clouds")
+        assert main(["precompute", "--dataset", str(data_dir), "--out", str(feat)]) == 0
+        if extra:
+            (feat / "notes.txt").write_text("kept beside the caches")
+        assert main(["train", "--features", str(feat), "--out", str(run), "--epochs", "2", "--n-forms", "2"]) == 0
+        assert main(["eval", "--model", str(run / "model.ckpt"), "--features", str(feat)]) == 0
+        files = {**_dir_digest(feat), **{f"run/{k}": v for k, v in _dir_digest(run).items()}}
+        files.pop("notes.txt", None)
+        files.pop("run/timings.json")  # seconds
+        outputs.append((capsys.readouterr().out, files))
+    assert outputs[1] == outputs[0]
+
+
+def test_manifests_of_an_older_version_ask_for_the_command_that_writes_them(small_pipeline, tmp_path, capsys):
+    import shutil
+
+    data_dir, feat = tmp_path / "data", tmp_path / "feat"
+    shutil.copytree(small_pipeline["data"], data_dir)
+    shutil.copytree(small_pipeline["feat"], feat)
+    manifest = json.loads((feat / cli.FEATURES_MANIFEST).read_text())
+    (feat / cli.FEATURES_MANIFEST).write_text(json.dumps({**manifest, "version": 2}))
+    for argv in (
+        ["train", "--features", str(feat), "--out", str(tmp_path / "run"), "--epochs", "1"],
+        ["eval", "--model", str(small_pipeline["run"] / "model.ckpt"), "--features", str(feat)],
+    ):
+        assert main(argv) == 2
+        assert "version 2, expected 3; rerun 'pointforms precompute'" in capsys.readouterr().err
+    manifest = json.loads((data_dir / data.MANIFEST_NAME).read_text())
+    (data_dir / data.MANIFEST_NAME).write_text(json.dumps({**manifest, "version": 1}))
+    assert main(["precompute", "--dataset", str(data_dir), "--out", str(tmp_path / "feat2")]) == 2
+    assert "version 1, expected 2; rerun 'pointforms gen'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("kind", "key", "value"),
+    [
+        ("dataset", "id", 7),
+        ("dataset", "path", None),
+        ("dataset", "sha256", 5),
+        ("features", "id", 7),
+        ("features", "cache", None),
+        ("features", "sha256", None),
+    ],
+)
+def test_record_key_that_is_not_a_string_exit_2_naming_the_file(kind, key, value, small_pipeline, tmp_path, capsys):
+    import shutil
+
+    data_dir, feat = tmp_path / "data", tmp_path / "feat"
+    shutil.copytree(small_pipeline["data"], data_dir)
+    shutil.copytree(small_pipeline["feat"], feat)
+    manifest_path = data_dir / data.MANIFEST_NAME if kind == "dataset" else feat / cli.FEATURES_MANIFEST
+    manifest = json.loads(manifest_path.read_text())
+    manifest["clouds"][1][key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    argvs = {
+        "dataset": [["precompute", "--dataset", str(data_dir), "--out", str(tmp_path / "feat2")]],
+        "features": [
+            ["train", "--features", str(feat), "--out", str(tmp_path / "run"), "--epochs", "1"],
+            ["eval", "--model", str(small_pipeline["run"] / "model.ckpt"), "--features", str(feat)],
+        ],
+    }[kind]
+    for argv in argvs:
+        assert main(argv) == 2
+        assert f"error: {manifest_path}: manifest or cloud record lacks {key}" in capsys.readouterr().err
+
+
+@fork_warning
+def test_a_failed_fork_runs_precompute_and_train_in_one_process(small_pipeline, tmp_path, monkeypatch, capsys):
+    def fork_fails():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    runs = []
+    for fork in (None, fork_fails):
+        monkeypatch.setattr(data, "_can_fork", lambda: fork is not None)
+        if fork:
+            monkeypatch.setattr(os, "fork", fork)
+        feat, run = tmp_path / f"feat-{fork is None}", tmp_path / f"run-{fork is None}"
+        assert main(["precompute", "--dataset", str(small_pipeline["data"]), "--out", str(feat)]) == 0
+        assert main(["train", "--features", str(feat), "--out", str(run), *TWO_PACKS]) == 0
+        assert not json.loads((run / "timings.json").read_text())["worker"]
+        echo = {name: (run / name).read_bytes() for name in ("history.csv", "result.json")}
+        params = load_checkpoint(run / "model.ckpt")[0].parameters()
+        runs.append((capsys.readouterr().out, _dir_digest(feat), echo, params))
+    (out0, feat0, echo0, params0), (out1, feat1, echo1, params1) = runs
+    assert out1 == out0 and feat1 == feat0 and echo1 == echo0
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(params0, params1))
 
 
 # ---------------------------------------------------------------------------

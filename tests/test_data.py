@@ -1,5 +1,7 @@
 """Point-cloud containers, multi-index tables, measures, and binary caches."""
 
+import errno
+import hashlib
 import json
 import math
 import os
@@ -244,7 +246,8 @@ def test_dataset_mixed_dimensions_rejected(tmp_path):
     save_dataset(tmp_path, "toy", [PointCloud(id="a", points=np.ones((3, 2)))], {})
     np.savetxt(tmp_path / "b.csv", np.ones((3, 4)), fmt="%.17g", delimiter=",")
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["clouds"].append({"id": "b", "path": "b.csv", "label": None})
+    digest = hashlib.sha256((tmp_path / "b.csv").read_bytes()).hexdigest()
+    manifest["clouds"].append({"id": "b", "path": "b.csv", "label": None, "sha256": digest})
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(IngestionError):
         load_dataset(tmp_path)
@@ -344,3 +347,61 @@ def test_worker_error_reaches_the_caller_as_its_class_and_message(forked_workers
             worker.receive()
     finally:
         worker.close()
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _fork_fails(*_):
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts open descriptors in /proc")
+def test_failed_fork_closes_its_pipes_and_maps_in_one_process(monkeypatch):
+    monkeypatch.setattr(data, "_can_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", _fork_fails)
+    before = _open_fds()
+    for _ in range(3):
+        with pytest.raises(OSError):
+            data.Worker(lambda x: x)
+    assert _open_fds() == before
+    assert data.start_worker(data.Worker, lambda x: x) is None
+    assert fork_map(lambda x: (x * x, os.getpid()), [1, 2, 3], lambda x: 1) == [(x * x, os.getpid()) for x in (1, 2, 3)]
+    assert _open_fds() == before
+
+
+# ---------------------------------------------------------------------------
+# recorded digests
+
+
+def test_writers_return_the_sha256_of_the_bytes_they_wrote(tmp_path):
+    gram = GramField(D=3, k=1, values=np.tile(np.eye(3), (4, 1, 1)))
+    assert write_gram_cache(tmp_path / "g.bin", gram) == hashlib.sha256((tmp_path / "g.bin").read_bytes()).hexdigest()
+    assert write_csv(tmp_path / "c.csv", np.ones((2, 2))) == hashlib.sha256(b"1,1\n1,1\n").hexdigest()
+    save_dataset(tmp_path / "data", "toy", [PointCloud(id="a", points=np.ones((3, 2)))], {})
+    (record,) = json.loads((tmp_path / "data" / "manifest.json").read_text())["clouds"]
+    assert record["sha256"] == hashlib.sha256((tmp_path / "data" / "a.csv").read_bytes()).hexdigest()
+
+
+def test_readers_reject_bytes_unlike_the_recorded_sha256(tmp_path):
+    gram = GramField(D=3, k=1, values=np.tile(np.eye(3), (4, 1, 1)))
+    digest = write_gram_cache(tmp_path / "g.bin", gram)
+    assert read_gram_cache(tmp_path / "g.bin", digest).m == 4
+    with pytest.raises(CacheFormatError, match=f"g.bin has sha256 {digest}, the features record 0{{64}}"):
+        read_gram_cache(tmp_path / "g.bin", "0" * 64)
+    save_dataset(tmp_path, "toy", [PointCloud(id=i, points=np.ones((3, 2)) * k) for k, i in enumerate("ab", 1)], {})
+    (tmp_path / "b.csv").write_text((tmp_path / "b.csv").read_text().replace("2", "3"))  # same length, other values
+    assert [c.id for c in load_dataset(tmp_path, {"a"})[0]] == ["a"]  # only the clouds read are checked
+    with pytest.raises(IngestionError, match="cloud b: .*b.csv has sha256 .*, the dataset manifest records"):
+        load_dataset(tmp_path)
+
+
+def test_dataset_manifest_of_another_version_asks_for_gen(tmp_path):
+    save_dataset(tmp_path, "toy", [PointCloud(id="a", points=np.ones((3, 2)))], {})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    for rec in manifest["clouds"]:
+        del rec["sha256"]
+    (tmp_path / "manifest.json").write_text(json.dumps({**manifest, "version": 1}))
+    with pytest.raises(IngestionError, match="version 1, expected 2; rerun 'pointforms gen'"):
+        load_dataset(tmp_path)

@@ -1,5 +1,6 @@
 """Form networks, comparison matrices, readouts, loss, and training."""
 
+import errno
 import json
 import math
 import os
@@ -547,6 +548,45 @@ def test_worker_error_reaches_the_caller_and_leaves_no_child(monkeypatch):
     with pytest.raises(NumericFailureError, match=f"cloud {head_cloud.cloud_id}: non-finite loss"):
         train(samples, config)
     _assert_no_child()
+
+
+def test_grad_norm_is_the_norm_of_the_mean_loss_gradient():
+    samples = _training_set()
+    config = TrainConfig(n_forms=2, hidden=(8,), epochs=3, seed=0, split_seed=0)
+    result = train(samples, config)
+    assert len(result.grad_norm) == 3 and all(n > 0 for n in result.grad_norm)
+    # epoch 0 takes the gradient at the initial parameters
+    first = samples[0]
+    model = FormNetwork.create(
+        first.points.shape[1], first.gram.B, 2, (8,), "tri", rng=np.random.default_rng([0]), dtype=np.float32
+    )
+    train_set = [samples[i] for i in split_samples(samples, 0.2, 0.2, 0)["train"]]
+    _, grads = loss_and_grad(model, train_set)
+    expected = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads)) / len(train_set)
+    assert result.grad_norm[0] == pytest.approx(expected, rel=1e-12)
+
+
+@fork_warning
+def test_forked_or_failed_fork_grad_norm_equals_one_process(monkeypatch):
+    samples = _training_set(n_per_class=7)
+    config = TrainConfig(n_forms=2, hidden=(8,), epochs=12, seed=0, split_seed=0)
+    monkeypatch.setattr(network, "PACK_FLOATS", 2 * 6 * 2 * 2)  # two clouds per pack: 10 train clouds, 5 packs
+    _forced_worker(monkeypatch, False)
+    alone = train(samples, config)
+    _forced_worker(monkeypatch)
+    forked = train(samples, config)
+    _assert_no_child()
+
+    def fork_fails():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork_fails)
+    unforked = train(samples, config)
+    assert forked.timings["worker"] and not unforked.timings["worker"]
+    for result in (forked, unforked):
+        assert result.grad_norm == alone.grad_norm and result.history == alone.history
+        for a, b in zip(alone.model.parameters(), result.model.parameters()):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_tiny_train_splits_run_no_worker(monkeypatch):
