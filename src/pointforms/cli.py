@@ -152,11 +152,10 @@ def cmd_precompute(args) -> int:
             g1 = gram_field_1(op, cloud.points)
             gram = compound_gram_field(g1, args.k)
             cache_rel = f"{cloud.id}.gram.bin"
-            digest = write_gram_cache(out / cache_rel, gram, precision=args.precision)
+            digest, size = write_gram_cache(out / cache_rel, gram, precision=args.precision)
             mu = measure_weights(cloud, args.measure, density=op.density.q0)
         except PointFormsError as exc:
             return exc
-        size = (out / cache_rel).stat().st_size
         # JSON floats round-trip exactly, so the record holds the measure itself
         return {"id": cloud.id, "cache": cache_rel, "sha256": digest, "bytes": size, "mu": mu.tolist(), "m": cloud.m}
 
@@ -210,9 +209,8 @@ def cmd_precompute(args) -> int:
 
 
 def _load_features(features_dir: Path, ids: Collection[str] | None = None) -> tuple[list[CloudSample], dict]:
-    """Samples for the clouds named in ``ids`` (all when None), and the manifest. Every cache named must be there
-    at its recorded size, a stat each, and each file read must hash to its recorded sha256. The one place the
-    measure is applied: each field is weighted in place, slice p by mu_p, as it loads."""
+    """Samples for the clouds named in ``ids`` (all when None), and the manifest. Each cache named must have its
+    recorded size, each one read its sha256; the one place the measure is applied, slice p weighted by mu_p."""
     manifest_path = features_dir / FEATURES_MANIFEST
     keys = ("dataset", "dataset_sha256", "degree", "measure")
     manifest = read_manifest(manifest_path, "pointforms-features", keys, CacheFormatError)

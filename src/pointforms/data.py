@@ -144,15 +144,15 @@ class GramField:
         return math.comb(self.D, self.k)
 
 
-def write_gram_cache(path: str | Path, gram: GramField, precision: str = "fp32") -> str:
-    """Write a Gram field as header + row-major point-major payload; returns the sha256 of the bytes written."""
+def write_gram_cache(path: str | Path, gram: GramField, precision: str = "fp32") -> tuple[str, int]:
+    """Write a Gram field as header + row-major point-major payload; returns the sha256 and length of the bytes."""
     if precision not in PRECISIONS:
         raise ConfigurationError(f"precision must be one of {tuple(PRECISIONS)}, got {precision!r}")
     flag = list(PRECISIONS).index(precision)
     header = _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, gram.D, gram.k, gram.m, flag)
     raw = header + np.ascontiguousarray(gram.values, dtype=PRECISIONS[precision]).tobytes()
     Path(path).write_bytes(raw)
-    return hashlib.sha256(raw).hexdigest()
+    return hashlib.sha256(raw).hexdigest(), len(raw)
 
 
 def read_framed(path: str | Path, header: struct.Struct, magic: bytes, version: int) -> tuple[bytes, tuple]:
@@ -168,10 +168,10 @@ def read_framed(path: str | Path, header: struct.Struct, magic: bytes, version: 
     return raw, found[2:]
 
 
-def read_gram_cache(path: str | Path, sha256: str | None = None) -> GramField:
-    """Read a Gram cache, validating magic, version, its recorded sha256 (if given), payload length and values."""
+def read_gram_cache(path: str | Path, sha256: str) -> GramField:
+    """Read a Gram cache, validating magic, version, its recorded sha256, payload length and values."""
     raw, (D, k, m, flag) = read_framed(path, _HEADER, CACHE_MAGIC, CACHE_VERSION)
-    if sha256 is not None and (found := hashlib.sha256(raw).hexdigest()) != sha256:
+    if (found := hashlib.sha256(raw).hexdigest()) != sha256:
         raise CacheFormatError(f"{path} has sha256 {found}, the features record {sha256}; rerun 'pointforms precompute'")
     if flag >= len(PRECISIONS):
         raise CacheFormatError(f"{path}: unknown precision flag {flag}")
@@ -207,11 +207,9 @@ def read_manifest(path: Path, fmt: str, keys: Collection[str], error: type) -> d
     naming the writing command where it is missing or of another version."""
     version, writer, record_keys = MANIFESTS[fmt]
     try:
-        raw = path.read_bytes()
+        manifest = json.loads(path.read_bytes())
     except OSError as exc:  # missing, or a path through a file
         raise error(f"cannot read {path}: {exc.strerror}; run 'pointforms {writer}' first") from None
-    try:
-        manifest = json.loads(raw)
     except ValueError as exc:  # not JSON, or not UTF-8
         raise error(f"{path}: invalid manifest: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != fmt:
@@ -348,6 +346,14 @@ class Worker:
         os.close(from_worker)
         self._tx, self._rx = open(tx, "wb"), open(rx, "rb")
 
+    @classmethod
+    def start(cls, *args) -> Worker | None:
+        """``cls(*args)``, or None where the fork fails (no process to spare): the caller works alone."""
+        try:
+            return cls(*args)
+        except OSError:
+            return None
+
     def send(self, obj: object) -> None:
         pickle.dump(obj, self._tx, pickle.HIGHEST_PROTOCOL)
         self._tx.flush()
@@ -387,21 +393,13 @@ def _serve(handle: Callable, rx, tx) -> None:
         tx.flush()
 
 
-def start_worker(cls: type[Worker], *args) -> Worker | None:
-    """``cls(*args)``, started, or None where ``_can_fork`` says no or the fork fails: the caller works alone."""
-    try:
-        return cls(*args) if _can_fork() else None
-    except OSError:
-        return None
-
-
 def fork_map(fn: Callable, items: Sequence, cost: Callable[[object], float]) -> list:
-    """``[fn(x) for x in items]``, in input order. Where ``start_worker`` starts one and there are
-    two or more items, a forked ``Worker`` maps the head (``head_count`` of the items' costs) while
-    this process maps the tail, and the first error in input order is raised. ``fn`` must print
-    nothing, since a worker's output would bypass this process's streams; files it writes stay written."""
-    cut = head_count([cost(x) for x in items]) if len(items) > 1 else 0
-    worker = start_worker(Worker, lambda _: [fn(x) for x in items[:cut]]) if cut else None
+    """``[fn(x) for x in items]``, in input order. Where ``_can_fork`` allows, there are two or more
+    items and ``Worker.start`` starts one, a forked ``Worker`` maps the head (``head_count`` of the
+    items' costs) while this process maps the tail, and the first error in input order is raised.
+    ``fn`` must print nothing, as a worker's output bypasses this process's streams; its files stay."""
+    cut = head_count([cost(x) for x in items]) if len(items) > 1 and _can_fork() else 0
+    worker = Worker.start(lambda _: [fn(x) for x in items[:cut]]) if cut else None
     if worker is None:
         return [fn(x) for x in items]
     try:

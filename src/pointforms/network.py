@@ -480,9 +480,9 @@ def _head_sums(model: FormNetwork, head: list[_Pack], received: list[np.ndarray]
 def train(samples: list[CloudSample], config: TrainConfig | None = None) -> TrainResult:
     """Full-batch training with a fixed 60/20/20-style split by cloud.
 
-    Every cloud must be labelled 0 or 1. With two or more train packs and a
-    worker from ``data.start_worker``, that worker folds the head packs each
-    epoch; the result is bitwise that of one process.
+    Every cloud must be labelled 0 or 1. With two or more train packs,
+    ``data._can_fork`` and a worker from ``Worker.start``, that worker folds
+    the head packs each epoch; the result is bitwise that of one process.
     """
     started = time.perf_counter()
     config = config or TrainConfig()
@@ -513,7 +513,7 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
     history: list[dict] = []
     grad_norm: list[float] = []
     epoch_s: list[float] = []
-    worker = data.start_worker(_HeadWorker, model, train_packs, _cut(train_packs)) if len(train_packs) > 1 else None
+    worker = _HeadWorker.start(model, train_packs, _cut(train_packs)) if len(train_packs) > 1 and data._can_fork() else None
     try:
         for epoch in range(config.epochs):
             tick = time.perf_counter()

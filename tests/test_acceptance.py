@@ -289,8 +289,7 @@ def test_criterion_10_exactness_suite(tmp_path):
 
     g1 = gram_field_1(op, pts)
     path = tmp_path / "roundtrip.gram.bin"
-    write_gram_cache(path, g1, precision="fp64")
-    back = read_gram_cache(path)
+    back = read_gram_cache(path, write_gram_cache(path, g1, precision="fp64")[0])
     bit_exact = np.array_equal(back.values, g1.values) and back.values.dtype == np.float64
 
     ok = l_const <= 1e-12 and gamma_const <= 1e-12 and symmetric and proj_worst <= 1e-12 and bit_exact

@@ -327,10 +327,13 @@ def test_precompute_into_its_own_dataset_then_train_and_eval(sub, small_pipeline
 
     data_dir = tmp_path / "data"
     shutil.copytree(small_pipeline["data"], data_dir)
+    (data_dir / "config.json").write_text('{"command": "gen"}\n')
     manifest = (data_dir / data.MANIFEST_NAME).read_bytes()
     feat = data_dir / sub
     assert main(["precompute", "--dataset", str(data_dir), "--out", str(feat)]) == 0
     assert (data_dir / data.MANIFEST_NAME).read_bytes() == manifest
+    # an --out that is the input directory itself replaces the input's echo, which no digest covers
+    assert json.loads((data_dir / "config.json").read_text())["command"] == ("precompute" if sub == "." else "gen")
     recorded = json.loads((feat / cli.FEATURES_MANIFEST).read_text())["dataset_sha256"]
     assert recorded == hash_input(data_dir / data.MANIFEST_NAME)
     assert main(["train", "--features", str(feat), "--out", str(feat / "run"), "--epochs", "2", "--n-forms", "2"]) == 0
@@ -829,8 +832,7 @@ def test_cache_of_another_ambient_dimension_exit_2(small_pipeline, tmp_path, cap
     for rec in manifest["clouds"]:  # recorded anew, so the dimension check is the one that fails
         victim = feat_copy / rec["cache"]
         gram = data.GramField(D=3, k=1, values=np.tile(np.eye(3), (rec["m"], 1, 1)))
-        rec["sha256"] = data.write_gram_cache(victim, gram)
-        rec["bytes"] = victim.stat().st_size
+        rec["sha256"], rec["bytes"] = data.write_gram_cache(victim, gram)
     (feat_copy / cli.FEATURES_MANIFEST).write_text(json.dumps(manifest))
     code = main(["train", "--features", str(feat_copy), "--out", str(tmp_path / "run"), "--epochs", "1"])
     assert code == 2

@@ -136,12 +136,16 @@ def test_gram_field_validates_width_against_degree():
 # binary cache
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_cache_roundtrip_all_zero_identical_bytes(tmp_path):
     gram = GramField(D=2, k=1, values=np.zeros((3, 2, 2)))
     first = tmp_path / "a.gram.bin"
-    write_gram_cache(first, gram, precision="fp32")
+    digest, _ = write_gram_cache(first, gram, precision="fp32")
     again = tmp_path / "b.gram.bin"
-    write_gram_cache(again, read_gram_cache(first), precision="fp32")
+    write_gram_cache(again, read_gram_cache(first, digest), precision="fp32")
     assert first.read_bytes() == again.read_bytes()
 
 
@@ -150,8 +154,7 @@ def test_cache_roundtrip_fp64_bit_exact(tmp_path):
     vals = rng.standard_normal((5, 3, 3))
     gram = GramField(D=3, k=1, values=vals)
     path = tmp_path / "x.gram.bin"
-    write_gram_cache(path, gram, precision="fp64")
-    back = read_gram_cache(path)
+    back = read_gram_cache(path, write_gram_cache(path, gram, precision="fp64")[0])
     assert back.values.dtype == np.float64
     npt.assert_array_equal(back.values, gram.values)
     assert (back.D, back.k, back.m, back.B) == (3, 1, 5, 3)
@@ -162,8 +165,7 @@ def test_cache_fp32_narrowing_matches_cast(tmp_path):
     vals = rng.standard_normal((4, 3, 3))
     gram = GramField(D=3, k=1, values=vals)
     path = tmp_path / "x.gram.bin"
-    write_gram_cache(path, gram, precision="fp32")
-    back = read_gram_cache(path)
+    back = read_gram_cache(path, write_gram_cache(path, gram, precision="fp32")[0])
     npt.assert_array_equal(back.values, gram.values.astype(np.float32).astype(np.float64))
 
 
@@ -171,16 +173,16 @@ def test_cache_wrong_magic_rejected(tmp_path):
     path = tmp_path / "bad.bin"
     header = _HEADER.pack(b"XXXX", CACHE_VERSION, 2, 1, 1, 0)
     path.write_bytes(header + b"\x00" * 16)
-    with pytest.raises(CacheFormatError):
-        read_gram_cache(path)
+    with pytest.raises(CacheFormatError, match="magic"):
+        read_gram_cache(path, _sha256(path))
 
 
 def test_cache_wrong_version_rejected(tmp_path):
     path = tmp_path / "bad.bin"
     header = _HEADER.pack(CACHE_MAGIC, CACHE_VERSION + 9, 2, 1, 1, 0)
     path.write_bytes(header + b"\x00" * 16)
-    with pytest.raises(CacheFormatError):
-        read_gram_cache(path)
+    with pytest.raises(CacheFormatError, match="version"):
+        read_gram_cache(path, _sha256(path))
 
 
 def test_cache_truncated_payload_rejected(tmp_path):
@@ -188,8 +190,8 @@ def test_cache_truncated_payload_rejected(tmp_path):
     path = tmp_path / "x.gram.bin"
     write_gram_cache(path, gram)
     path.write_bytes(path.read_bytes()[:-4])
-    with pytest.raises(CacheFormatError):
-        read_gram_cache(path)
+    with pytest.raises(CacheFormatError, match="payload"):
+        read_gram_cache(path, _sha256(path))  # recorded anew, so the length check is the one that fails
 
 
 def test_cache_header_is_little_endian_fixed_layout(tmp_path):
@@ -366,7 +368,7 @@ def test_failed_fork_closes_its_pipes_and_maps_in_one_process(monkeypatch):
         with pytest.raises(OSError):
             data.Worker(lambda x: x)
     assert _open_fds() == before
-    assert data.start_worker(data.Worker, lambda x: x) is None
+    assert data.Worker.start(lambda x: x) is None
     assert fork_map(lambda x: (x * x, os.getpid()), [1, 2, 3], lambda x: 1) == [(x * x, os.getpid()) for x in (1, 2, 3)]
     assert _open_fds() == before
 
@@ -377,7 +379,8 @@ def test_failed_fork_closes_its_pipes_and_maps_in_one_process(monkeypatch):
 
 def test_writers_return_the_sha256_of_the_bytes_they_wrote(tmp_path):
     gram = GramField(D=3, k=1, values=np.tile(np.eye(3), (4, 1, 1)))
-    assert write_gram_cache(tmp_path / "g.bin", gram) == hashlib.sha256((tmp_path / "g.bin").read_bytes()).hexdigest()
+    path = tmp_path / "g.bin"
+    assert write_gram_cache(path, gram) == (_sha256(path), path.stat().st_size)
     assert write_csv(tmp_path / "c.csv", np.ones((2, 2))) == hashlib.sha256(b"1,1\n1,1\n").hexdigest()
     save_dataset(tmp_path / "data", "toy", [PointCloud(id="a", points=np.ones((3, 2)))], {})
     (record,) = json.loads((tmp_path / "data" / "manifest.json").read_text())["clouds"]
@@ -386,7 +389,7 @@ def test_writers_return_the_sha256_of_the_bytes_they_wrote(tmp_path):
 
 def test_readers_reject_bytes_unlike_the_recorded_sha256(tmp_path):
     gram = GramField(D=3, k=1, values=np.tile(np.eye(3), (4, 1, 1)))
-    digest = write_gram_cache(tmp_path / "g.bin", gram)
+    digest, _ = write_gram_cache(tmp_path / "g.bin", gram)
     assert read_gram_cache(tmp_path / "g.bin", digest).m == 4
     with pytest.raises(CacheFormatError, match=f"g.bin has sha256 {digest}, the features record 0{{64}}"):
         read_gram_cache(tmp_path / "g.bin", "0" * 64)
