@@ -273,8 +273,8 @@ def cmd_train(args) -> int:
     save_checkpoint(out / "model.ckpt", result.model, meta)
     with open(out / "history.csv", "w") as fh:
         fh.write("epoch,train_loss,val_loss,grad_norm\n")
-        for row, norm in zip(result.history, result.grad_norm):
-            fh.write(f"{row['epoch']},{row['train_loss']!r},{row.get('val_loss', float('nan'))!r},{norm!r}\n")
+        for row in result.history:
+            fh.write(f"{row['epoch']},{row['train_loss']!r},{row.get('val_loss', float('nan'))!r},{row['grad_norm']!r}\n")
     write_json(
         out / "result.json",
         {

@@ -368,6 +368,17 @@ class Worker:
             raise reply
         return reply
 
+    def alongside(self, request: object, local: Callable) -> tuple:
+        """``(reply, local())``: sends ``request``, runs ``local`` while the worker answers, then receives.
+        An error in the reply is raised before one from ``local``, as the worker's share comes first."""
+        self.send(request)
+        try:
+            mine = local()
+        except Exception:
+            self.receive()
+            raise
+        return self.receive(), mine
+
     def close(self) -> None:
         """End the worker on every path: it reads EOF, or fails to write to a closed pipe, and exits."""
         for fh in (self._rx, self._tx):
@@ -375,7 +386,10 @@ class Worker:
                 fh.close()
             except OSError:  # bytes left unsent to a worker that already ended
                 pass
-        os.waitpid(self.pid, 0)
+        try:
+            os.waitpid(self.pid, 0)
+        except ChildProcessError:  # SIGCHLD ignored: the kernel reaped the worker itself
+            pass
 
 
 def _serve(handle: Callable, rx, tx) -> None:
@@ -403,12 +417,7 @@ def fork_map(fn: Callable, items: Sequence, cost: Callable[[object], float]) -> 
     if worker is None:
         return [fn(x) for x in items]
     try:
-        worker.send(None)
-        try:
-            tail = [fn(x) for x in items[cut:]]
-        except Exception:
-            worker.receive()  # an error in the head comes first, as in one process
-            raise
-        return worker.receive() + tail
+        head, tail = worker.alongside(None, lambda: [fn(x) for x in items[cut:]])
+        return head + tail
     finally:
         worker.close()

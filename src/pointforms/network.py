@@ -8,12 +8,12 @@ clouds: one network pass per pack, one GEMM per cloud for its comparison matrix.
 Gradients are computed in closed form end to end; training uses
 full-batch adaptive moment updates.
 
-The full-batch loss and gradient are a sum of independent per-cloud terms,
-computed as a per-pack map (``_pack_terms``) and an in-order fold
-(``_fold``). Where a second CPU is free, ``train`` forks one worker
-(``data.Worker``) that folds the head packs (the first half of the points)
-each epoch while this process maps the tail; the tail is then folded onto
-the worker's sums, so the sums are bitwise those of one process.
+The full-batch loss and gradient are a sum of independent per-cloud terms.
+Each epoch ``train`` adds two sums: ``loss_and_grad`` of the head packs (the
+first half of the points, ``data.head_count``) and of the tail. Where a
+second CPU is free, one forked worker (``data.Worker``) computes the head's
+while this process computes the tail's; otherwise this process computes
+both, so the two paths add the same two sums and agree bitwise.
 
 Training runs in float32. Gradient correctness is validated in float64
 against central finite differences, so every backward formula here is
@@ -291,44 +291,6 @@ def predict_logits(model: FormNetwork, samples: list[CloudSample]) -> np.ndarray
     return np.array([s for pack in _pack(model, samples) for s in _forward(model, pack)[0]])
 
 
-class _Terms(NamedTuple):
-    """One pack's share of the full-batch sums: per cloud its logit, ds = dloss/dlogit and ds * phi,
-    and the pack's network gradients, weights then biases."""
-
-    logits: list[float]
-    ds: list[np.ndarray]
-    ds_phi: list[np.ndarray]
-    body: list[np.ndarray]
-
-
-def _pack_terms(model: FormNetwork, pack: _Pack) -> _Terms:
-    """The map: one pack's gradient terms, independent of every other pack."""
-    logits, (trace, a, cs, phis) = _forward(model, pack)
-    d_a = np.empty_like(a)
-    ds_all, ds_phi = [], []
-    for s, sample, c, phi, cols in zip(logits, pack.samples, cs, phis, pack.cols):
-        ds = np.asarray(1.0 / (1.0 + np.exp(-s)) - float(sample.label), dtype=model.dtype)
-        dc = readout_grad(c, model.readout, ds * model.head_w)
-        # d/dF of F W F^T contracted with dc; W symmetric
-        np.matmul(dc + dc.T, a[:, cols], out=d_a[:, cols])
-        ds_all.append(ds)
-        ds_phi.append(ds * phi)
-    dw, db = model.backward(trace, d_a.reshape(model.n_forms, -1, model.n_coeffs).transpose(1, 0, 2))
-    return _Terms(logits, ds_all, ds_phi, [*dw, *db])
-
-
-def _fold(total: float, grads: list[np.ndarray], pack: _Pack, terms: _Terms) -> float:
-    """The fold: add one pack's terms onto the running sums, cloud by cloud; ``grads`` in place,
-    the new loss total returned."""
-    for s, sample, ds, ds_phi in zip(terms.logits, pack.samples, terms.ds, terms.ds_phi):
-        total += _bce(s, sample)
-        grads[-2] += ds_phi
-        grads[-1] += ds
-    for g, d in zip(grads, terms.body):
-        g += d
-    return total
-
-
 def loss_and_grad(model: FormNetwork, samples: list[CloudSample]) -> tuple[float, list[np.ndarray]]:
     """Summed binary cross-entropy and gradients for all parameters.
 
@@ -340,7 +302,19 @@ def loss_and_grad(model: FormNetwork, samples: list[CloudSample]) -> tuple[float
     grads = [np.zeros_like(p) for p in model.parameters()]
     total = 0.0
     for pack in _pack(model, samples):
-        total = _fold(total, grads, pack, _pack_terms(model, pack))
+        logits, (trace, a, cs, phis) = _forward(model, pack)
+        d_a = np.empty_like(a)
+        for s, sample, c, phi, cols in zip(logits, pack.samples, cs, phis, pack.cols):
+            total += _bce(s, sample)
+            ds = np.asarray(1.0 / (1.0 + np.exp(-s)) - float(sample.label), dtype=model.dtype)
+            dc = readout_grad(c, model.readout, ds * model.head_w)
+            # d/dF of F W F^T contracted with dc; W symmetric
+            np.matmul(dc + dc.T, a[:, cols], out=d_a[:, cols])
+            grads[-2] += ds * phi
+            grads[-1] += ds
+        dw, db = model.backward(trace, d_a.reshape(model.n_forms, -1, model.n_coeffs).transpose(1, 0, 2))
+        for g, d in zip(grads, [*dw, *db]):
+            g += d
     return total, grads
 
 
@@ -395,8 +369,7 @@ class TrainConfig:
 @dataclass(eq=False)
 class TrainResult:
     model: FormNetwork
-    history: list[dict]
-    grad_norm: list[float]  # per epoch, the L2 norm of the gradient of that epoch's train_loss
+    history: list[dict]  # per epoch: train_loss, grad_norm (the L2 norm of its gradient) and maybe val_loss
     test_auroc: float
     splits: dict[str, list[str]]
     timings: dict  # epoch_s (seconds of each epoch), total_s (the whole call), worker (whether one was forked)
@@ -447,29 +420,6 @@ class _Adam:
             p -= (self.lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)).astype(p.dtype)
 
 
-def _cut(packs: list[_Pack]) -> int:
-    """Number of head packs, by ``head_count`` of their points."""
-    return head_count([len(p.points) for p in packs])
-
-
-class _HeadWorker(Worker):
-    """A forked worker that folds the head packs from zeros each time it is sent the parameters,
-    while this process maps the tail; ``close`` reaps it."""
-
-    def __init__(self, model: FormNetwork, packs: list[_Pack], cut: int):
-        self.tail = packs[cut:]
-        super().__init__(functools.partial(_head_sums, model, packs[:cut]))
-
-    def loss_and_grad(self, model: FormNetwork) -> tuple[float, list[np.ndarray]]:
-        """``loss_and_grad`` over all packs: the worker's head sums, then the tail folded onto them."""
-        self.send(model.parameters())
-        terms = [_pack_terms(model, pack) for pack in self.tail]
-        total, grads = self.receive()
-        for pack, t in zip(self.tail, terms):
-            total = _fold(total, grads, pack, t)
-        return total, grads
-
-
 def _head_sums(model: FormNetwork, head: list[_Pack], received: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
     """In the worker: the head's sums at the parameters received."""
     for p, value in zip(model.parameters(), received):
@@ -480,9 +430,10 @@ def _head_sums(model: FormNetwork, head: list[_Pack], received: list[np.ndarray]
 def train(samples: list[CloudSample], config: TrainConfig | None = None) -> TrainResult:
     """Full-batch training with a fixed 60/20/20-style split by cloud.
 
-    Every cloud must be labelled 0 or 1. With two or more train packs,
-    ``data._can_fork`` and a worker from ``Worker.start``, that worker folds
-    the head packs each epoch; the result is bitwise that of one process.
+    Every cloud must be labelled 0 or 1. Each epoch's sums are the head
+    packs' sums plus the tail's. Where the head is not empty, ``data._can_fork``
+    allows and ``Worker.start`` starts one, a worker computes the head's; the
+    result is bitwise that of one process.
     """
     started = time.perf_counter()
     config = config or TrainConfig()
@@ -509,19 +460,26 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
     params = model.parameters()
     opt = _Adam(params, lr=config.learning_rate)
     train_packs, val_packs = _pack(model, train_set), _pack(model, val_set)
+    cut = head_count([len(p.points) for p in train_packs]) if len(train_packs) > 1 else 0
+    head, tail = train_packs[:cut], train_packs[cut:]
     n_train = max(1, len(train_set))
     history: list[dict] = []
-    grad_norm: list[float] = []
     epoch_s: list[float] = []
-    worker = _HeadWorker.start(model, train_packs, _cut(train_packs)) if len(train_packs) > 1 and data._can_fork() else None
+    worker = Worker.start(functools.partial(_head_sums, model, head)) if cut and data._can_fork() else None
     try:
         for epoch in range(config.epochs):
             tick = time.perf_counter()
-            loss, grads = worker.loss_and_grad(model) if worker else loss_and_grad(model, train_packs)
+            if worker:
+                (loss, grads), (tail_loss, tail_grads) = worker.alongside(params, lambda: loss_and_grad(model, tail))
+            else:
+                (loss, grads), (tail_loss, tail_grads) = loss_and_grad(model, head), loss_and_grad(model, tail)
+            loss += tail_loss
+            for g, t in zip(grads, tail_grads):
+                g += t
             # numpy's pairwise sums, not BLAS, so the norm does not depend on the thread count
-            grad_norm.append(float(np.sqrt(sum(np.square(g, dtype=np.float64).sum() for g in grads))) / n_train)
+            norm = float(np.sqrt(sum(np.square(g, dtype=np.float64).sum() for g in grads))) / n_train
             opt.update(params, grads)
-            row = {"epoch": epoch, "train_loss": loss / n_train}
+            row = {"epoch": epoch, "train_loss": loss / n_train, "grad_norm": norm}
             if val_set and (epoch % VAL_EVERY == 0 or epoch == config.epochs - 1):
                 row["val_loss"] = _loss_only(model, val_packs) / len(val_set)
             history.append(row)
@@ -532,7 +490,6 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
     return TrainResult(
         model=model,
         history=history,
-        grad_norm=grad_norm,
         test_auroc=evaluate(model, test_set),
         splits={k: [samples[i].cloud_id for i in v] for k, v in splits.items()},
         timings={"epoch_s": epoch_s, "total_s": time.perf_counter() - started, "worker": worker is not None},
@@ -567,8 +524,8 @@ def save_checkpoint(path: str | Path, model: FormNetwork, meta: dict | None = No
 def load_checkpoint(path: str | Path) -> tuple[FormNetwork, dict]:
     try:
         raw, (n_params, echo_len) = read_framed(path, _CKPT_HEADER, _CKPT_MAGIC, _CKPT_VERSION)
-    except FileNotFoundError as exc:
-        raise MissingCacheError(f"no checkpoint at {path}; run 'pointforms train' first") from exc
+    except OSError as exc:  # missing, a directory, or a path through a file
+        raise MissingCacheError(f"cannot read checkpoint {path}: {exc.strerror}; run 'pointforms train' first") from None
     blob_end = _CKPT_HEADER.size + 4 * n_params
     if len(raw) != blob_end + echo_len:
         raise CacheFormatError(f"{path}: checkpoint length mismatch")

@@ -734,10 +734,12 @@ def test_train_into_its_own_features_or_dataset_then_eval(small_pipeline, tmp_pa
         assert "match: True" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("damage", ["missing", "unparsable-echo", "echo-without-arch"])
+@pytest.mark.parametrize("damage", ["missing", "directory", "unparsable-echo", "echo-without-arch"])
 def test_eval_unreadable_checkpoint_exit_2(damage, small_pipeline, tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
-    if damage != "missing":
+    if damage == "directory":
+        ckpt.mkdir()
+    elif damage != "missing":
         raw = (small_pipeline["run"] / "model.ckpt").read_bytes()
         echo_start = raw.rindex(b'{"arch"')
         echo = b"not json" if damage == "unparsable-echo" else json.dumps({"meta": {}}).encode()

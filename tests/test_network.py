@@ -4,11 +4,11 @@ import errno
 import json
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -40,7 +40,8 @@ from pointforms import (
 )
 import pointforms
 from pointforms import data, network
-from pointforms.network import PACK_FLOATS, _cut, _fold, _loss_only, _pack, _pack_terms
+from pointforms.data import fork_map, head_count
+from pointforms.network import PACK_FLOATS, _Adam, _loss_only, _pack
 
 
 def _identity_coeff_net(D: int) -> FormNetwork:
@@ -454,7 +455,7 @@ def test_train_is_deterministic_and_learns():
     assert result.history == again.history
     assert result.test_auroc == again.test_auroc
     assert len(result.history) == 25
-    assert set(result.history[0]) == {"epoch", "train_loss", "val_loss"}
+    assert set(result.history[0]) == {"epoch", "train_loss", "grad_norm", "val_loss"}
     losses = [row["train_loss"] for row in result.history]
     assert losses[-1] < losses[0]
     assert set(result.splits) == {"train", "val", "test"}
@@ -478,29 +479,12 @@ def test_train_config_validation():
         TrainConfig(epochs=0).validate()
 
 
-def test_loss_and_grad_is_the_fold_of_head_sums_and_tail_terms():
-    samples = _ragged_samples()
-    model = FormNetwork.create(3, 3, n_forms=3, hidden=(5,), readout="tri", rng=35, dtype=np.float32)
-    model.head_w[:] = np.random.default_rng(36).standard_normal(model.head_w.shape)
-    packs = _pack(model, samples)
-    assert len(packs) >= 2
-    loss, grads = loss_and_grad(model, packs)
-    for cut in range(len(packs) + 1):
-        total, sums = loss_and_grad(model, packs[:cut])
-        terms = [_pack_terms(model, pack) for pack in packs[cut:]]
-        for pack, t in zip(packs[cut:], terms):
-            total = _fold(total, sums, pack, t)
-        assert total == loss
-        for g, s in zip(grads, sums):
-            assert g.tobytes() == s.tobytes()
-
-
 @pytest.mark.parametrize(
     ("points", "cut"),
     [([64] * 4, 2), ([64] * 5, 3), ([64, 192, 64, 128, 64], 2), ([10, 100], 1), ([100, 10], 1), ([192, 64, 64], 1)],
 )
 def test_head_runs_through_the_pack_that_reaches_half_the_points(points, cut):
-    assert _cut([SimpleNamespace(points=np.empty((m, 1))) for m in points]) == cut
+    assert head_count(points) == cut
 
 
 def _forced_worker(monkeypatch, forked: bool = True) -> None:
@@ -517,19 +501,58 @@ def _assert_no_child() -> None:
 fork_warning = pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
 
 
+# two clouds per pack of _training_set(n_per_class=7): 10 train clouds, 5 packs, the head 3 of them
+TWO_CLOUD_PACKS = 2 * 6 * 2 * 2
+
+
+def _head_and_tail_sums(samples: list[CloudSample], config: TrainConfig) -> tuple[float, list[np.ndarray], int]:
+    """Epoch 0's sums as ``loss_and_grad`` of the head packs plus that of the tail, and the train split's size."""
+    first = samples[0]
+    model = FormNetwork.create(
+        first.points.shape[1], first.gram.B, config.n_forms, config.hidden, config.readout,
+        rng=np.random.default_rng([config.seed]), dtype=np.float32,
+    )
+    packs = _pack(model, [samples[i] for i in split_samples(samples, 0.2, 0.2, config.split_seed)["train"]])
+    cut = head_count([len(p.points) for p in packs])
+    loss, grads = loss_and_grad(model, packs[:cut])
+    tail_loss, tail_grads = loss_and_grad(model, packs[cut:])
+    for g, t in zip(grads, tail_grads):
+        g += t
+    return loss + tail_loss, grads, sum(len(p.samples) for p in packs)
+
+
+@fork_warning
+@pytest.mark.parametrize("forked", [False, True])
+def test_an_epochs_sums_are_the_head_sums_plus_the_tail_sums(forked, monkeypatch):
+    samples = _training_set(n_per_class=7)
+    config = TrainConfig(n_forms=2, hidden=(8,), epochs=1, seed=0, split_seed=0)
+    monkeypatch.setattr(network, "PACK_FLOATS", TWO_CLOUD_PACKS)
+    loss, grads, n_train = _head_and_tail_sums(samples, config)
+    handed = []
+    monkeypatch.setattr(_Adam, "update", lambda self, params, g: handed.append([x.copy() for x in g]))
+    _forced_worker(monkeypatch, forked)
+    result = train(samples, config)
+    _assert_no_child()
+    assert result.timings["worker"] is forked
+    assert result.history[0]["train_loss"] == loss / n_train
+    for g, h in zip(grads, handed[0]):
+        assert g.tobytes() == h.tobytes()
+
+
 @fork_warning
 @pytest.mark.parametrize("cut", range(6))
 def test_forced_worker_trains_bitwise_as_one_process(cut, monkeypatch):
     samples = _training_set(n_per_class=7)
     config = TrainConfig(n_forms=2, hidden=(8,), epochs=12, seed=0, split_seed=0)
-    monkeypatch.setattr(network, "PACK_FLOATS", 2 * 6 * 2 * 2)  # two clouds per pack: 10 train clouds, 5 packs
+    monkeypatch.setattr(network, "PACK_FLOATS", TWO_CLOUD_PACKS)
+    monkeypatch.setattr(network, "head_count", lambda costs: cut)
     _forced_worker(monkeypatch, False)
     alone = train(samples, config)
     _forced_worker(monkeypatch)
-    monkeypatch.setattr(network, "_cut", lambda packs: cut)
     forked = train(samples, config)
     _assert_no_child()
-    assert not alone.timings["worker"] and forked.timings["worker"]
+    # cut 0 leaves the head empty: no worker
+    assert not alone.timings["worker"] and forked.timings["worker"] is (cut > 0)
     assert forked.history == alone.history
     assert forked.test_auroc == alone.test_auroc
     for a, b in zip(alone.model.parameters(), forked.model.parameters()):
@@ -541,7 +564,7 @@ def test_forced_worker_trains_bitwise_as_one_process(cut, monkeypatch):
 def test_worker_error_reaches_the_caller_and_leaves_no_child(monkeypatch):
     samples = _training_set(n_per_class=7)
     config = TrainConfig(n_forms=2, hidden=(8,), epochs=3, seed=0, split_seed=0)
-    monkeypatch.setattr(network, "PACK_FLOATS", 2 * 6 * 2 * 2)
+    monkeypatch.setattr(network, "PACK_FLOATS", TWO_CLOUD_PACKS)
     _forced_worker(monkeypatch)
     head_cloud = samples[split_samples(samples, 0.2, 0.2, 0)["train"][0]]
     head_cloud.gram.values[0, 0, 0] = np.nan
@@ -550,11 +573,66 @@ def test_worker_error_reaches_the_caller_and_leaves_no_child(monkeypatch):
     _assert_no_child()
 
 
+@fork_warning
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the NaN losses themselves
+@pytest.mark.parametrize("forked", [False, True])
+def test_a_nan_in_the_head_and_the_tail_names_the_head_cloud(forked, monkeypatch):
+    samples = _training_set(n_per_class=7)
+    config = TrainConfig(n_forms=2, hidden=(8,), epochs=3, seed=0, split_seed=0)
+    monkeypatch.setattr(network, "PACK_FLOATS", TWO_CLOUD_PACKS)
+    _forced_worker(monkeypatch, forked)
+    train_ids = split_samples(samples, 0.2, 0.2, 0)["train"]
+    head_cloud, tail_cloud = samples[train_ids[0]], samples[train_ids[-1]]
+    for s in (head_cloud, tail_cloud):
+        s.gram.values[0, 0, 0] = np.nan
+    with pytest.raises(NumericFailureError, match=f"cloud {head_cloud.cloud_id}: non-finite loss"):
+        train(samples, config)
+    _assert_no_child()
+
+
+@fork_warning
+def test_forced_worker_parent_calls_loss_and_grad_once_per_epoch(monkeypatch):
+    samples = _training_set(n_per_class=7)
+    config = TrainConfig(n_forms=2, hidden=(8,), epochs=4, seed=0, split_seed=0)
+    monkeypatch.setattr(network, "PACK_FLOATS", TWO_CLOUD_PACKS)
+    _forced_worker(monkeypatch)
+    calls = []
+    inner = network.loss_and_grad
+    monkeypatch.setattr(network, "loss_and_grad", lambda *args: calls.append(os.getpid()) or inner(*args))
+    result = train(samples, config)
+    _assert_no_child()
+    # the worker's calls are made in its own process and counted there
+    assert result.timings["worker"] and calls == [os.getpid()] * config.epochs
+
+
+@fork_warning
+def test_ignored_sigchld_leaves_fork_map_and_train_as_one_process(monkeypatch, forked_workers):
+    samples = _training_set(n_per_class=7)
+    config = TrainConfig(n_forms=2, hidden=(8,), epochs=3, seed=0, split_seed=0)
+    monkeypatch.setattr(network, "PACK_FLOATS", TWO_CLOUD_PACKS)
+    _forced_worker(monkeypatch, False)
+    alone = train(samples, config)
+    _forced_worker(monkeypatch)
+    # as under an inherited "trap '' CHLD": the kernel reaps each child, and waitpid finds none
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        forked = train(samples, config)
+        mapped = fork_map(lambda x: x * x, [1, 2, 3, 4], lambda x: 1)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    _assert_no_child()
+    assert forked.timings["worker"] and len(forked_workers) == 1
+    assert mapped == [1, 4, 9, 16] and forked.history == alone.history
+    for a, b in zip(alone.model.parameters(), forked.model.parameters()):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_grad_norm_is_the_norm_of_the_mean_loss_gradient():
     samples = _training_set()
     config = TrainConfig(n_forms=2, hidden=(8,), epochs=3, seed=0, split_seed=0)
     result = train(samples, config)
-    assert len(result.grad_norm) == 3 and all(n > 0 for n in result.grad_norm)
+    norms = [row["grad_norm"] for row in result.history]
+    assert len(norms) == 3 and all(n > 0 for n in norms)
     # epoch 0 takes the gradient at the initial parameters
     first = samples[0]
     model = FormNetwork.create(
@@ -563,14 +641,14 @@ def test_grad_norm_is_the_norm_of_the_mean_loss_gradient():
     train_set = [samples[i] for i in split_samples(samples, 0.2, 0.2, 0)["train"]]
     _, grads = loss_and_grad(model, train_set)
     expected = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads)) / len(train_set)
-    assert result.grad_norm[0] == pytest.approx(expected, rel=1e-12)
+    assert norms[0] == pytest.approx(expected, rel=1e-12)
 
 
 @fork_warning
 def test_forked_or_failed_fork_grad_norm_equals_one_process(monkeypatch):
     samples = _training_set(n_per_class=7)
     config = TrainConfig(n_forms=2, hidden=(8,), epochs=12, seed=0, split_seed=0)
-    monkeypatch.setattr(network, "PACK_FLOATS", 2 * 6 * 2 * 2)  # two clouds per pack: 10 train clouds, 5 packs
+    monkeypatch.setattr(network, "PACK_FLOATS", TWO_CLOUD_PACKS)
     _forced_worker(monkeypatch, False)
     alone = train(samples, config)
     _forced_worker(monkeypatch)
@@ -584,14 +662,14 @@ def test_forked_or_failed_fork_grad_norm_equals_one_process(monkeypatch):
     unforked = train(samples, config)
     assert forked.timings["worker"] and not unforked.timings["worker"]
     for result in (forked, unforked):
-        assert result.grad_norm == alone.grad_norm and result.history == alone.history
+        assert "grad_norm" in result.history[0] and result.history == alone.history
         for a, b in zip(alone.model.parameters(), result.model.parameters()):
             assert a.tobytes() == b.tobytes()
 
 
 def test_tiny_train_splits_run_no_worker(monkeypatch):
     _forced_worker(monkeypatch)
-    monkeypatch.setattr(network, "_HeadWorker", None)  # any attempt to fork fails the test
+    monkeypatch.setattr(network, "Worker", None)  # any attempt to fork fails the test
     config = TrainConfig(n_forms=2, hidden=(8,), epochs=3, seed=0, split_seed=0)
     # one cloud per label in train: one pack
     result = train(_training_set(n_per_class=3), config)
