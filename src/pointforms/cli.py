@@ -148,7 +148,7 @@ def cmd_precompute(args) -> int:
     def cache(cloud):
         """Write one cloud's cache; its record, or the error it raised."""
         try:
-            op = build_laplacian(cloud.points, params)
+            op = build_laplacian(cloud.points, params, pilot=args.measure == "density_corrected")
             g1 = gram_field_1(op, cloud.points)
             gram = compound_gram_field(g1, args.k)
             cache_rel = f"{cloud.id}.gram.bin"

@@ -6,7 +6,8 @@ layout all live here so the compute modules stay free of I/O concerns.
 Each artifact kind has one checked reader or writer: ``read_manifest``,
 ``read_framed`` (Gram caches and checkpoints), ``read_csv``/``write_csv``
 and ``write_json``; a manifest records each named file's sha256 as written,
-and a reader checks the bytes it reads. ``PRECISIONS`` and ``MEASURES``
+and a reader checks the bytes it reads. A cache is read into the one array
+that its ``GramField`` keeps, uncopied. ``PRECISIONS`` and ``MEASURES``
 are the one list of each choice. The one channel to a second process is
 here too: ``Worker``, a forked process answering pickled requests over two
 pipes, and ``fork_map``, a per-item map whose head it runs in such a worker.
@@ -132,8 +133,9 @@ class GramField:
             )
         if not np.isfinite(vals).all():
             raise ConfigurationError("gram values must be finite")
-        # store symmetrized slices; a no-op (bitwise) when already symmetric
-        self.values = 0.5 * (vals + np.swapaxes(vals, 1, 2))
+        # every producer and cache is exactly symmetric, and is kept as given, uncopied; other input is symmetrized
+        kept = vals.dtype.kind == "f" and np.array_equal(vals, np.swapaxes(vals, 1, 2))
+        self.values = vals if kept else 0.5 * (vals + np.swapaxes(vals, 1, 2))
 
     @property
     def m(self) -> int:
@@ -150,28 +152,31 @@ def write_gram_cache(path: str | Path, gram: GramField, precision: str = "fp32")
         raise ConfigurationError(f"precision must be one of {tuple(PRECISIONS)}, got {precision!r}")
     flag = list(PRECISIONS).index(precision)
     header = _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, gram.D, gram.k, gram.m, flag)
-    raw = header + np.ascontiguousarray(gram.values, dtype=PRECISIONS[precision]).tobytes()
-    Path(path).write_bytes(raw)
-    return hashlib.sha256(raw).hexdigest(), len(raw)
+    payload = np.ascontiguousarray(gram.values, dtype=PRECISIONS[precision])  # the field itself when it has that dtype
+    with open(path, "wb") as fh:
+        fh.writelines((header, payload))
+    (digest := hashlib.sha256(header)).update(payload)  # hashed in place, as written
+    return digest.hexdigest(), len(header) + payload.nbytes
 
 
-def read_framed(path: str | Path, header: struct.Struct, magic: bytes, version: int) -> tuple[bytes, tuple]:
-    """The bytes of a file that opens with ``header`` (magic, version, more fields) and the fields after
-    magic and version; a short file or another magic or version raises ``CacheFormatError``."""
+def read_framed(path: str | Path, header: struct.Struct, magic: bytes, version: int) -> tuple[bytes, np.ndarray, tuple]:
+    """The header bytes, the rest as a writable uint8 array of its own, and the fields after magic and version of a
+    file opening with ``header``; a short file or another magic or version raises ``CacheFormatError``."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < header.size:
-        raise CacheFormatError(f"{path}: shorter than its {header.size}-byte header")
-    found = header.unpack_from(raw, 0)
-    if found[:2] != (magic, version):
-        raise CacheFormatError(f"{path}: magic {found[0]!r} version {found[1]}, expected {magic!r} version {version}")
-    return raw, found[2:]
+        head = fh.read(header.size)
+        if len(head) < header.size:
+            raise CacheFormatError(f"{path}: shorter than its {header.size}-byte header")
+        found = header.unpack(head)
+        if found[:2] != (magic, version):
+            raise CacheFormatError(f"{path}: magic {found[0]!r} version {found[1]}, expected {magic!r} version {version}")
+        return head, np.fromfile(fh, dtype=np.uint8), found[2:]
 
 
 def read_gram_cache(path: str | Path, sha256: str) -> GramField:
     """Read a Gram cache, validating magic, version, its recorded sha256, payload length and values."""
-    raw, (D, k, m, flag) = read_framed(path, _HEADER, CACHE_MAGIC, CACHE_VERSION)
-    if (found := hashlib.sha256(raw).hexdigest()) != sha256:
+    head, payload, (D, k, m, flag) = read_framed(path, _HEADER, CACHE_MAGIC, CACHE_VERSION)
+    (digest := hashlib.sha256(head)).update(payload)
+    if (found := digest.hexdigest()) != sha256:
         raise CacheFormatError(f"{path} has sha256 {found}, the features record {sha256}; rerun 'pointforms precompute'")
     if flag >= len(PRECISIONS):
         raise CacheFormatError(f"{path}: unknown precision flag {flag}")
@@ -180,12 +185,11 @@ def read_gram_cache(path: str | Path, sha256: str) -> GramField:
         raise CacheFormatError(f"{path}: inconsistent D={D}, k={k}")
     B = math.comb(D, k)
     expected = m * B * B * dtype.itemsize
-    if len(raw) - _HEADER.size != expected:
-        raise CacheFormatError(f"{path}: payload is {len(raw) - _HEADER.size} bytes, expected {expected}")
-    # a read-only view of the file bytes; GramField stores a fresh symmetrized array
-    values = np.frombuffer(raw, dtype=dtype, offset=_HEADER.size).reshape(m, B, B)
+    if payload.size != expected:
+        raise CacheFormatError(f"{path}: payload is {payload.size} bytes, expected {expected}")
+    # the payload's own aligned, writable buffer, which GramField keeps: the field is that one allocation
     try:
-        return GramField(D=D, k=k, values=values)
+        return GramField(D=D, k=k, values=payload.view(dtype).reshape(m, B, B))
     except ConfigurationError as exc:
         raise CacheFormatError(f"{path}: {exc}") from exc
 

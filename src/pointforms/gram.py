@@ -44,13 +44,14 @@ def gram_field_1(op: DiffusionOperator, points: np.ndarray) -> GramField:
     if m != op.m:
         raise ConfigurationError(f"operator has {op.m} points, cloud has {m}")
     pts = pts - pts.mean(axis=0)  # Gamma sees only differences; centred, the cancellation below keeps its digits
-    lx = apply_laplacian(op, pts)  # (m, D)
-    # Gamma(x^i, x^j) once per pair i <= j, as (m, D(D+1)/2) columns; L applied to all products in one pass
+    # Gamma(x^i, x^j) once per pair i <= j, as (m, D(D+1)/2) columns; L applied to x and the products in one pass
     iu, ju = np.triu_indices(D)
-    lxx = apply_laplacian(op, pts[:, iu] * pts[:, ju])
-    values = np.empty((m, D, D))
-    values[:, iu, ju] = values[:, ju, iu] = 0.5 * (pts[:, iu] * lx[:, ju] + pts[:, ju] * lx[:, iu] - lxx)
-    return GramField(D=D, k=1, values=values)
+    xi, xj = pts[:, iu], pts[:, ju]
+    lcols = apply_laplacian(op, np.concatenate([pts, xi * xj], axis=1))  # [L x | L(x^i x^j)]
+    pairs = 0.5 * (xi * lcols[:, ju] + xj * lcols[:, iu] - lcols[:, D:])
+    pair_of = np.empty((D, D), dtype=np.intp)  # the pair column of entry (i, j), in both triangles
+    pair_of[iu, ju] = pair_of[ju, iu] = np.arange(iu.size)
+    return GramField(D=D, k=1, values=np.take(pairs, pair_of.reshape(-1), axis=1).reshape(m, D, D))
 
 
 def minors(values: np.ndarray, k: int) -> np.ndarray:

@@ -4,7 +4,7 @@ One kernel h(u) = exp(-u/4), taken at three bandwidths, builds the
 operator, as in Coifman & Lafon and Berry & Harlim:
 
   1. estimate a local scale rho0 from the k0 nearest neighbors,
-  2. the pilot density q0: row sums of h(|x - y|^2 / (rho0(x) rho0(y) / 2)),
+  2. the pilot density q0 (where read): row sums of h(|x - y|^2 / (rho0(x) rho0(y) / 2)),
   3. the bandwidth rho from a density at the working scale (or from q0**beta),
   4. K(x, y) = h(|x - y|^2 / (eps * rho(x) rho(y))),
   5. optionally truncate K to a union-symmetrized kNN graph, by setting the
@@ -39,7 +39,8 @@ same buffer, which become the CSR values. Each step is the elementwise one of
 whole-matrix assembly, so L is bitwise the same, and peak memory is about the
 distance matrix plus the int32 column indices: 12 bytes per entry of a full
 kernel. The CSR values are a view of the (m, m) buffer, so an operator keeps
-all of it alive, however sparse L is: let it go once its Gram field is built.
+all of it alive: let it go once its Gram field is built. ``apply_laplacian``
+makes L dense a row block at a time and applies each block as one GEMM.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class LaplacianParams:
 class DensityEstimate:
     rho0: np.ndarray  # (m,) local kNN scale
     eps0: float  # (mean rho0)^2, global scale
-    q0: np.ndarray  # (m,) empirical sampling density
+    q0: np.ndarray | None = None  # (m,) pilot sampling density, computed only on request
 
 
 @dataclass(eq=False)
@@ -156,8 +157,8 @@ def _kernel_sums(sq: np.ndarray, eps: float, s: np.ndarray | None = None, out: n
     return sums
 
 
-def estimate_density(graph: NeighborGraph, k0: int = 8, d: int = 1) -> DensityEstimate:
-    """kNN local scales and the kernel density built from them."""
+def estimate_density(graph: NeighborGraph, k0: int = 8, d: int = 1, pilot: bool = False) -> DensityEstimate:
+    """kNN local scales and, with ``pilot``, the kernel density built from them."""
     if k0 < 2:
         raise ConfigurationError(f"k0 must be >= 2, got {k0}")
     m = graph.sq.shape[0]
@@ -170,6 +171,8 @@ def estimate_density(graph: NeighborGraph, k0: int = 8, d: int = 1) -> DensityEs
     if (rho0 <= 0).any():
         raise DegenerateDensityError("coincident points give a zero local scale")
     eps0 = float(rho0.mean()) ** 2
+    if not pilot:
+        return DensityEstimate(rho0=rho0, eps0=eps0)
     # Gaussian kernel density exp(-sq / (2 rho0_i rho0_j)), self term included
     q0 = (2.0 * np.pi) ** (-0.5 * d) * _kernel_sums(graph.sq, 0.5, rho0) / (rho0**d * m)
     if not np.isfinite(q0).all() or (q0 <= 0).any():
@@ -187,8 +190,8 @@ def auto_bandwidth_scale(points: np.ndarray, eps0: float, d: int) -> float:
     return _AUTO_SCALE * r2 * (eps0 / r2) ** (d / (d + 4.0))
 
 
-def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -> DiffusionOperator:
-    """Assemble the variable-bandwidth diffusion Laplacian.
+def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None, pilot: bool = False) -> DiffusionOperator:
+    """Assemble the variable-bandwidth diffusion Laplacian; ``pilot`` asks for ``density.q0``, which raw mode reads.
 
     ``L.data`` is a view of the (m, m) distance buffer, which the operator keeps alive."""
     pts = np.asarray(points, dtype=np.float64)
@@ -205,7 +208,7 @@ def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -
     graph = knn(pts, min(k_max, m - 1))
 
     d = estimate_dimension(pts, graph) if params.d == "estimate" else int(params.d)
-    density = estimate_density(graph, k0=params.k0, d=d)
+    density = estimate_density(graph, k0=params.k0, d=d, pilot=pilot or params.bandwidth_scale == "raw")
 
     # the graph is local to this build: sq is overwritten in place as K, then as L
     sq = graph.sq
@@ -282,11 +285,13 @@ def build_laplacian(points: np.ndarray, params: LaplacianParams | None = None) -
 
 
 def apply_laplacian(op: DiffusionOperator, f: np.ndarray) -> np.ndarray:
-    """Apply L to per-point values; accepts (m,) or (m, c) arrays."""
+    """Apply L to per-point values, (m,) or (m, c), one dense row block and one GEMM at a time."""
     vals = np.asarray(f, dtype=np.float64)
     if vals.shape[0] != op.m:
         raise ConfigurationError(f"function has {vals.shape[0]} values for {op.m} points")
-    out = op.L @ vals
+    out = np.empty(vals.shape)
+    for rows, w in row_blocks(op.m):
+        np.matmul(op.L[rows].toarray(out=w), vals, out=out[rows])
     if not np.isfinite(out).all():
         raise NumericFailureError("non-finite values from Laplacian application")
     return out

@@ -523,15 +523,15 @@ def save_checkpoint(path: str | Path, model: FormNetwork, meta: dict | None = No
 
 def load_checkpoint(path: str | Path) -> tuple[FormNetwork, dict]:
     try:
-        raw, (n_params, echo_len) = read_framed(path, _CKPT_HEADER, _CKPT_MAGIC, _CKPT_VERSION)
+        _, raw, (n_params, echo_len) = read_framed(path, _CKPT_HEADER, _CKPT_MAGIC, _CKPT_VERSION)
     except OSError as exc:  # missing, a directory, or a path through a file
         raise MissingCacheError(f"cannot read checkpoint {path}: {exc.strerror}; run 'pointforms train' first") from None
-    blob_end = _CKPT_HEADER.size + 4 * n_params
-    if len(raw) != blob_end + echo_len:
+    blob_end = 4 * n_params
+    if raw.size != blob_end + echo_len:
         raise CacheFormatError(f"{path}: checkpoint length mismatch")
-    flat = np.frombuffer(raw[_CKPT_HEADER.size : blob_end], dtype="<f4")
+    flat = raw[:blob_end].view("<f4")
     try:
-        info = json.loads(raw[blob_end:].decode())
+        info = json.loads(raw[blob_end:].tobytes().decode())
         arch, meta = info["arch"], info["meta"]
         input_dim, n_coeffs, n_forms, hidden, kind = (arch[k] for k in _CKPT_ARCH)
         hidden = tuple(hidden)

@@ -1,8 +1,13 @@
 import os
 
-import pytest
+# One BLAS thread for the whole session, set before numpy is first imported: the process then runs one
+# OS thread, so training, precompute and the studies take the forked-worker path that perfbench times.
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+os.environ.update(dict.fromkeys(BLAS_VARS, "1"))
 
-from pointforms import data
+import pytest  # noqa: E402
+
+from pointforms import data  # noqa: E402
 
 
 @pytest.fixture

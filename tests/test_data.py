@@ -127,6 +127,12 @@ def test_gram_field_symmetrizes_slices():
     npt.assert_array_equal(gram.values[0], gram.values[0].T)
 
 
+def test_gram_field_keeps_a_symmetric_array_as_given():
+    vals = np.random.default_rng(3).standard_normal((4, 3, 3)).astype(np.float32)
+    vals += vals.transpose(0, 2, 1)
+    assert GramField(D=3, k=1, values=vals).values is vals
+
+
 def test_gram_field_validates_width_against_degree():
     with pytest.raises(ConfigurationError):
         GramField(D=3, k=2, values=np.zeros((2, 2, 2)))  # needs B = C(3,2) = 3
@@ -167,6 +173,40 @@ def test_cache_fp32_narrowing_matches_cast(tmp_path):
     path = tmp_path / "x.gram.bin"
     back = read_gram_cache(path, write_gram_cache(path, gram, precision="fp32")[0])
     npt.assert_array_equal(back.values, gram.values.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+def test_cache_reads_into_one_aligned_writable_payload_buffer(tmp_path, precision):
+    vals = np.random.default_rng(4).standard_normal((5, 3, 3))
+    gram = GramField(D=3, k=1, values=vals + vals.transpose(0, 2, 1))
+    path = tmp_path / "x.gram.bin"
+    back = read_gram_cache(path, write_gram_cache(path, gram, precision=precision)[0]).values
+    assert back.dtype == data.PRECISIONS[precision]
+    assert back.flags.writeable and back.flags.aligned and back.flags.c_contiguous
+    # the fp64 payload starts at byte 28 of the file, yet its array is aligned
+    owner = back.base
+    assert owner.base is None and owner.nbytes == back.nbytes == path.stat().st_size - _HEADER.size
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+def test_cache_bytes_are_the_header_then_the_cast_values(tmp_path, precision):
+    vals = np.random.default_rng(5).standard_normal((4, 3, 3))
+    gram = GramField(D=3, k=1, values=vals @ vals.transpose(0, 2, 1))
+    path = tmp_path / "x.gram.bin"
+    write_gram_cache(path, gram, precision=precision)
+    header = _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, 3, 1, 4, list(data.PRECISIONS).index(precision))
+    assert path.read_bytes() == header + gram.values.astype(data.PRECISIONS[precision]).tobytes()
+
+
+def test_session_runs_one_blas_thread():
+    # tests/conftest.py pins BLAS to one thread before numpy loads, so the process runs one OS thread
+    # (with numpy and scipy's BLAS loaded) and the forked-worker paths run in the suite
+    import scipy.linalg  # noqa: F401
+
+    assert all(os.environ[var] == "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to count this process's threads")
+    assert len(os.listdir("/proc/self/task")) == 1
 
 
 def test_cache_wrong_magic_rejected(tmp_path):

@@ -25,6 +25,7 @@ from pointforms import (
     unit_circle,
 )
 from pointforms.gram import minors
+from pointforms.graph import row_blocks
 
 
 def _toy_operator(m=5, dim=2, seed=0):
@@ -132,14 +133,20 @@ def test_gram_field_trace_matches_smooth_kernel_limit():
 
 @pytest.mark.parametrize("D", [2, 12, 48])
 def test_gram_field_1_equals_the_broadcast_formula_bitwise(D):
-    # reference: every (i, j) slice computed from (m, D, D) products, both triangles
+    # reference: every (i, j) slice from the broadcast formula over (m, D, D) products, both triangles;
+    # L is applied as apply_laplacian applies it, one dense GEMM per row block on [x | x^i x^j, i <= j]
     rng = np.random.default_rng(D)
     pts = rng.standard_normal((70, D))
     op = build_laplacian(pts, LaplacianParams(d=1))
     m = len(pts)
     x = pts - pts.mean(axis=0)
-    lx = op.L @ x
-    lprod = (op.L @ (x[:, :, None] * x[:, None, :]).reshape(m, D * D)).reshape(m, D, D)
+    iu, ju = np.triu_indices(D)
+    cols = np.concatenate([x, x[:, iu] * x[:, ju]], axis=1)
+    dense = op.L.toarray()
+    lcols = np.concatenate([dense[rows] @ cols for rows, _ in row_blocks(m)])
+    lx = lcols[:, :D]
+    lprod = np.empty((m, D, D))
+    lprod[:, iu, ju] = lprod[:, ju, iu] = lcols[:, D:]
     want = 0.5 * (x[:, :, None] * lx[:, None, :] + x[:, None, :] * lx[:, :, None] - lprod)
     assert np.array_equal(gram_field_1(op, pts).values, want)
 

@@ -110,7 +110,7 @@ def test_dimension_estimate_identical_points_rejected():
 
 
 def test_density_two_points_closed_form():
-    est = estimate_density(knn(np.array([[0.0], [1.0]]), 1), k0=2, d=1)
+    est = estimate_density(knn(np.array([[0.0], [1.0]]), 1), k0=2, d=1, pilot=True)
     npt.assert_allclose(est.rho0, [1.0, 1.0], atol=1e-15)
     assert est.eps0 == pytest.approx(1.0)
     expected_q0 = (2.0 * np.pi) ** -0.5 * 0.5 * (1.0 + np.exp(-0.5))
@@ -122,17 +122,32 @@ def test_density_scale_equivariance():
     rng = np.random.default_rng(2)
     pts = rng.standard_normal((60, 3))
     c = 2.5
-    base = estimate_density(knn(pts, 5), k0=6, d=2)
-    scaled = estimate_density(knn(c * pts, 5), k0=6, d=2)
+    base = estimate_density(knn(pts, 5), k0=6, d=2, pilot=True)
+    scaled = estimate_density(knn(c * pts, 5), k0=6, d=2, pilot=True)
     npt.assert_allclose(scaled.rho0, c * base.rho0, rtol=1e-12)
     assert scaled.eps0 == pytest.approx(c**2 * base.eps0, rel=1e-12)
     npt.assert_allclose(scaled.q0, base.q0 / c**2, rtol=1e-12)
 
 
 def test_density_uniform_circle_matches_continuum():
-    est = estimate_density(knn(_circle_points(2000), 7), k0=8, d=1)
+    est = estimate_density(knn(_circle_points(2000), 7), k0=8, d=1, pilot=True)
     median_q0 = float(np.median(est.q0))
     assert abs(median_q0 - 1.0 / (2.0 * np.pi)) <= 0.15 / (2.0 * np.pi)
+
+
+def test_pilot_density_is_computed_only_where_it_is_read():
+    pts = _circle_points(100, seed=3)
+    graph = knn(pts, 7)
+    assert estimate_density(graph, d=1).q0 is None
+    assert build_laplacian(pts, LaplacianParams(d=1)).density.q0 is None
+    raw = LaplacianParams(d=1, bandwidth_scale="raw")
+    q0 = build_laplacian(pts, raw).density.q0  # the raw bandwidth reads it
+    assert np.array_equal(q0, estimate_density(graph, d=1, pilot=True).q0)
+    # asked for, it is the same pilot, and the operator is unchanged
+    for params in (LaplacianParams(d=1), raw):
+        alone, pilot = build_laplacian(pts, params), build_laplacian(pts, params, pilot=True)
+        assert np.array_equal(alone.L.toarray(), pilot.L.toarray())
+        assert np.array_equal(pilot.density.q0, q0)
 
 
 def test_density_rejects_coincident_points():
@@ -367,7 +382,7 @@ def test_row_block_assembly_equals_dense_assembly_bitwise(params, cloud, rows_pe
         assert csr["indptr"][-1] < m * m
     if rows_per_block is not None:
         monkeypatch.setattr(graph_module, "ROW_BLOCK", rows_per_block * m)
-    op = build_laplacian(pts, params)
+    op = build_laplacian(pts, params, pilot=True)
     for name, want in csr.items():
         got = getattr(op.L, name)
         assert got.dtype == want.dtype
@@ -424,6 +439,16 @@ def test_apply_indicator_reads_columns():
     e3 = np.zeros(50)
     e3[3] = 1.0
     npt.assert_allclose(apply_laplacian(op, e3), dense[:, 3], atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(60,), (60, 3)])
+def test_apply_by_many_row_blocks_matches_dense_product(shape, monkeypatch):
+    op = build_laplacian(_circle_points(60, seed=13), LaplacianParams(knn="full", d=1))
+    f = np.random.default_rng(14).standard_normal(shape)
+    monkeypatch.setattr(graph_module, "ROW_BLOCK", 7 * 60)  # nine blocks, the last of four rows
+    got = apply_laplacian(op, f)
+    assert got.shape == shape
+    npt.assert_allclose(got, op.L.toarray() @ f, atol=1e-12)
 
 
 def test_apply_is_linear_and_matches_dense_product():
