@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import os
 import sys
+import time
 from collections.abc import Collection
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -52,9 +53,10 @@ from .network import (
     CloudSample,
     TrainConfig,
     evaluate,
+    fit,
     load_checkpoint,
     save_checkpoint,
-    train,
+    split_samples,
 )
 from .oracle import MANIFOLDS, aggregate_metric, convergence_study, density_check
 
@@ -208,9 +210,9 @@ def cmd_precompute(args) -> int:
     return 0
 
 
-def _load_features(features_dir: Path, ids: Collection[str] | None = None) -> tuple[list[CloudSample], dict]:
-    """Samples for the clouds named in ``ids`` (all when None), and the manifest. Each cache named must have its
-    recorded size, each one read its sha256; the one place the measure is applied, slice p weighted by mu_p."""
+def _open_features(features_dir: Path, ids: Collection[str] | None = None) -> tuple[list[CloudSample], dict]:
+    """A sample per cloud named in ``ids`` (all when None), in record order, its field not read yet (None), and the
+    manifest. The dataset's manifest must have its recorded sha256 and every cache named its recorded size."""
     manifest_path = features_dir / FEATURES_MANIFEST
     keys = ("dataset", "dataset_sha256", "degree", "measure")
     manifest = read_manifest(manifest_path, "pointforms-features", keys, CacheFormatError)
@@ -234,12 +236,25 @@ def _load_features(features_dir: Path, ids: Collection[str] | None = None) -> tu
         cloud = by_id.get(rec["id"])
         if cloud is None:
             raise MissingCacheError(f"cloud {rec['id']} missing from dataset {dataset_dir}")
+        samples.append(CloudSample(cloud_id=cloud.id, points=cloud.points, gram=None, label=cloud.label))
+    return samples, manifest
+
+
+def _read_fields(features_dir: Path, manifest: dict, unread: list[CloudSample]) -> list[CloudSample]:
+    """The samples with their fields read, each cache checked against its sha256; the one place the measure is
+    applied, slice p weighted by mu_p."""
+    records = {rec["id"]: rec for rec in manifest["clouds"]}
+    samples = []
+    for s in unread:
+        rec = records[s.cloud_id]
+        cache_path = features_dir / rec["cache"]
         gram = read_gram_cache(cache_path, rec["sha256"])
-        if gram.m != cloud.m:
-            raise CacheFormatError(f"cloud {rec['id']}: gram field covers {gram.m} points, the cloud has {cloud.m}")
-        if gram.D != cloud.dim:
+        m, dim = s.points.shape
+        if gram.m != m:
+            raise CacheFormatError(f"cloud {rec['id']}: gram field covers {gram.m} points, the cloud has {m}")
+        if gram.D != dim:
             raise CacheFormatError(
-                f"cloud {rec['id']}: gram field is for ambient dimension {gram.D}, the cloud has {cloud.dim}"
+                f"cloud {rec['id']}: gram field is for ambient dimension {gram.D}, the cloud has {dim}"
             )
         if gram.k != manifest["degree"]:
             raise CacheFormatError(
@@ -250,51 +265,62 @@ def _load_features(features_dir: Path, ids: Collection[str] | None = None) -> tu
         if not positive or len(mu) != gram.m:
             raise CacheFormatError(f"cloud {rec['id']}: measure must be a list of {gram.m} positive finite weights")
         gram.values *= np.array(mu, dtype=gram.values.dtype)[:, None, None]
-        samples.append(CloudSample(cloud_id=rec["id"], points=cloud.points, gram=gram, label=cloud.label))
-    return samples, manifest
+        samples.append(CloudSample(cloud_id=s.cloud_id, points=s.points, gram=gram, label=s.label))
+    return samples
 
 
 def cmd_train(args) -> int:
+    started = time.perf_counter()
     features_dir = Path(args.features)
     out = Path(args.out)
-    samples, feat_manifest = _load_features(features_dir)
     config = _from_args(TrainConfig, args)
-    result = train(samples, config)
+    unread, feat_manifest = _open_features(features_dir)
+    indices = split_samples(unread, split_seed=config.split_seed)
+    parts = {k: [unread[i] for i in v] for k, v in indices.items()}
+    fit_sets = [_read_fields(features_dir, feat_manifest, parts[k]) for k in ("train", "val")]
+    read_s = {"fit": time.perf_counter() - started}
+    fields_bytes = {"fit": sum(s.gram.values.nbytes for part in fit_sets for s in part)}
+    model, history, timings = fit(*fit_sets, config)
+    del fit_sets  # the last reference to every train and val field: each is released before a test field is read
+    tick = time.perf_counter()
+    test_set = _read_fields(features_dir, feat_manifest, parts["test"])
+    read_s["test"] = time.perf_counter() - tick
+    fields_bytes["test"] = sum(s.gram.values.nbytes for s in test_set)
+    test_auroc = evaluate(model, test_set)
+    timings.update(total_s=time.perf_counter() - started, read_s=read_s, fields_bytes=fields_bytes)
+    splits = {k: [s.cloud_id for s in v] for k, v in parts.items()}
     out.mkdir(parents=True, exist_ok=True)
     feat_hash = hash_input(features_dir / FEATURES_MANIFEST)
     meta = {
         "train_config": asdict(config),
-        "test_auroc": result.test_auroc,
-        "splits": result.splits,
+        "test_auroc": test_auroc,
+        "splits": splits,
         "features": str(features_dir),
         "features_sha256": feat_hash,
         "degree": feat_manifest["degree"],
     }
-    save_checkpoint(out / "model.ckpt", result.model, meta)
+    save_checkpoint(out / "model.ckpt", model, meta)
     with open(out / "history.csv", "w") as fh:
         fh.write("epoch,train_loss,val_loss,grad_norm\n")
-        for row in result.history:
+        for row in history:
             fh.write(f"{row['epoch']},{row['train_loss']!r},{row.get('val_loss', float('nan'))!r},{row['grad_norm']!r}\n")
     write_json(
         out / "result.json",
         {
-            "test_auroc": result.test_auroc,
-            "param_count": result.model.param_count,
-            "split_sizes": {k: len(v) for k, v in result.splits.items()},
+            "test_auroc": test_auroc,
+            "param_count": model.param_count,
+            "split_sizes": {k: len(v) for k, v in splits.items()},
         },
     )
     # seconds vary run to run, so they stay out of config.json and every other output
-    write_json(out / "timings.json", result.timings)
+    write_json(out / "timings.json", timings)
     _write_config_echo(
         out,
         "train",
         {**asdict(config), "features": str(features_dir)},
         {str(features_dir): feat_hash},
     )
-    print(
-        f"trained {result.model.param_count} parameters for {config.epochs} epochs: "
-        f"test AUROC {result.test_auroc:.6f}"
-    )
+    print(f"trained {model.param_count} parameters for {config.epochs} epochs: test AUROC {test_auroc:.6f}")
     return 0
 
 
@@ -302,7 +328,8 @@ def cmd_eval(args) -> int:
     model, meta = load_checkpoint(args.model)
     # only the recorded test clouds are read; a checkpoint without a test split scores them all
     test_ids = set(meta.get("splits", {}).get("test", [])) if args.split == "test" else set()
-    samples, _ = _load_features(Path(args.features), test_ids or None)
+    unread, manifest = _open_features(Path(args.features), test_ids or None)
+    samples = _read_fields(Path(args.features), manifest, unread)
     trained = (meta.get("degree"), model.input_dim, model.n_coeffs)
     for s in samples:
         found = (s.gram.k, s.points.shape[1], s.gram.B)

@@ -8,8 +8,11 @@ clouds: one network pass per pack, one GEMM per cloud for its comparison matrix.
 Gradients are computed in closed form end to end; training uses
 full-batch adaptive moment updates.
 
+``train`` is ``split_samples`` (which checks every label), ``fit`` and ``evaluate``;
+the CLI makes the same calls, reading the test fields only after ``fit`` returns.
+
 The full-batch loss and gradient are a sum of independent per-cloud terms.
-Each epoch ``train`` adds two sums: ``loss_and_grad`` of the head packs (the
+Each epoch ``fit`` adds two sums: ``loss_and_grad`` of the head packs (the
 first half of the points, ``data.head_count``) and of the tail. Where a
 second CPU is free, one forked worker (``data.Worker``) computes the head's
 while this process computes the tail's; otherwise this process computes
@@ -376,11 +379,14 @@ class TrainResult:
 
 
 def split_samples(
-    samples: list[CloudSample], val_fraction: float, test_fraction: float, split_seed: int
+    samples: list[CloudSample], val_fraction: float = VAL_FRACTION, test_fraction: float = TEST_FRACTION,
+    split_seed: int = 0,
 ) -> dict[str, list[int]]:
-    """Deterministic stratified split by cloud, label-balanced."""
+    """Deterministic stratified split by cloud, label-balanced; every label must be 0 or 1."""
     by_label: dict[int, list[int]] = {}
     for i, s in enumerate(samples):
+        if s.label not in (0, 1):
+            raise ConfigurationError(f"cloud {s.cloud_id}: label must be 0 or 1, got {s.label}")
         by_label.setdefault(int(s.label), []).append(i)
     splits: dict[str, list[int]] = {"train": [], "val": [], "test": []}
     for label in sorted(by_label):
@@ -427,27 +433,14 @@ def _head_sums(model: FormNetwork, head: list[_Pack], received: list[np.ndarray]
     return loss_and_grad(model, head)
 
 
-def train(samples: list[CloudSample], config: TrainConfig | None = None) -> TrainResult:
-    """Full-batch training with a fixed 60/20/20-style split by cloud.
-
-    Every cloud must be labelled 0 or 1. Each epoch's sums are the head
-    packs' sums plus the tail's. Where the head is not empty, ``data._can_fork``
-    allows and ``Worker.start`` starts one, a worker computes the head's; the
-    result is bitwise that of one process.
-    """
-    started = time.perf_counter()
-    config = config or TrainConfig()
+def fit(train_set: list[CloudSample], val_set: list[CloudSample], config: TrainConfig) -> tuple:
+    """The model, its per-epoch history and timings (epoch_s, worker) of full-batch training on ``train_set``,
+    validated on ``val_set``. Each epoch's sums are the head packs' sums plus the tail's; where ``data._can_fork``
+    allows and ``Worker.start`` starts one, a worker computes the head's, bitwise as one process would."""
     config.validate()
-    if not samples:
+    if not train_set:
         raise ConfigurationError("empty training set")
-    for s in samples:
-        if s.label not in (0, 1):
-            raise ConfigurationError(f"cloud {s.cloud_id}: label must be 0 or 1, got {s.label}")
-    splits = split_samples(samples, VAL_FRACTION, TEST_FRACTION, config.split_seed)
-    train_set = [samples[i] for i in splits["train"]]
-    val_set = [samples[i] for i in splits["val"]]
-    test_set = [samples[i] for i in splits["test"]]
-    first = samples[0]
+    first = train_set[0]
     model = FormNetwork.create(
         input_dim=first.points.shape[1],
         n_coeffs=first.gram.B,
@@ -462,7 +455,6 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
     train_packs, val_packs = _pack(model, train_set), _pack(model, val_set)
     cut = head_count([len(p.points) for p in train_packs]) if len(train_packs) > 1 else 0
     head, tail = train_packs[:cut], train_packs[cut:]
-    n_train = max(1, len(train_set))
     history: list[dict] = []
     epoch_s: list[float] = []
     worker = Worker.start(functools.partial(_head_sums, model, head)) if cut and data._can_fork() else None
@@ -477,9 +469,9 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
             for g, t in zip(grads, tail_grads):
                 g += t
             # numpy's pairwise sums, not BLAS, so the norm does not depend on the thread count
-            norm = float(np.sqrt(sum(np.square(g, dtype=np.float64).sum() for g in grads))) / n_train
+            norm = float(np.sqrt(sum(np.square(g, dtype=np.float64).sum() for g in grads))) / len(train_set)
             opt.update(params, grads)
-            row = {"epoch": epoch, "train_loss": loss / n_train, "grad_norm": norm}
+            row = {"epoch": epoch, "train_loss": loss / len(train_set), "grad_norm": norm}
             if val_set and (epoch % VAL_EVERY == 0 or epoch == config.epochs - 1):
                 row["val_loss"] = _loss_only(model, val_packs) / len(val_set)
             history.append(row)
@@ -487,13 +479,19 @@ def train(samples: list[CloudSample], config: TrainConfig | None = None) -> Trai
     finally:
         if worker:
             worker.close()
-    return TrainResult(
-        model=model,
-        history=history,
-        test_auroc=evaluate(model, test_set),
-        splits={k: [samples[i].cloud_id for i in v] for k, v in splits.items()},
-        timings={"epoch_s": epoch_s, "total_s": time.perf_counter() - started, "worker": worker is not None},
-    )
+    return model, history, {"epoch_s": epoch_s, "worker": worker is not None}
+
+
+def train(samples: list[CloudSample], config: TrainConfig | None = None) -> TrainResult:
+    """``split_samples`` by cloud, ``fit`` on the train and val clouds, then ``evaluate`` on the test clouds."""
+    started = time.perf_counter()
+    config = config or TrainConfig()
+    splits = split_samples(samples, split_seed=config.split_seed)
+    parts = {k: [samples[i] for i in v] for k, v in splits.items()}
+    model, history, timings = fit(parts["train"], parts["val"], config)
+    test_auroc = evaluate(model, parts["test"])
+    timings["total_s"] = time.perf_counter() - started
+    return TrainResult(model, history, test_auroc, {k: [s.cloud_id for s in v] for k, v in parts.items()}, timings)
 
 
 def _loss_only(model: FormNetwork, samples: list[CloudSample]) -> float:

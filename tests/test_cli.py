@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -563,11 +564,20 @@ def test_train_rerun_is_bit_identical(small_pipeline, tmp_path):
 def test_train_writes_timings_beside_config(small_pipeline):
     run = small_pipeline["run"]
     timings = json.loads((run / "timings.json").read_text())
-    assert set(timings) == {"epoch_s", "total_s", "worker"}
+    assert set(timings) == {"epoch_s", "total_s", "worker", "read_s", "fields_bytes"}
     assert len(timings["epoch_s"]) == 20 and timings["total_s"] >= sum(timings["epoch_s"]) > 0
     assert timings["worker"] is False  # one pack: nothing to share
-    echo = json.loads((run / "config.json").read_text())
-    assert "timings" not in json.dumps(echo) and "epoch_s" not in json.dumps(echo)
+    assert set(timings["read_s"]) == {"fit", "test"} and all(t > 0 for t in timings["read_s"].values())
+    # the weighted fields each phase held: fp32 (48, 2, 2) fields, 8 train and 4 val clouds, then 4 test clouds
+    assert timings["fields_bytes"] == {"fit": 12 * 48 * 2 * 2 * 4, "test": 4 * 48 * 2 * 2 * 4}
+    echo = json.dumps(json.loads((run / "config.json").read_text()))
+    assert all(key not in echo for key in ("timings", "epoch_s", "read_s", "fields_bytes"))
+
+
+def _read_every_field(feat: Path) -> list:
+    """Every cloud of a features directory, its field read and weighted, in record order."""
+    unread, manifest = cli._open_features(feat)
+    return cli._read_fields(feat, manifest, unread)
 
 
 # n_forms 64 makes 6,144 network outputs per 48-point cloud: 8 train clouds in two packs
@@ -578,17 +588,18 @@ TWO_PACKS = ["--epochs", "8", "--n-forms", "64"]
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the NaN loss itself
 def test_worker_error_exits_with_its_class_code_and_message(small_pipeline, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(data, "_can_fork", lambda: True)
-    load = cli._load_features
-    first_train_id = []
+    samples = _read_every_field(small_pipeline["feat"])
+    head = samples[network.split_samples(samples, network.VAL_FRACTION, network.TEST_FRACTION, 0)["train"][0]]
+    first_train_id = [head.cloud_id]
+    read = cli.read_gram_cache
 
-    def load_with_a_nan_head_cloud(*args, **kwargs):
-        samples, manifest = load(*args, **kwargs)
-        head = samples[network.split_samples(samples, network.VAL_FRACTION, network.TEST_FRACTION, 0)["train"][0]]
-        head.gram.values[0, 0, 0] = np.nan
-        first_train_id.append(head.cloud_id)
-        return samples, manifest
+    def read_with_a_nan_head_cloud(path, *args):
+        gram = read(path, *args)
+        if Path(path).name == f"{head.cloud_id}.gram.bin":
+            gram.values[0, 0, 0] = np.nan
+        return gram
 
-    monkeypatch.setattr(cli, "_load_features", load_with_a_nan_head_cloud)
+    monkeypatch.setattr(cli, "read_gram_cache", read_with_a_nan_head_cloud)
     code = main(["train", "--features", str(small_pipeline["feat"]), "--out", str(tmp_path / "run"), *TWO_PACKS])
     assert code == 3
     assert capsys.readouterr().err == f"error: cloud {first_train_id[0]}: non-finite loss\n"
@@ -609,6 +620,81 @@ def test_forked_train_outputs_equal_the_in_process_run(small_pipeline, tmp_path,
     assert timings["worker"] is (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1)
     for name in ("model.ckpt", "history.csv", "result.json", "config.json"):
         assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
+
+
+def test_train_reads_the_test_fields_after_the_fit_has_released_its_own(small_pipeline, tmp_path, monkeypatch):
+    test_ids = set(load_checkpoint(small_pipeline["run"] / "model.ckpt")[1]["splits"]["test"])
+    fitted, held, at_first_test_read = [], [], []
+    fit, read = cli.fit, cli.read_gram_cache
+    monkeypatch.setattr(cli, "fit", lambda *args: (fit(*args), fitted.append(True))[0])
+
+    def read_and_watch(path, *args):
+        if Path(path).name.removesuffix(".gram.bin") in test_ids:
+            if not at_first_test_read:
+                at_first_test_read.append((bool(fitted), sum(ref() is not None for ref in held)))
+            return read(path, *args)
+        gram = read(path, *args)
+        held.extend((weakref.ref(gram), weakref.ref(gram.values)))
+        return gram
+
+    monkeypatch.setattr(cli, "read_gram_cache", read_and_watch)
+    argv = ["train", "--features", str(small_pipeline["feat"]), "--out", str(tmp_path / "run"), "--epochs", "20"]
+    assert main([*argv, "--n-forms", "2"]) == 0
+    # 8 train and 4 val fields, none alive once the first test cache is read, and fit returned by then
+    assert len(held) == 2 * 12 and at_first_test_read == [(True, 0)]
+    for name in ("model.ckpt", "history.csv", "result.json"):
+        assert (tmp_path / "run" / name).read_bytes() == (small_pipeline["run"] / name).read_bytes(), name
+
+
+def test_cli_train_equals_train_in_memory_on_the_same_features(small_pipeline, tmp_path):
+    samples = _read_every_field(small_pipeline["feat"])
+    result = network.train(samples, TrainConfig(epochs=8, n_forms=64))
+    assert main(["train", "--features", str(small_pipeline["feat"]), "--out", str(tmp_path / "run"), *TWO_PACKS]) == 0
+    model, meta = load_checkpoint(tmp_path / "run" / "model.ckpt")
+    for a, b in zip(model.parameters(), result.model.parameters(), strict=True):
+        assert a.tobytes() == b.tobytes()
+    # repr round-trips a float exactly, so equal text is equal bits
+    rows = [f"{r['epoch']},{r['train_loss']!r},{r.get('val_loss', math.nan)!r},{r['grad_norm']!r}" for r in result.history]
+    assert (tmp_path / "run" / "history.csv").read_text().splitlines()[1:] == rows
+    assert json.loads((tmp_path / "run" / "result.json").read_text())["test_auroc"] == result.test_auroc
+    assert meta["splits"] == result.splits
+
+
+@pytest.mark.parametrize("damage", ["flipped", "truncated"])
+def test_train_checks_each_test_split_cache(damage, small_pipeline, tmp_path, monkeypatch, capsys):
+    import shutil
+
+    feat, out = tmp_path / "feat", tmp_path / "run"
+    shutil.copytree(small_pipeline["feat"], feat)
+    victim = feat / f"{load_checkpoint(small_pipeline['run'] / 'model.ckpt')[1]['splits']['test'][0]}.gram.bin"
+    size = victim.stat().st_size
+    if damage == "flipped":
+        _flip_last_byte(victim)
+    else:
+        victim.write_bytes(victim.read_bytes()[:-4])
+    read = []
+    monkeypatch.setattr(cli, "read_gram_cache", lambda path, *a: read.append(path) or data.read_gram_cache(path, *a))
+    assert main(["train", "--features", str(feat), "--out", str(out), "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert not out.exists()
+    if damage == "flipped":  # read last, after the fit, at its recorded size
+        assert f"{victim} has sha256" in err and read[-1] == victim
+    else:  # the size stat of every record comes before any field is read
+        assert f"{victim}: {size - 4} bytes, the features record {size}" in err and read == []
+
+
+def test_train_null_label_exit_1_before_any_cache_is_read(tmp_path, monkeypatch, capsys):
+    data_dir, feat = _small_dataset(tmp_path / "data"), tmp_path / "feat"
+    manifest = json.loads((data_dir / data.MANIFEST_NAME).read_text())
+    manifest["clouds"][1]["label"] = None  # before precompute, so the features record this digest
+    (data_dir / data.MANIFEST_NAME).write_text(json.dumps(manifest))
+    assert main(["precompute", "--dataset", str(data_dir), "--out", str(feat), "--d", "1"]) == 0
+    capsys.readouterr()
+    read = []
+    monkeypatch.setattr(cli, "read_gram_cache", lambda *a: read.append(a) or data.read_gram_cache(*a))
+    assert main(["train", "--features", str(feat), "--out", str(tmp_path / "run")]) == ConfigurationError.exit_code == 1
+    assert "cloud c1: label must be 0 or 1, got None" in capsys.readouterr().err
+    assert read == [] and not (tmp_path / "run").exists()
 
 
 def test_eval_missing_features_exit_2(small_pipeline, tmp_path, capsys):
