@@ -361,7 +361,7 @@ class TrainConfig:
     seed: int = 0
     split_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.epochs < 1 or not 0 < self.learning_rate < np.inf or self.n_forms < 1:
             raise ConfigurationError("epochs, learning rate, and n_forms must be positive and finite")
         if any(width < 1 for width in self.hidden):
@@ -437,7 +437,6 @@ def fit(train_set: list[CloudSample], val_set: list[CloudSample], config: TrainC
     """The model, its per-epoch history and timings (epoch_s, worker) of full-batch training on ``train_set``,
     validated on ``val_set``. Each epoch's sums are the head packs' sums plus the tail's; where ``data._can_fork``
     allows and ``Worker.start`` starts one, a worker computes the head's, bitwise as one process would."""
-    config.validate()
     if not train_set:
         raise ConfigurationError("empty training set")
     first = train_set[0]

@@ -795,15 +795,19 @@ def test_eval_checkpoint_on_other_features_exit_2(small_pipeline, tmp_path, caps
 
 @pytest.mark.parametrize(
     "flags",
-    [["--hidden", "0"], ["--hidden", "4,-3"], ["--lr", "nan"], ["--lr", "inf"]],
-    ids=["hidden-0", "hidden-negative", "lr-nan", "lr-inf"],
+    [["--hidden", "0"], ["--hidden", "4,-3"], ["--lr", "nan"], ["--lr", "inf"], ["--epochs", "0"]],
+    ids=["hidden-0", "hidden-negative", "lr-nan", "lr-inf", "epochs-0"],
 )
-def test_train_bad_config_exit_1(flags, small_pipeline, tmp_path, capsys):
+def test_train_bad_config_exit_1(flags, small_pipeline, tmp_path, monkeypatch, capsys):
+    # refused where the flags become a TrainConfig, before any cloud file or cache is read
+    read = []
+    monkeypatch.setattr(cli, "load_dataset", lambda *a: read.append(a) or data.load_dataset(*a))
+    monkeypatch.setattr(cli, "read_gram_cache", lambda *a: read.append(a) or data.read_gram_cache(*a))
     out = tmp_path / "run"
     code = main(["train", "--features", str(small_pipeline["feat"]), "--out", str(out), "--epochs", "1", *flags])
     assert code == 1
     assert "error:" in capsys.readouterr().err
-    assert not out.exists()
+    assert read == [] and not out.exists()
 
 
 def test_train_into_its_own_features_or_dataset_then_eval(small_pipeline, tmp_path, capsys):

@@ -19,6 +19,7 @@ from pointforms import (
     build_laplacian,
     estimate_density,
     estimate_dimension,
+    gram_field_1,
     knn,
     unit_circle,
     unit_sphere,
@@ -393,11 +394,11 @@ def test_row_block_assembly_equals_dense_assembly_bitwise(params, cloud, rows_pe
 
 
 def test_full_build_allocates_about_the_distances_and_the_operator():
-    # sq (m^2 float64), overwritten as K, then L, then holding L's CSR values, plus int32 indices
+    # sq (m^2 float64), overwritten as K, then as L, which the operator keeps
     m = 2000
     pts = _circle_points(m, seed=16)
     params = LaplacianParams(knn="full", d=1)
-    build_laplacian(pts[:100], params)  # loads scipy.sparse outside the trace
+    build_laplacian(pts[:100], params)  # loads scipy outside the trace
     tracemalloc.start()
     try:
         op = build_laplacian(pts, params)
@@ -405,7 +406,7 @@ def test_full_build_allocates_about_the_distances_and_the_operator():
     finally:
         tracemalloc.stop()
     assert op.L.nnz == m * m
-    assert peak < 14 * m * m, f"peak {peak / (m * m):.1f} bytes per entry of the (m, m) operator"
+    assert peak < 10 * m * m, f"peak {peak / (m * m):.1f} bytes per entry of the (m, m) operator"
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +431,26 @@ def test_operator_csr_arrays_equal_scipy_conversion_of_the_dense_operator(params
         npt.assert_array_equal(got, want)
     assert op.L.has_sorted_indices and ref.has_sorted_indices
     assert (op.L.nnz == 200 * 200) == every_entry
+
+
+@pytest.mark.parametrize("params", [LaplacianParams(d=1, knn="full"), LaplacianParams(d=1)], ids=["full", "default"])
+def test_operator_stores_l_as_one_dense_array(params):
+    m = 150
+    op = build_laplacian(_circle_points(m, seed=8), params)
+    assert isinstance(op.dense, np.ndarray) and op.dense.dtype == np.float64 and op.dense.shape == (m, m)
+    assert op.dense.flags.c_contiguous and op.m == m
+    assert np.array_equal(op.dense, op.L.toarray())
+
+
+def test_build_and_apply_make_no_sparse_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sparse matrix was built")
+
+    monkeypatch.setattr(sp, "csr_matrix", refuse)
+    pts = _circle_points(80, seed=9)
+    op = build_laplacian(pts, LaplacianParams(d=1), pilot=True)
+    assert gram_field_1(op, pts).values.shape == (80, 2, 2)
+    assert apply_laplacian(op, pts).shape == (80, 2)
 
 
 def test_apply_indicator_reads_columns():

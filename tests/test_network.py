@@ -474,9 +474,9 @@ def test_validation_runs_at_epoch_0_every_tenth_epoch_and_the_last():
 
 def test_train_config_validation():
     with pytest.raises(ConfigurationError):
-        TrainConfig(readout="mean").validate()
+        TrainConfig(readout="mean")
     with pytest.raises(ConfigurationError):
-        TrainConfig(epochs=0).validate()
+        TrainConfig(epochs=0)
 
 
 @pytest.mark.parametrize(
