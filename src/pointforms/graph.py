@@ -1,13 +1,14 @@
 """Dense pairwise distances and the k-nearest-neighbor graph.
 
-Distances are dense (O(m^2 D)) and come from one ``cdist`` call at every
-size; clouds here are desk scale. One graph per cloud serves the dimension
-estimate, the pilot density, the kernel and the kNN truncation: it holds the
-neighbor lists ``indices`` and the full distance matrix ``sq``, and a
-neighbor's distance is read from ``sq`` at its index. ``knn`` selects the k
-nearest per row with a partition and stable-sorts only those k, ties to lower
-index; the order is that of a full stable sort, so each smaller neighbor list
-is a column prefix of the largest. Passes over ``sq`` walk its rows in blocks
+Distances are dense (O(m^2 D)), summed in numpy coordinate by coordinate in
+row blocks, bit for bit as scipy's ``cdist(..., "sqeuclidean")``; clouds
+here are desk scale. One graph per cloud serves the dimension estimate, the
+pilot density, the kernel and the kNN truncation: it holds the neighbor
+lists ``indices`` and the full distance matrix ``sq``, and a neighbor's
+distance is read from ``sq`` at its index. ``knn`` selects the k nearest per
+row with a partition and stable-sorts only those k, ties to lower index; the
+order is that of a full stable sort, so each smaller neighbor list is a
+column prefix of the largest. Passes over ``sq`` walk its rows in blocks
 (``row_blocks``), so their temporaries are block-sized.
 """
 
@@ -31,13 +32,22 @@ class NeighborGraph:
 
 
 def pairwise_sq_dist(points: np.ndarray) -> np.ndarray:
-    """Symmetric (m, m) matrix of squared Euclidean distances, zero diagonal."""
-    from scipy.spatial.distance import cdist  # here, not at module level, so `import pointforms` loads no scipy
+    """Symmetric (m, m) matrix of squared Euclidean distances, zero diagonal.
 
+    Each entry is 0 + (x_0 - y_0)^2 + ... + (x_{D-1} - y_{D-1})^2 in that order,
+    the sum ``cdist(..., "sqeuclidean")`` makes, so the two agree bit for bit."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError(f"points must be (m, D), got shape {pts.shape}")
-    sq = cdist(pts, pts, "sqeuclidean")
+    m = pts.shape[0]
+    sq = np.zeros((m, m))
+    cols = np.ascontiguousarray(pts.T)  # (D, m): each coordinate contiguous
+    for rows, buf in row_blocks(m):
+        block = sq[rows]
+        for col in cols:
+            np.subtract.outer(col[rows], col, out=buf)
+            np.square(buf, out=buf)
+            block += buf
     np.fill_diagonal(sq, 0.0)
     return sq
 
@@ -46,7 +56,7 @@ def row_blocks(m: int):
     """Row slices of an (m, m) array in blocks of at most ``ROW_BLOCK`` entries (one row at least),
     each with a float64 (rows, m) scratch block reused from block to block. Row reductions of a
     C-contiguous block equal those of the same rows of the whole array, bit for bit."""
-    step = max(1, ROW_BLOCK // m)
+    step = max(1, ROW_BLOCK // max(m, 1))
     buf = np.empty(min(step, m) * m)
     for lo in range(0, m, step):
         hi = min(lo + step, m)

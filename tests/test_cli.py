@@ -1366,15 +1366,37 @@ assert not loaded, loaded
     _fresh_python(code)
 
 
+def test_pipeline_commands_load_no_scipy(small_pipeline, tmp_path):
+    data = str(small_pipeline["data"])
+    argvs = [
+        ["precompute", "--dataset", data, "--out", str(tmp_path / "u"), "--measure", "uniform"],
+        ["precompute", "--dataset", data, "--out", str(tmp_path / "dc"), "--measure", "density_corrected"],
+        ["consistency", "--manifold", "circle", "--sizes", "60,90", "--seeds", "2", "--out", str(tmp_path / "c")],
+    ]
+    code = f"""
+import sys
+from pointforms.cli import main
+for argv in {argvs!r}:
+    assert main(argv) == 0, argv
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    _fresh_python(code)
+
+
 def test_scipy_loads_at_the_call_that_uses_it():
     code = """
 import sys
 import numpy as np
-from pointforms import build_laplacian, von_mises_sampler
+from pointforms import build_laplacian, gram_field_1, von_mises_sampler
+pts = np.random.default_rng(0).standard_normal((40, 2))
+op = build_laplacian(pts)
+gram_field_1(op, pts)
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
 assert "scipy.special" not in sys.modules
 von_mises_sampler(16, 2.0, rng=0)
 assert "scipy.special" in sys.modules and "scipy.sparse" not in sys.modules
-op = build_laplacian(np.random.default_rng(0).standard_normal((40, 2)))
-assert "scipy.sparse" in sys.modules and op.L.format == "csr"
+assert op.L.format == "csr" and "scipy.sparse" in sys.modules
 """
     _fresh_python(code)

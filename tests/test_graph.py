@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.spatial.distance import cdist
 
 from pointforms import InsufficientPointsError, knn, pairwise_sq_dist
 from pointforms import graph as graph_module
@@ -47,6 +48,32 @@ def test_pairwise_sq_dist_large_cloud_uses_same_values():
     jdx = rng.integers(0, 600, size=50)
     brute = ((pts[idx] - pts[jdx]) ** 2).sum(axis=1)
     npt.assert_allclose(sq[idx, jdx], brute, rtol=1e-10, atol=1e-8)
+
+
+@pytest.mark.parametrize("D", [1, 2, 12, 48])
+@pytest.mark.parametrize("m", [40, 300])  # 300 rows span two row blocks
+@pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (1e3, -4e6)], ids=["unit", "offset"])
+def test_pairwise_sq_dist_equals_cdist_bitwise(m, D, scale, offset):
+    pts = np.random.default_rng(m + D).standard_normal((m, D)) * scale + offset
+    sq = pairwise_sq_dist(pts)
+    assert sq.dtype == np.float64 and sq.shape == (m, m)
+    assert sq.tobytes() == cdist(pts, pts, "sqeuclidean").tobytes()
+    assert sq.tobytes() == np.ascontiguousarray(sq.T).tobytes()  # exactly symmetric
+
+
+def test_pairwise_sq_dist_spans_row_blocks_at_300_points():
+    assert len(list(graph_module.row_blocks(300))) == 2
+
+
+@pytest.mark.parametrize(
+    "shape", [(5, 0), (0, 3), (0, 0), (1, 4)], ids=["no-coords", "no-points", "empty", "one-point"]
+)
+def test_pairwise_sq_dist_edge_shapes_keep_cdists_answer(shape):
+    pts = np.random.default_rng(0).standard_normal(shape)
+    sq = pairwise_sq_dist(pts)
+    assert sq.shape == (shape[0], shape[0])
+    assert sq.tobytes() == cdist(pts, pts, "sqeuclidean").tobytes()
+    npt.assert_array_equal(sq, np.zeros((shape[0], shape[0])))
 
 
 def test_pairwise_sq_dist_allocates_only_its_output():

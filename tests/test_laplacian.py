@@ -398,7 +398,7 @@ def test_full_build_allocates_about_the_distances_and_the_operator():
     m = 2000
     pts = _circle_points(m, seed=16)
     params = LaplacianParams(knn="full", d=1)
-    build_laplacian(pts[:100], params)  # loads scipy outside the trace
+    build_laplacian(pts[:100], params)  # first-call allocations fall outside the trace (a build loads no scipy)
     tracemalloc.start()
     try:
         op = build_laplacian(pts, params)
